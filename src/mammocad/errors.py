@@ -53,6 +53,10 @@ class DegenerateRegion(MammoCadError):
     """Region geometry is degenerate for the requested descriptor."""
 
 
+class TooManyRegions(MammoCadError):
+    """A label map has more regions than a PGM sample can number."""
+
+
 class ConfigError(MammoCadError):
     """Pipeline configuration file or value is invalid."""
 

@@ -72,6 +72,16 @@ class PipelineConfig:
         for key in self.rule_overrides:
             if key not in RULE_KEYS:
                 raise ConfigError(f"unknown rule {key!r}")
+        # max_area alone is checked against the default min_area, which does
+        # not scale with the image; min_area alone meets the scaled default
+        # max_area only per image, in resolve_rules.
+        overrides = self.rule_overrides
+        if "max_area" in overrides and (
+            overrides.get("min_area", RuleSet.min_area) > overrides["max_area"]
+        ):
+            raise ConfigError("rule min_area must be <= max_area")
+        if not 0.0 <= overrides.get("min_compactness", 0.0) <= 1.0:
+            raise ConfigError("rule min_compactness must be in [0, 1]")
 
 
 @dataclass
@@ -101,7 +111,12 @@ def resolve_rules(cfg: PipelineConfig, working_pixels: int) -> RuleSet:
         return cfg.rules
     rules = default_rules(working_pixels, cfg.d_min, cfg.d_max)
     if cfg.rule_overrides:
-        rules = replace(rules, **cfg.rule_overrides)
+        try:
+            rules = replace(rules, **cfg.rule_overrides)
+        except ValueError as exc:
+            raise ConfigError(
+                f"rule overrides {cfg.rule_overrides} on a {working_pixels}-pixel image: {exc}"
+            ) from exc
     return rules
 
 
@@ -141,13 +156,12 @@ def run_pipeline(
         "segment",
         lambda: segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block),
     )
-    regions = extract_regions(region_map, inverted)
+    regions = stage("regions", lambda: extract_regions(region_map, inverted))
 
     def _fractal():
         fits = {}
-        floor = max(cfg.min_region_pixels, 2)
         for region in regions:
-            if region.area >= floor:
+            if region.area >= cfg.min_region_pixels:
                 fits[region.id] = blanket_dimension(inverted, region, cfg.r_max)
         return fits
 
@@ -216,7 +230,12 @@ def run_pipeline(
 
 
 def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
-    """Run the pipeline over many files; per-file errors become entries."""
+    """Run the pipeline over many files; per-file errors become entries.
+
+    The config is validated first, so a :class:`ConfigError` it raises
+    comes before any file is read.
+    """
+    cfg.validate()
     results: list[DetectionReport | BatchError] = []
     for path in paths:
         try:

@@ -6,21 +6,29 @@ whose mean gray values differ by at most ``tau_merge`` until nothing changes.
 Background pixels never join a region. Regions are 8-connected internally;
 adjacency between regions (for merging and boundaries) is 4-connected, which
 avoids checkerboard fusion.
+
+Everything works on whole arrays and one label map. The split decides all
+blocks of one quadtree depth at once from per-interval foreground extremes;
+the merge seeds regions by union-find connected-component labelling and then
+runs its scan on a region adjacency graph. Both give exactly the leaves,
+labels and ids of the plain recursive split, flood fill and pixel-rescanning
+merge they replace.
 """
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import IoFailure, TooManyRegions
 from .image import GrayImage
 from .threshold import BinaryMask
 
 Block = tuple[int, int, int, int]  # (x, y, width, height)
 
-_N4 = ((0, -1), (0, 1), (-1, 0), (1, 0))
-_N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+PGM_MAX_REGIONS = 65535  # largest maxval a PGM header allows
 
 
 @dataclass
@@ -71,6 +79,47 @@ class Region:
         return len(self.pixels)
 
 
+class _Level(NamedTuple):
+    """The intervals one axis is cut into at one quadtree depth."""
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    keys: np.ndarray  # this axis's share of each block's path key
+    parent: np.ndarray | None  # interval one depth up; None at depth 0
+    first_child: np.ndarray | None  # halves one depth down; None at the last depth
+    last_child: np.ndarray | None
+
+
+def _halvings(n: int, depth: int, shift: int) -> list[_Level]:
+    """The ceil/floor halvings of the interval [0, n) at depths 0..depth.
+
+    An interval of length 1 halves into itself alone, so its first and last
+    child coincide. The path key adds, for each halving taken,
+    ``1 << (2 * (depth - d) + shift)`` when the interval is the second half,
+    so adding a row key (shift 1) to a column key (shift 0) interleaves them
+    into a key that orders blocks depth-first NW, NE, SW, SE.
+    """
+    starts = np.zeros(1, dtype=np.int32)
+    lengths = np.array([n], dtype=np.int32)
+    keys = np.zeros(1, dtype=np.int64)
+    parent = None
+    levels = []
+    for d in range(1, depth + 1):
+        halves = lengths // 2
+        counts = 1 + (halves > 0)
+        last = np.cumsum(counts) - 1
+        levels.append(_Level(starts, lengths, keys, parent, last - counts + 1, last))
+        parent = np.repeat(np.arange(len(lengths)), counts)
+        second = np.zeros(len(parent), dtype=bool)
+        second[last[counts == 2]] = True
+        first_lengths = (lengths - halves)[parent]
+        starts = starts[parent] + np.where(second, first_lengths, 0)
+        lengths = np.where(second, halves[parent], first_lengths)
+        keys = keys[parent] + (second.astype(np.int64) << (2 * (depth - d) + shift))
+    levels.append(_Level(starts, lengths, keys, parent, None, None))
+    return levels
+
+
 def split(
     img: GrayImage, mask: BinaryMask, tau_split: int = 10, min_block: int = 1
 ) -> list[Block]:
@@ -80,6 +129,12 @@ def split(
     its foreground pixel values exceeds ``tau_split`` and its longer side
     exceeds ``min_block``. Blocks with no foreground never split. The
     returned leaves tile the image in depth-first NW, NE, SW, SE order.
+
+    The quadtree is decided level by level: all blocks of one depth share
+    the same row and column intervals, so the foreground extremes of every
+    block of a depth come at once from the extremes of its (at most four)
+    children one depth down. Leaves are ordered by their interleaved path
+    key.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
@@ -87,63 +142,143 @@ def split(
         raise ValueError("tau_split must be >= 0")
     if min_block < 1:
         raise ValueError("min_block must be >= 1")
-    px = img.pixels
-    bits = mask.bits
-    leaves: list[Block] = []
+    height, width = img.height, img.width
+    depth = (max(height, width) - 1).bit_length()
+    rows = _halvings(height, depth, 1)
+    cols = _halvings(width, depth, 0)
 
-    def _descend(x: int, y: int, w: int, h: int) -> None:
-        block_bits = bits[y : y + h, x : x + w]
-        if max(w, h) > min_block and block_bits.any():
-            vals = px[y : y + h, x : x + w][block_bits]
-            if int(vals.max()) - int(vals.min()) > tau_split:
-                hl = h - h // 2
-                wl = w - w // 2
-                for cy, ch in ((y, hl), (y + hl, h - hl)):
-                    for cx, cw in ((x, wl), (x + wl, w - wl)):
-                        if cw > 0 and ch > 0:
-                            _descend(cx, cy, cw, ch)
-                return
-        leaves.append((x, y, w, h))
+    # Foreground max and min of every block at every depth, built up from
+    # single pixels; background reads -1 for the max and 256 for the min.
+    highs = [np.where(mask.bits, img.pixels, np.int16(-1))]
+    lows = [np.where(mask.bits, img.pixels, np.int16(256))]
+    for r, c in zip(rows[-2::-1], cols[-2::-1]):
+        for extremes, pick in ((highs, np.maximum), (lows, np.minimum)):
+            e = extremes[-1]
+            e = pick(e[r.first_child], e[r.last_child])
+            extremes.append(pick(e[:, c.first_child], e[:, c.last_child]))
+    highs.reverse()
+    lows.reverse()
 
-    _descend(0, 0, img.width, img.height)
-    return leaves
+    tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
+    found = []  # per depth: (path key, x, y, w, h) arrays of its leaves
+    alive = np.ones((1, 1), dtype=bool)
+    for d, (r, c) in enumerate(zip(rows, cols)):
+        splits = (
+            alive
+            & (np.maximum.outer(r.lengths, c.lengths) > min_block)
+            & (highs[d] - lows[d] > tau)
+        )
+        i, j = np.nonzero(alive & ~splits)
+        found.append((r.keys[i] + c.keys[j], c.starts[j], r.starts[i], c.lengths[j], r.lengths[i]))
+        if not splits.any():
+            break
+        alive = splits[np.ix_(rows[d + 1].parent, cols[d + 1].parent)]
+
+    # One (x, y, w, h) array, not four lists: fewer large temporaries.
+    keys, *sides = (np.concatenate(part) for part in zip(*found))
+    return list(map(tuple, np.stack(sides, 1)[np.argsort(keys)].tolist()))
 
 
-def _seed_regions(bits: np.ndarray, blocks: list[Block], labels: np.ndarray):
+def _block_ranks(blocks: list[Block], width: int, height: int) -> np.ndarray:
+    """Check that ``blocks`` partition the image; map each pixel to its block.
+
+    Blocks are ranked in raster order of their top-left corner. Coverage and
+    ranks come from 2-D difference arrays: +v at the top-left and
+    bottom-right corners, -v at the other two, then a cumsum along each
+    axis.
+    """
+    arr = np.fromiter(chain.from_iterable(blocks), dtype=np.int64).reshape(-1, 4)
+    x, y, w, h = arr.T
+    right, bottom = x + w, y + h
+    bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (w < 1) | (h < 1)
+    if bad.any():
+        raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))])} outside image")
+    ranks = np.empty(len(arr), dtype=np.int32)
+    ranks[np.lexsort((x, y))] = np.arange(len(arr), dtype=np.int32)
+
+    def painted(values):
+        diff = np.zeros((height + 1, width + 1), dtype=np.int32)
+        np.add.at(diff, (y, x), values)
+        np.add.at(diff, (y, right), -values)
+        np.add.at(diff, (bottom, x), -values)
+        np.add.at(diff, (bottom, right), values)
+        return diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[:height, :width]
+
+    if not (painted(np.ones(len(arr), dtype=np.int32)) == 1).all():
+        raise ValueError("blocks do not partition the image")
+    return painted(ranks)
+
+
+def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> np.ndarray:
     """Label the 8-connected foreground components of every block.
 
-    Blocks are visited in raster order of their top-left corner and
-    components in raster order of their seed pixel, so the initial ids are
-    deterministic. Returns {id: [(x, y), ...]}.
+    Two pixels connect when both are foreground and in the same block.
+    Components are found by union-find over the edge list of each neighbour
+    direction in turn: each round hooks the larger root of every edge to the
+    smaller with ``np.minimum.at``, then pointer jumping makes every pixel
+    point at its root, so a root is its component's first pixel in raster
+    order. Ids follow blocks in raster order of their top-left corner, then
+    components in raster order of their first pixel.
     """
     height, width = bits.shape
-    pixels_of: dict[int, list[tuple[int, int]]] = {}
-    next_id = 1
-    for x0, y0, w, h in sorted(blocks, key=lambda b: (b[1], b[0])):
-        for sy in range(y0, y0 + h):
-            for sx in range(x0, x0 + w):
-                if not bits[sy, sx] or labels[sy, sx]:
-                    continue
-                rid = next_id
-                next_id += 1
-                stack = [(sx, sy)]
-                labels[sy, sx] = rid
-                member = []
-                while stack:
-                    cx, cy = stack.pop()
-                    member.append((cx, cy))
-                    for dx, dy in _N8:
-                        nx, ny = cx + dx, cy + dy
-                        if (
-                            x0 <= nx < x0 + w
-                            and y0 <= ny < y0 + h
-                            and bits[ny, nx]
-                            and not labels[ny, nx]
-                        ):
-                            labels[ny, nx] = rid
-                            stack.append((nx, ny))
-                pixels_of[rid] = member
-    return pixels_of
+    index = np.arange(height * width, dtype=np.int32).reshape(height, width)
+    parent = index.ravel().copy()  # a root at every pixel between rounds
+    # The components do not depend on the order edges are joined in, so
+    # only one direction's edges need to exist at a time.
+    for a, b in (
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[:-1, :], np.s_[1:, :]),
+        (np.s_[:-1, :-1], np.s_[1:, 1:]),
+        (np.s_[:-1, 1:], np.s_[1:, :-1]),
+    ):
+        joined = bits[a] & bits[b] & (block_of[a] == block_of[b])
+        heads = parent[index[a][joined]]
+        tails = parent[index[b][joined]]
+        while True:
+            crossing = heads != tails
+            heads = heads[crossing]
+            tails = tails[crossing]
+            if not heads.size:
+                break
+            np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
+            while True:
+                grand = parent[parent]
+                if np.array_equal(grand, parent):
+                    break
+                parent = grand
+            heads = parent[heads]
+            tails = parent[tails]
+
+    # Background pixels are never joined, so they stay their own roots.
+    roots = np.flatnonzero((parent == index.ravel()) & bits.ravel())
+    ids = np.zeros(height * width, dtype=np.int32)
+    ids[roots[np.lexsort((roots, block_of.ravel()[roots]))]] = np.arange(
+        1, len(roots) + 1, dtype=np.int32
+    )
+    return ids[parent].reshape(height, width)
+
+
+def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
+
+    Returns (targets, offsets): the neighbours of id r are
+    ``targets[offsets[r]:offsets[r + 1]]``.
+    """
+    codes = []
+    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
+        touching = (a != b) & (a > 0) & (b > 0)
+        a, b = a[touching], b[touching]
+        codes.append(np.minimum(a, b).astype(np.int64) * (count + 1) + np.maximum(a, b))
+    codes = np.concatenate(codes)
+    codes.sort()
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = codes[1:] != codes[:-1]
+    pairs = np.divmod(codes[distinct], count + 1)
+    src = np.concatenate(pairs).astype(np.int32)
+    targets = np.concatenate(pairs[::-1]).astype(np.int32)[np.argsort(src, kind="stable")]
+    offsets = np.zeros(count + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=count + 1), out=offsets[1:])
+    return targets, offsets
 
 
 def merge(
@@ -157,71 +292,84 @@ def merge(
     own, and passes repeat until one completes with no merge, so at return
     no adjacent pair is within ``tau_merge``. Ids are then relabeled densely
     in raster order of each region's first pixel.
+
+    The seeds come from union-find labelling (:func:`_seed_labels`). The
+    scan runs on a region adjacency graph built once from the seed labels,
+    with integer gray sums and pixel counts per region. A scanned region
+    absorbs its smallest-id neighbour within ``tau_merge``, takes over that
+    neighbour's neighbours, recomputes its mean as sum / count and looks
+    again.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
-    _check_partition(blocks, img.width, img.height)
-    px = img.pixels
-    bits = mask.bits
-    labels = np.zeros(bits.shape, dtype=np.int32)
-    pixels_of = _seed_regions(bits, blocks, labels)
-    gray_sum = {
-        rid: sum(int(px[y, x]) for x, y in members)
-        for rid, members in pixels_of.items()
-    }
+    block_of = _block_ranks(blocks, img.width, img.height)
+    seeds = _seed_labels(mask.bits, block_of)
+    count = int(seeds.max(initial=0))
+    flat = seeds.ravel()
+    sums = np.bincount(flat, weights=img.pixels.ravel(), minlength=count + 1)
+    sums = sums.astype(np.int64).tolist()
+    sizes = np.bincount(flat, minlength=count + 1).tolist()
+    means = [s / n if n else 0.0 for s, n in zip(sums, sizes)]
+    targets, offsets = _adjacency(seeds, count)
+    neighbours: list[list[int] | None] = [None] * (count + 1)
 
-    height, width = bits.shape
+    def links_of(rid: int) -> list[int]:
+        """The current neighbours of ``rid``, read from the graph on first use.
 
-    def neighbors_of(rid: int) -> list[int]:
-        seen = set()
-        for x, y in pixels_of[rid]:
-            for dx, dy in _N4:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    other = int(labels[ny, nx])
-                    if other and other != rid:
-                        seen.add(other)
-        return sorted(seen)
+        Every absorb reads the lists it changes first, so a list not read
+        yet still equals the graph's.
+        """
+        links = neighbours[rid]
+        if links is None:
+            links = neighbours[rid] = targets[offsets[rid] : offsets[rid + 1]].tolist()
+        return links
 
-    while True:
+    absorbed_by = [0] * (count + 1)  # 0 while the region is its own
+    scan = list(range(1, count + 1))
+    merged_any = True
+    while merged_any:
         merged_any = False
-        for rid in sorted(pixels_of):
-            if rid not in pixels_of:
+        for rid in scan:
+            if absorbed_by[rid]:
                 continue  # absorbed earlier in this pass
+            own = links_of(rid)
             while True:
-                mean = gray_sum[rid] / len(pixels_of[rid])
-                target = None
-                for other in neighbors_of(rid):
-                    if abs(mean - gray_sum[other] / len(pixels_of[other])) <= tau_merge:
-                        target = other
-                        break
-                if target is None:
+                mean = means[rid]
+                close = [other for other in own if abs(mean - means[other]) <= tau_merge]
+                if not close:
                     break
-                for x, y in pixels_of[target]:
-                    labels[y, x] = rid
-                pixels_of[rid].extend(pixels_of[target])
-                gray_sum[rid] += gray_sum[target]
-                del pixels_of[target], gray_sum[target]
+                target = min(close)
+                own.remove(target)
+                for other in links_of(target):
+                    if other != rid:
+                        links = links_of(other)
+                        links.remove(target)
+                        if rid not in links:
+                            links.append(rid)
+                            own.append(other)
+                neighbours[target] = None  # no list holds target any more
+                sums[rid] += sums[target]
+                sizes[rid] += sizes[target]
+                means[rid] = sums[rid] / sizes[rid]
+                absorbed_by[target] = rid
                 merged_any = True
-        if not merged_any:
+        scan = [rid for rid in scan if not absorbed_by[rid]]
+
+    owner = np.array(absorbed_by, dtype=np.int32)
+    own_region = owner == 0
+    owner[own_region] = np.flatnonzero(own_region)
+    while True:
+        jumped = owner[owner]
+        if np.array_equal(jumped, owner):
             break
-
-    order = sorted(pixels_of, key=lambda rid: min((y, x) for x, y in pixels_of[rid]))
-    final = np.zeros_like(labels)
-    for new_id, rid in enumerate(order, start=1):
-        for x, y in pixels_of[rid]:
-            final[y, x] = new_id
-    return RegionMap(final, len(order))
-
-
-def _check_partition(blocks: list[Block], width: int, height: int) -> None:
-    cover = np.zeros((height, width), dtype=np.int32)
-    for x, y, w, h in blocks:
-        if x < 0 or y < 0 or x + w > width or y + h > height or w < 1 or h < 1:
-            raise ValueError(f"block {(x, y, w, h)} outside image")
-        cover[y : y + h, x : x + w] += 1
-    if not (cover == 1).all():
-        raise ValueError("blocks do not partition the image")
+        owner = jumped
+    merged = owner[seeds]
+    present, first = np.unique(merged, return_index=True)
+    first = first[present > 0]
+    present = present[present > 0]
+    final_id = np.zeros(count + 1, dtype=np.int32)
+    final_id[present[np.argsort(first)]] = np.arange(1, len(present) + 1, dtype=np.int32)
+    return RegionMap(final_id[merged], len(present))
 
 
 def segment_image(
@@ -236,33 +384,55 @@ def segment_image(
 
 
 def extract_regions(region_map: RegionMap, img: GrayImage | None = None) -> list[Region]:
-    """Build one :class:`Region` per label id, ascending."""
+    """Build one :class:`Region` per label id, ascending.
+
+    The foreground pixels are grouped by region with one stable sort, which
+    keeps them in raster order within each region. The boundary mask comes
+    once from the label map padded with a label no region has, and each
+    region's boundary list picks from its own pixel list.
+    """
     labels = region_map.labels
     height, width = labels.shape
     if img is not None and (img.height, img.width) != (height, width):
         raise ValueError("image and region map dimensions differ")
-    pixels_of: dict[int, list[tuple[int, int]]] = {
-        rid: [] for rid in range(1, region_map.region_count + 1)
-    }
-    for y, x in np.argwhere(labels > 0):
-        pixels_of[int(labels[y, x])].append((int(x), int(y)))
+    count = region_map.region_count
+    if not count:
+        return []
+    padded = np.pad(labels, 1, constant_values=-1)
+    on_boundary = (
+        (padded[:-2, 1:-1] != labels)
+        | (padded[2:, 1:-1] != labels)
+        | (padded[1:-1, :-2] != labels)
+        | (padded[1:-1, 2:] != labels)
+    )
+    flat = np.flatnonzero(labels).astype(np.int32)
+    flat = flat[np.argsort(labels.ravel()[flat], kind="stable")]
+    ys, xs = np.divmod(flat, np.int32(width))
+    points = list(zip(xs.tolist(), ys.tolist()))
+    edge = on_boundary.ravel()[flat].tolist()
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    x_min = np.minimum.reduceat(xs, starts).tolist()
+    x_max = np.maximum.reduceat(xs, starts).tolist()
+    x_sum = np.add.reduceat(xs, starts, dtype=np.int64).tolist()
+    y_sum = np.add.reduceat(ys, starts, dtype=np.int64).tolist()
+    y_min = ys[starts].tolist()
+    y_max = ys[ends - 1].tolist()
 
     regions = []
-    for rid in range(1, region_map.region_count + 1):
-        members = pixels_of[rid]
-        boundary = []
-        for x, y in members:
-            on_border = x == 0 or y == 0 or x == width - 1 or y == height - 1
-            if on_border or any(
-                labels[y + dy, x + dx] != rid for dx, dy in _N4
-            ):
-                boundary.append((x, y))
-        xs = [x for x, _ in members]
-        ys = [y for _, y in members]
-        x0, y0 = min(xs), min(ys)
-        bbox = (x0, y0, max(xs) - x0 + 1, max(ys) - y0 + 1)
-        centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
-        regions.append(Region(rid, members, boundary, bbox, centroid))
+    for k, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        pixels = points[start:end]
+        area = end - start
+        regions.append(
+            Region(
+                k + 1,
+                pixels,
+                list(compress(pixels, edge[start:end])),
+                (x_min[k], y_min[k], x_max[k] - x_min[k] + 1, y_max[k] - y_min[k] + 1),
+                (x_sum[k] / area, y_sum[k] / area),
+            )
+        )
     return regions
 
 
@@ -272,8 +442,10 @@ def write_region_map_pgm(region_map: RegionMap, path) -> None:
     Uses two-byte big-endian samples when more than 255 regions exist.
     """
     maxval = max(region_map.region_count, 1)
-    if maxval > 65535:
-        raise ValueError("too many regions for PGM export")
+    if maxval > PGM_MAX_REGIONS:
+        raise TooManyRegions(
+            f"{region_map.region_count} regions exceed the {PGM_MAX_REGIONS} a PGM label map holds"
+        )
     header = f"P5\n{region_map.width} {region_map.height}\n{maxval}\n".encode("ascii")
     if maxval < 256:
         raster = region_map.labels.astype(np.uint8).tobytes()

@@ -173,3 +173,147 @@ def diamond_square(n_exp, roughness, rng):
         step = half
         scale *= 0.5**roughness
     return np.clip(g, 0, 255).astype(np.uint8)
+
+
+_N4 = ((0, -1), (0, 1), (-1, 0), (1, 0))
+_N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def quadtree_split(pixels, bits, tau_split, min_block):
+    """Recursive quadtree split; leaves as (x, y, w, h) in NW, NE, SW, SE order.
+
+    A block splits into ceil/floor quadrants while its foreground values
+    spread more than ``tau_split`` and its longer side exceeds
+    ``min_block``; quadrants with a zero side are dropped.
+    """
+    height, width = bits.shape
+    leaves = []
+
+    def descend(x, y, w, h):
+        vals = [
+            int(pixels[yy, xx])
+            for yy in range(y, y + h)
+            for xx in range(x, x + w)
+            if bits[yy, xx]
+        ]
+        if max(w, h) > min_block and vals and max(vals) - min(vals) > tau_split:
+            hl = h - h // 2
+            wl = w - w // 2
+            for cy, ch in ((y, hl), (y + hl, h - hl)):
+                for cx, cw in ((x, wl), (x + wl, w - wl)):
+                    if cw > 0 and ch > 0:
+                        descend(cx, cy, cw, ch)
+            return
+        leaves.append((x, y, w, h))
+
+    descend(0, 0, width, height)
+    return leaves
+
+
+def flood_merge(pixels, bits, blocks, tau_merge):
+    """Seed flood fill plus pixel-rescanning merge; returns the label array.
+
+    Seeds are the 8-connected foreground components of each block, numbered
+    over blocks in raster order of their top-left corner, then in raster
+    order of each component's first pixel. Regions are scanned by ascending
+    id; each absorbs its smallest-id 4-neighbour whose mean is within
+    ``tau_merge`` of its own until none is, and passes repeat until one
+    makes no merge. Final ids follow the raster order of first pixels.
+    """
+    height, width = bits.shape
+    labels = np.zeros((height, width), dtype=np.int64)
+    members = {}
+    next_id = 1
+    for x0, y0, w, h in sorted(blocks, key=lambda b: (b[1], b[0])):
+        for sy in range(y0, y0 + h):
+            for sx in range(x0, x0 + w):
+                if not bits[sy, sx] or labels[sy, sx]:
+                    continue
+                rid = next_id
+                next_id += 1
+                labels[sy, sx] = rid
+                stack = [(sx, sy)]
+                members[rid] = []
+                while stack:
+                    cx, cy = stack.pop()
+                    members[rid].append((cx, cy))
+                    for dx, dy in _N8:
+                        nx, ny = cx + dx, cy + dy
+                        if (
+                            x0 <= nx < x0 + w
+                            and y0 <= ny < y0 + h
+                            and bits[ny, nx]
+                            and not labels[ny, nx]
+                        ):
+                            labels[ny, nx] = rid
+                            stack.append((nx, ny))
+    total = {rid: sum(int(pixels[y, x]) for x, y in pts) for rid, pts in members.items()}
+
+    def neighbours(rid):
+        seen = set()
+        for x, y in members[rid]:
+            for dx, dy in _N4:
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < width and 0 <= ny < height:
+                    other = int(labels[ny, nx])
+                    if other and other != rid:
+                        seen.add(other)
+        return sorted(seen)
+
+    merged = True
+    while merged:
+        merged = False
+        for rid in sorted(members):
+            if rid not in members:
+                continue
+            while True:
+                mean = total[rid] / len(members[rid])
+                target = None
+                for other in neighbours(rid):
+                    if abs(mean - total[other] / len(members[other])) <= tau_merge:
+                        target = other
+                        break
+                if target is None:
+                    break
+                for x, y in members[target]:
+                    labels[y, x] = rid
+                members[rid].extend(members.pop(target))
+                total[rid] += total.pop(target)
+                merged = True
+
+    order = sorted(members, key=lambda rid: min((y, x) for x, y in members[rid]))
+    final = np.zeros((height, width), dtype=np.int64)
+    for new_id, rid in enumerate(order, start=1):
+        for x, y in members[rid]:
+            final[y, x] = new_id
+    return final
+
+
+def region_geometry(labels):
+    """Per label id 1..max: (id, pixels, boundary, bbox, centroid) tuples.
+
+    Pixels and boundary are raster-ordered (x, y) lists; a boundary pixel
+    lies on the image border or has a 4-neighbour with another label.
+    """
+    height, width = labels.shape
+    count = int(labels.max()) if labels.size else 0
+    pixels_of = {rid: [] for rid in range(1, count + 1)}
+    for y in range(height):
+        for x in range(width):
+            if labels[y, x]:
+                pixels_of[int(labels[y, x])].append((x, y))
+    out = []
+    for rid in range(1, count + 1):
+        pts = pixels_of[rid]
+        boundary = [
+            (x, y)
+            for x, y in pts
+            if x in (0, width - 1)
+            or y in (0, height - 1)
+            or any(labels[y + dy, x + dx] != rid for dx, dy in _N4)
+        ]
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
+        bbox = (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+        out.append((rid, pts, boundary, bbox, (sum(xs) / len(xs), sum(ys) / len(ys))))
+    return out

@@ -9,6 +9,7 @@ from mammocad.image import GrayImage, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import (
     BatchError,
+    DetectionReport,
     PipelineConfig,
     features_csv,
     report_json,
@@ -323,3 +324,81 @@ class TestCli:
         payload = json.loads((out_dir / "t_report.json").read_text())
         # The wide band keeps smooth regions the default band would drop.
         assert payload["region_count_post_gate"] >= 1
+
+
+def isolated_dots(path):
+    """512 px image whose 256x256 dark dots each become a one-pixel region."""
+    pixels = np.full((512, 512), 255, np.uint8)
+    pixels[::2, ::2] = 0
+    write_pgm(GrayImage(pixels), path)
+    return path
+
+
+class TestBatchContract:
+    """A bad file never stops the batch; config errors come before any read."""
+
+    def test_too_many_regions_is_a_per_file_error(self, tmp_path):
+        dots = isolated_dots(tmp_path / "dots.pgm")
+        ok = tmp_path / "ok.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], ok)
+        cfg = PipelineConfig(dwt_levels=0, emit=("labels",), output_dir=tmp_path / "out")
+        results = run_batch([dots, ok], cfg)
+        assert [type(r) for r in results] == [BatchError, DetectionReport]
+        assert "65536 regions" in results[0].error
+        assert (tmp_path / "out" / "ok_labels.pgm").exists()
+
+    def test_too_many_regions_cli_exits_one(self, tmp_path, capsys):
+        dots = isolated_dots(tmp_path / "dots.pgm")
+        out = tmp_path / "out"
+        args = ["detect", str(dots), "--dwt-levels", "0", "--emit", "labels", "--out", str(out)]
+        assert main(args) == 1
+        assert "dots.pgm: ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"min_area": 50, "max_area": 10},
+            {"max_area": 10},  # below the default min_area of 50
+            {"min_compactness": 1.5},
+            {"min_compactness": -0.1},
+        ],
+    )
+    def test_contradictory_overrides_rejected_before_reading(self, overrides, tmp_path):
+        cfg = PipelineConfig(rule_overrides=overrides, output_dir=None)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_batch([tmp_path / "never_read.pgm"], cfg)
+
+    def test_contradictory_override_file_exits_two(self, tmp_path):
+        cfg_file = tmp_path / "rules.cfg"
+        cfg_file.write_text("min_area = 50\nmax_area = 10\n")
+        src = tmp_path / "b.pgm"
+        write_pgm(generate_phantom("blank", 1, 128)[0], src)
+        assert main(["detect", str(src), "--config", str(cfg_file)]) == 2
+
+    def test_min_area_above_scaled_max_area_is_a_per_file_error(self, tmp_path):
+        small = tmp_path / "small.pgm"
+        large = tmp_path / "large.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], small)
+        write_pgm(generate_phantom("tumor", 1, 256)[0], large)
+        # 64 px at dwt_levels=0: default max_area is 64 * 64 // 4 = 1024.
+        cfg = PipelineConfig(dwt_levels=0, rule_overrides={"min_area": 2000}, output_dir=None)
+        small_result, large_result = run_batch([small, large], cfg)
+        assert isinstance(small_result, BatchError)
+        assert "classify" in small_result.error
+        assert isinstance(large_result, DetectionReport)
+
+    def test_regions_stage_timed(self):
+        img, _ = generate_phantom("tumor", 1, 256)
+        report = run_pipeline(img, PipelineConfig(output_dir=None))
+        assert list(report.timings) == [
+            "downsample",
+            "negate",
+            "threshold",
+            "segment",
+            "regions",
+            "fractal",
+            "features",
+            "classify",
+        ]

@@ -15,7 +15,7 @@ from mammocad.segment import (
 )
 from mammocad.threshold import BinaryMask
 
-from oracles import connected_components_8
+from oracles import connected_components_8, flood_merge, quadtree_split, region_geometry
 
 
 def full_mask(w, h, t=0):
@@ -264,3 +264,63 @@ class TestExports:
     def test_region_map_validation(self):
         with pytest.raises(ValueError):
             RegionMap(np.array([[0, 2]], dtype=np.int32), 1)  # id 1 missing
+
+
+TAUS = (0, 5, 10, 30, 255)
+
+
+@st.composite
+def image_and_mask(draw, max_side=40):
+    """Random image and mask of any shape up to ``max_side``, any density."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    density = draw(st.floats(0.0, 1.0))
+    spread = draw(st.sampled_from([1, 4, 16, 64, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.integers(0, 256 - spread))
+    pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
+    return GrayImage(pixels), BinaryMask(rng.random((height, width)) < density, 0)
+
+
+def serpentine(side):
+    """A one-pixel-wide path snaking down the rows: one component, many turns."""
+    bits = np.zeros((side, side), dtype=bool)
+    bits[::2, :] = True
+    bits[1::4, -1] = True
+    bits[3::4, 0] = True
+    return bits
+
+
+class TestOracleEquivalence:
+    """split, merge and extract_regions equal the plain-loop references exactly."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair=image_and_mask(),
+        tau_split=st.sampled_from(TAUS),
+        tau_merge=st.sampled_from(TAUS),
+        min_block=st.integers(1, 5),
+    )
+    def test_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge, min_block):
+        img, mask = pair
+        blocks = split(img, mask, tau_split, min_block)
+        assert blocks == quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        rm = merge(img, mask, blocks, tau_merge)
+        expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
+        assert np.array_equal(rm.labels, expected)
+        assert [
+            (r.id, r.pixels, r.boundary, r.bbox, r.centroid) for r in extract_regions(rm, img)
+        ] == region_geometry(expected)
+
+    @pytest.mark.parametrize("side", [5, 16, 33])
+    def test_serpentine_single_block(self, side):
+        bits = serpentine(side)
+        rng = np.random.default_rng(side)
+        img = GrayImage(rng.integers(0, 40, (side, side)).astype(np.uint8))
+        mask = BinaryMask(bits, 0)
+        blocks = [(0, 0, side, side)]
+        rm = merge(img, mask, blocks, 0)
+        assert np.array_equal(rm.labels, flood_merge(img.pixels, bits, blocks, 0))
+        assert np.array_equal(
+            merge(img, mask, blocks, 255).labels, np.where(bits, 1, 0)
+        )
