@@ -11,6 +11,7 @@ from .errors import MammoCadError
 from .features import FeatureVector, compute_features, gradient_map
 from .fractal import (
     BlanketFit,
+    blanket_area_table,
     blanket_areas,
     blanket_dimension,
     box_count_dimension,
@@ -46,6 +47,7 @@ __all__ = [
     "RegionMap",
     "RuleSet",
     "apply_threshold",
+    "blanket_area_table",
     "blanket_areas",
     "blanket_dimension",
     "box_count_dimension",

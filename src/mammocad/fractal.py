@@ -8,17 +8,22 @@ the roughness D follows from the log-log law  log A(r) = (2 - D) log r + k'.
 A flat surface has D = 2; rougher surfaces push D toward 3. A differential
 box-counting estimator over the region's bounding box serves as an
 independent cross-check.
+
+The blankets of all fitted regions grow in one pass over the label map,
+where a neighbor counts only if it carries the same label
+(:func:`blanket_area_table`); one region alone is the same pass over its
+bounding box (:func:`blanket_areas`).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateFit, RegionTooSmall
 from .image import GrayImage
-from .segment import Region
+from .segment import Region, RegionMap
 
 
 @dataclass
@@ -32,6 +37,63 @@ class BlanketFit:
     residual: float
 
 
+def blanket_area_table(
+    img: GrayImage, region_map: RegionMap, ids: Iterable[int], r_max: int = 8
+) -> np.ndarray:
+    """Surface-area estimates A(1..r_max) of the regions ``ids`` in one pass.
+
+    Returns an array of shape (region_count + 1, r_max) whose row i holds
+    A(1..r_max) of region i; rows of regions not in ``ids`` are 0. The
+    blanket grows over the pixels of all those regions together, where a
+    4-neighbor counts only if it has the same label, so every region's
+    blanket is exactly the one it would grow alone. Every pixel gets the
+    compact indices of its 4 neighbors; a neighbor off the image or in
+    another region points back at the pixel itself, which never wins since
+    u + 1 beats u and b - 1 beats b. The volumes are sums of integers, read
+    per region with one weighted ``bincount`` per radius, so they are exact.
+    """
+    if r_max < 2:
+        raise ValueError("r_max must be >= 2")
+    labels = region_map.labels
+    if labels.shape != img.pixels.shape:
+        raise ValueError("image and region map dimensions differ")
+    rows = region_map.region_count + 1
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size and not (1 <= ids.min() and ids.max() < rows):
+        raise ValueError(f"region ids must lie in 1..{rows - 1}")
+    wanted = np.zeros(rows, dtype=bool)
+    wanted[ids] = True
+    # A ring of background around the map keeps every neighbor index in
+    # range and never matches a region's label.
+    padded = np.pad(labels, 1).ravel()
+    stride = labels.shape[1] + 2
+    at = np.flatnonzero(wanted[padded])
+    group = padded[at]
+    itself = np.arange(len(at))
+    compact = np.zeros(padded.size, dtype=np.intp)
+    compact[at] = itself
+    neighbors = np.stack(
+        [
+            np.where(padded[at + step] == group, compact[at + step], itself)
+            for step in (-stride, -1, 1, stride)
+        ]
+    )
+
+    upper = np.pad(img.pixels, 1).ravel()[at].astype(np.int32)
+    lower = upper.copy()
+    table = np.zeros((rows, r_max), dtype=np.float64)
+    for r in range(1, r_max + 1):
+        upper = np.maximum(upper[neighbors].max(0), upper + 1)
+        lower = np.minimum(lower[neighbors].min(0), lower - 1)
+        table[:, r - 1] = np.bincount(group, weights=upper - lower, minlength=rows) / (2 * r)
+    return table
+
+
+def _require_two_pixels(region: Region) -> None:
+    if len(region.pixels) < 2:
+        raise RegionTooSmall(f"region {region.id} has {len(region.pixels)} pixel(s)")
+
+
 def blanket_areas(
     img: GrayImage, region: Region, r_max: int = 8
 ) -> tuple[list[int], list[float]]:
@@ -41,43 +103,16 @@ def blanket_areas(
     u_r = max(u_{r-1} + 1, 4-neighbor max of u_{r-1}) and b_r symmetrically
     with min and -1. Neighbors outside the region (or image) are ignored, so
     the blanket is intrinsic to the region and background cannot bias it.
+    This is :func:`blanket_area_table` run on the region's bounding box.
     """
-    if len(region.pixels) < 2:
-        raise RegionTooSmall(f"region {region.id} has {len(region.pixels)} pixel(s)")
-    if r_max < 2:
-        raise ValueError("r_max must be >= 2")
+    _require_two_pixels(region)
     x0, y0, w, h = region.bbox
-    mask = np.zeros((h, w), dtype=bool)
-    surf = np.zeros((h, w), dtype=np.float64)
-    for x, y in region.pixels:
-        mask[y - y0, x - x0] = True
-        surf[y - y0, x - x0] = img.pixels[y, x]
-
-    upper = surf.copy()
-    lower = surf.copy()
-    scales, areas = [], []
-    for r in range(1, r_max + 1):
-        upper = np.where(mask, np.maximum(upper + 1, _shift_extreme(upper, mask, "max")), upper)
-        lower = np.where(mask, np.minimum(lower - 1, _shift_extreme(lower, mask, "min")), lower)
-        volume = float((upper - lower)[mask].sum())
-        scales.append(r)
-        areas.append(volume / (2 * r))
-    return scales, areas
-
-
-def _shift_extreme(arr: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
-    """Per-cell max (or min) over in-mask 4-neighbors; +-inf where none."""
-    fill = -np.inf if mode == "max" else np.inf
-    masked = np.where(mask, arr, fill)
-    padded = np.pad(masked, 1, constant_values=fill)
-    shifts = (
-        padded[:-2, 1:-1],
-        padded[2:, 1:-1],
-        padded[1:-1, :-2],
-        padded[1:-1, 2:],
-    )
-    reduce = np.maximum.reduce if mode == "max" else np.minimum.reduce
-    return reduce(shifts)
+    mask = np.zeros((h, w), dtype=np.int32)
+    xs, ys = np.array(region.pixels).T
+    mask[ys - y0, xs - x0] = 1
+    window = GrayImage(img.pixels[y0 : y0 + h, x0 : x0 + w])
+    table = blanket_area_table(window, RegionMap(mask, 1), [1], r_max)
+    return list(range(1, r_max + 1)), table[1].tolist()
 
 
 def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
@@ -98,10 +133,19 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
     return BlanketFit(list(scales), [float(a) for a in areas], 2.0 - slope, intercept, residual)
 
 
-def blanket_dimension(img: GrayImage, region: Region, r_max: int = 8) -> BlanketFit:
-    """Blanket areas plus the log-log fit in one call."""
-    scales, areas = blanket_areas(img, region, r_max)
-    return fit_dimension(scales, areas)
+def blanket_dimension(
+    img: GrayImage, region: Region, r_max: int = 8, areas: np.ndarray | None = None
+) -> BlanketFit:
+    """Blanket areas plus the log-log fit in one call.
+
+    ``areas`` may be a precomputed :func:`blanket_area_table` that covers
+    ``region``; its row ``region.id`` is then fitted instead of growing the
+    region's blanket again.
+    """
+    if areas is None:
+        return fit_dimension(*blanket_areas(img, region, r_max))
+    _require_two_pixels(region)
+    return fit_dimension(list(range(1, r_max + 1)), areas[region.id].tolist())
 
 
 def box_count_dimension(img: GrayImage, region: Region) -> float:

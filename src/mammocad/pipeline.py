@@ -14,7 +14,7 @@ from pathlib import Path
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, MammoCadError, PipelineStageError
 from .features import compute_features, gradient_map
-from .fractal import blanket_dimension, roughness_gate
+from .fractal import blanket_area_table, blanket_dimension, roughness_gate
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
@@ -159,11 +159,9 @@ def run_pipeline(
     regions = stage("regions", lambda: extract_regions(region_map, inverted))
 
     def _fractal():
-        fits = {}
-        for region in regions:
-            if region.area >= cfg.min_region_pixels:
-                fits[region.id] = blanket_dimension(inverted, region, cfg.r_max)
-        return fits
+        fitted = [region for region in regions if region.area >= cfg.min_region_pixels]
+        areas = blanket_area_table(inverted, region_map, [r.id for r in fitted], cfg.r_max)
+        return {r.id: blanket_dimension(inverted, r, cfg.r_max, areas) for r in fitted}
 
     fits = stage("fractal", _fractal)
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)

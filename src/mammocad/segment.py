@@ -42,11 +42,17 @@ class RegionMap:
         self.labels = np.asarray(self.labels, dtype=np.int32)
         if self.labels.ndim != 2:
             raise ValueError("labels must be 2-D")
-        present = np.unique(self.labels)
-        present = present[present > 0]
-        if self.region_count != len(present) or (
-            len(present) and present[-1] != self.region_count
-        ):
+        # Dense ids in O(n): no label below 0 or above region_count, and a
+        # pixel for every id 1..region_count.
+        flat = self.labels.ravel()
+        dense = 0 <= self.region_count <= flat.size
+        if dense and flat.size:
+            dense = (
+                flat.min() >= 0
+                and flat.max() <= self.region_count
+                and np.bincount(flat, minlength=self.region_count + 1)[1:].all()
+            )
+        if not dense:
             raise ValueError("region ids must be dense 1..region_count")
 
     @property
@@ -134,7 +140,8 @@ def split(
     the same row and column intervals, so the foreground extremes of every
     block of a depth come at once from the extremes of its (at most four)
     children one depth down. Leaves are ordered by their interleaved path
-    key.
+    key. The root's extremes come first, so an image whose root block is a
+    leaf returns before the pyramid is built.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
@@ -143,14 +150,17 @@ def split(
     if min_block < 1:
         raise ValueError("min_block must be >= 1")
     height, width = img.height, img.width
-    depth = (max(height, width) - 1).bit_length()
-    rows = _halvings(height, depth, 1)
-    cols = _halvings(width, depth, 0)
-
+    tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
     # Foreground max and min of every block at every depth, built up from
     # single pixels; background reads -1 for the max and 256 for the min.
     highs = [np.where(mask.bits, img.pixels, np.int16(-1))]
     lows = [np.where(mask.bits, img.pixels, np.int16(256))]
+    if max(height, width) <= min_block or highs[0].max() - lows[0].min() <= tau:
+        return [(0, 0, width, height)]  # the root is a leaf: no pyramid needed
+
+    depth = (max(height, width) - 1).bit_length()
+    rows = _halvings(height, depth, 1)
+    cols = _halvings(width, depth, 0)
     for r, c in zip(rows[-2::-1], cols[-2::-1]):
         for extremes, pick in ((highs, np.maximum), (lows, np.minimum)):
             e = extremes[-1]
@@ -159,7 +169,6 @@ def split(
     highs.reverse()
     lows.reverse()
 
-    tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
     found = []  # per depth: (path key, x, y, w, h) arrays of its leaves
     alive = np.ones((1, 1), dtype=bool)
     for d, (r, c) in enumerate(zip(rows, cols)):

@@ -68,6 +68,38 @@ def blanket_recursion(img, region, r_max):
     return scales, areas
 
 
+def padded_blanket_areas(img, region, r_max):
+    """Blanket areas over the region's bounding box, one padded shift per side.
+
+    Floats with -inf/+inf standing in for the missing neighbours outside the
+    region; the per-region form the package used before its one-pass table.
+    """
+    x0, y0, w, h = region.bbox
+    mask = np.zeros((h, w), dtype=bool)
+    surf = np.zeros((h, w), dtype=np.float64)
+    for x, y in region.pixels:
+        mask[y - y0, x - x0] = True
+        surf[y - y0, x - x0] = img.pixels[y, x]
+
+    def shift_extreme(arr, mode):
+        fill = -np.inf if mode == "max" else np.inf
+        padded = np.pad(np.where(mask, arr, fill), 1, constant_values=fill)
+        shifts = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:])
+        reduce = np.maximum.reduce if mode == "max" else np.minimum.reduce
+        return reduce(shifts)
+
+    upper = surf.copy()
+    lower = surf.copy()
+    scales, areas = [], []
+    for r in range(1, r_max + 1):
+        upper = np.where(mask, np.maximum(upper + 1, shift_extreme(upper, "max")), upper)
+        lower = np.where(mask, np.minimum(lower - 1, shift_extreme(lower, "min")), lower)
+        volume = float((upper - lower)[mask].sum())
+        scales.append(r)
+        areas.append(volume / (2 * r))
+    return scales, areas
+
+
 def sobel_magnitude(pixels):
     """Loop convolution of the 1/8-normalized 3x3 Sobel pair, edge-padded."""
     kx = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mammocad.errors import DegenerateFit, RegionTooSmall
 from mammocad.fractal import (
     BlanketFit,
+    blanket_area_table,
     blanket_areas,
     blanket_dimension,
     box_count_dimension,
@@ -16,7 +19,7 @@ from mammocad.image import GrayImage
 from mammocad.segment import RegionMap, extract_regions, segment_image
 from mammocad.threshold import BinaryMask
 
-from oracles import blanket_recursion, diamond_square
+from oracles import blanket_recursion, diamond_square, padded_blanket_areas
 
 
 def full_region(img):
@@ -91,6 +94,120 @@ class TestBlanketAreas:
         img = GrayImage(np.zeros((4, 4), np.uint8))
         with pytest.raises(ValueError):
             blanket_areas(img, full_region(img), r_max=1)
+
+
+def dense_map(raw):
+    """RegionMap of a raw label array: nonzero labels renumbered 1..n."""
+    present, inverse = np.unique(raw, return_inverse=True)
+    labels = inverse.reshape(raw.shape) + (present[0] != 0)
+    return RegionMap(labels, int(labels.max()))
+
+
+@st.composite
+def labeled_images(draw, max_side=14):
+    """An image and a label map with touching regions, holes and thin arms.
+
+    Regions are blocks of a coarse random label grid (so they touch along
+    sides and at corners only), punched with background holes and crossed by
+    one-pixel-wide lines; gray values are often 0 or 255.
+    """
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    kinds = draw(st.integers(1, 6))
+    cell = draw(st.integers(1, 4))
+    hole_rate = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    arms = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = rng.integers(0, kinds + 1, (-(-height // cell), -(-width // cell)))
+    raw = np.kron(coarse, np.ones((cell, cell), dtype=np.int64))[:height, :width]
+    raw[rng.random((height, width)) < hole_rate] = 0
+    for _ in range(arms):
+        line = raw[rng.integers(height)] if rng.random() < 0.5 else raw[:, rng.integers(width)]
+        start = rng.integers(len(line))
+        line[start : start + rng.integers(1, len(line) + 1)] = rng.integers(1, kinds + 2)
+    pick = rng.random((height, width))
+    pixels = np.where(pick < 0.2, 0, np.where(pick < 0.4, 255, rng.integers(0, 256, raw.shape)))
+    return GrayImage(pixels.astype(np.uint8)), dense_map(raw), rng
+
+
+def checkerboard(side):
+    """Two regions whose pixels touch their own region only at corners."""
+    return 1 + np.indices((side, side)).sum(0) % 2
+
+
+def cross_and_ring(side):
+    """A ring with a one-pixel hole around a cross of one-pixel-wide arms."""
+    raw = np.zeros((side, side), dtype=np.int64)
+    raw[0, :] = raw[-1, :] = raw[:, 0] = raw[:, -1] = 1
+    raw[side // 2, 1:-1] = raw[1:-1, side // 2] = 2
+    raw[1, 1] = 3
+    return raw
+
+
+class TestBlanketAreaTable:
+    """The one-pass table equals the per-region padded-shift blanket bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(img, rm, ids, r_max):
+        table = blanket_area_table(img, rm, ids, r_max)
+        assert table.shape == (rm.region_count + 1, r_max)
+        regions = {r.id: r for r in extract_regions(rm, img)}
+        for rid in range(rm.region_count + 1):
+            if rid in ids:
+                assert table[rid].tolist() == padded_blanket_areas(img, regions[rid], r_max)[1]
+            else:
+                assert not table[rid].any()
+        for region in regions.values():
+            if region.area >= 2:
+                expected = padded_blanket_areas(img, region, r_max)
+                assert blanket_areas(img, region, r_max) == expected
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=labeled_images(), r_max=st.integers(2, 10))
+    def test_matches_oracle(self, case, r_max):
+        img, rm, rng = case
+        ids = [rid for rid in range(1, rm.region_count + 1) if rng.random() < 0.7]
+        self.assert_matches_oracle(img, rm, ids, r_max)
+
+    @pytest.mark.parametrize("make", [checkerboard, cross_and_ring])
+    @pytest.mark.parametrize("side", [2, 5, 9])
+    def test_structured_maps(self, make, side):
+        rng = np.random.default_rng(side)
+        rm = dense_map(make(side))
+        img = GrayImage(rng.choice(np.array([0, 255, 128], np.uint8), (side, side)))
+        self.assert_matches_oracle(img, rm, list(range(1, rm.region_count + 1)), 10)
+
+    def test_dimension_from_table_equals_per_region(self):
+        rng = np.random.default_rng(3)
+        img = GrayImage(rng.integers(0, 256, (12, 12)).astype(np.uint8))
+        rm = dense_map(rng.integers(0, 4, (12, 12)) // 2 * rng.integers(1, 3, (12, 12)))
+        table = blanket_area_table(img, rm, range(1, rm.region_count + 1), 6)
+        for region in extract_regions(rm, img):
+            if region.area >= 2:
+                assert blanket_dimension(img, region, 6, table) == blanket_dimension(
+                    img, region, 6
+                )
+
+    def test_validation(self):
+        img = GrayImage(np.zeros((3, 3), np.uint8))
+        rm = RegionMap(np.ones((3, 3), np.int32), 1)
+        with pytest.raises(ValueError):
+            blanket_area_table(img, rm, [1], 1)
+        for ids in ([0], [2], [-1]):
+            with pytest.raises(ValueError):
+                blanket_area_table(img, rm, ids, 4)
+        with pytest.raises(ValueError):
+            blanket_area_table(GrayImage(np.zeros((3, 4), np.uint8)), rm, [1], 4)
+        assert not blanket_area_table(img, rm, [], 4).any()
+
+    def test_dimension_with_table_rejects_one_pixel_region(self):
+        img = GrayImage(np.zeros((3, 3), np.uint8))
+        bits = np.zeros((3, 3), dtype=bool)
+        bits[1, 1] = True
+        region = region_from_mask(img, bits)
+        table = blanket_area_table(img, RegionMap(bits.astype(np.int32), 1), [1], 4)
+        with pytest.raises(RegionTooSmall):
+            blanket_dimension(img, region, 4, table)
 
 
 class TestFitDimension:

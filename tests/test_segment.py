@@ -265,6 +265,29 @@ class TestExports:
         with pytest.raises(ValueError):
             RegionMap(np.array([[0, 2]], dtype=np.int32), 1)  # id 1 missing
 
+    @pytest.mark.parametrize(
+        "labels,count",
+        [
+            ([[0, 2, 3]], 3),  # a gap in the ids
+            ([[1, 1, 2]], 3),  # fewer ids than the count
+            ([[1, 2, 3]], 2),  # more ids than the count
+            ([[0, 0]], 1),  # no region at all
+            ([[1, -1]], 1),  # a negative label
+            ([[-1, -2]], 0),
+            ([[1]], -1),
+            (np.zeros((0, 0)), 1),  # an empty map holds no region
+        ],
+    )
+    def test_region_map_rejects_sparse_ids(self, labels, count):
+        with pytest.raises(ValueError):
+            RegionMap(np.array(labels, dtype=np.int32), count)
+
+    @pytest.mark.parametrize(
+        "labels,count", [([[0, 0]], 0), ([[2, 0, 1, 1]], 2), (np.zeros((0, 0)), 0)]
+    )
+    def test_region_map_accepts_dense_ids(self, labels, count):
+        assert RegionMap(np.array(labels, dtype=np.int32), count).region_count == count
+
 
 TAUS = (0, 5, 10, 30, 255)
 
@@ -311,6 +334,26 @@ class TestOracleEquivalence:
         assert [
             (r.id, r.pixels, r.boundary, r.bbox, r.centroid) for r in extract_regions(rm, img)
         ] == region_geometry(expected)
+
+    @pytest.mark.parametrize("base,spread,tau,density,min_block", [
+        (42, 1, 0, 1.0, 1),  # constant foreground
+        (0, 1, 0, 0.5, 1),  # constant 0 on half the pixels
+        (255, 1, 0, 1.0, 1),
+        (100, 11, 10, 1.0, 1),  # spread exactly tau
+        (100, 12, 10, 1.0, 1),  # spread just above tau: the root splits
+        (0, 256, 30, 0.0, 1),  # no foreground
+        (0, 256, 0, 1.0, 40),  # the root is no longer than min_block
+        (0, 256, 0, 1.0, 39),
+    ])
+    def test_split_root_leaf_matches_oracle(self, base, spread, tau, density, min_block):
+        rng = np.random.default_rng(spread + tau)
+        for height, width in ((40, 40), (1, 37), (23, 9)):
+            pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
+            bits = rng.random((height, width)) < density
+            img, mask = GrayImage(pixels), BinaryMask(bits, 0)
+            assert split(img, mask, tau, min_block) == quadtree_split(
+                pixels, bits, tau, min_block
+            )
 
     @pytest.mark.parametrize("side", [5, 16, 33])
     def test_serpentine_single_block(self, side):
