@@ -41,9 +41,8 @@ def default_rules(
     working_pixels: int, d_min: float = 2.4, d_max: float = 2.75
 ) -> RuleSet:
     """Default rules with max_area scaled to a quarter of the working image."""
-    default_min = RuleSet.__dataclass_fields__["min_area"].default
     return RuleSet(
-        max_area=max(working_pixels // 4, default_min), d_min=d_min, d_max=d_max
+        max_area=max(working_pixels // 4, RuleSet.min_area), d_min=d_min, d_max=d_max
     )
 
 

@@ -6,11 +6,12 @@ Exit codes: 0 all inputs processed cleanly, 1 at least one per-file error,
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .classify import RuleSet
 from .errors import ConfigError
 from .image import GrayImage, write_pgm
 from .phantom import KINDS, generate_phantom
@@ -22,10 +23,37 @@ from .pipeline import (
     run_batch,
 )
 
-_INT_KEYS = ("dwt_levels", "tau_split", "tau_merge", "min_block", "r_max", "min_region_pixels")
-_FLOAT_KEYS = ("d_min", "d_max")
-_BOOL_KEYS = ("dwt_first",)
-_INT_RULES = ("min_area", "max_area")
+
+def boolean(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+def auto_or_int(value: str) -> int | str:
+    return "auto" if value == "auto" else int(value)
+
+
+def comma_list(value: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+# One text parser per field annotation in use. The config keys are the
+# PipelineConfig fields with one of these annotations (not rules or
+# rule_overrides) plus the rule names; CLI flags use the same parsers.
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: boolean,
+    int | str: auto_or_int,
+    Path | None: Path,
+    tuple[str, ...]: comma_list,
+}
+CONFIG_PARSERS = {
+    f.name: _PARSERS[f.type] for f in fields(PipelineConfig) if f.type in _PARSERS
+} | {f.name: _PARSERS[f.type] for f in fields(RuleSet) if f.name in RULE_KEYS}
 
 
 def parse_config_file(path) -> dict:
@@ -42,38 +70,17 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        values[key] = _parse_config_value(key, value, f"{path}:{lineno}")
+        if key not in CONFIG_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = CONFIG_PARSERS[key](value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
-
-
-def _parse_config_value(key: str, value: str, where: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key == "threshold":
-            return "auto" if value == "auto" else int(value)
-        if key == "emit":
-            return tuple(part.strip() for part in value.split(",") if part.strip())
-        if key == "output_dir":
-            return Path(value)
-        if key in RULE_KEYS:
-            return int(value) if key in _INT_RULES else float(value)
-    except ValueError:
-        raise ConfigError(f"{where}: bad value {value!r} for {key}") from None
-    raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def build_config(file_values: dict, cli_values: dict) -> PipelineConfig:
     """Defaults, then config-file values, then CLI flag overrides."""
-    cfg = PipelineConfig()
     merged = dict(file_values)
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     rule_overrides = {k: merged.pop(k) for k in list(merged) if k in RULE_KEYS}
@@ -81,28 +88,9 @@ def build_config(file_values: dict, cli_values: dict) -> PipelineConfig:
     for key in merged:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    cfg = replace(cfg, rule_overrides=rule_overrides, **merged)
+    cfg = PipelineConfig(rule_overrides=rule_overrides, **merged)
     cfg.validate()
     return cfg
-
-
-def _threshold_arg(value: str):
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"threshold must be 'auto' or an integer, got {value!r}"
-        ) from None
-
-
-def _emit_arg(value: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in value.split(",") if part.strip())
-    for name in names:
-        if name not in EMIT_CHOICES:
-            raise argparse.ArgumentTypeError(f"unknown artifact {name!r}")
-    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,15 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="downsample before negation (default) or after",
     )
-    detect.add_argument("--threshold", type=_threshold_arg, help="'auto' or a gray level")
+    detect.add_argument("--threshold", type=auto_or_int, help="'auto' or a gray level")
     detect.add_argument("--tau-split", type=int, dest="tau_split")
     detect.add_argument("--tau-merge", type=int, dest="tau_merge")
     detect.add_argument("--d-min", type=float, dest="d_min")
     detect.add_argument("--d-max", type=float, dest="d_max")
-    detect.add_argument("--out", dest="output_dir", type=Path, default=Path("out"))
+    detect.add_argument(
+        "--out",
+        dest="output_dir",
+        type=Path,
+        help="artifact directory (default: the config file's output_dir, else out)",
+    )
     detect.add_argument(
         "--emit",
-        type=_emit_arg,
+        type=comma_list,
         help=f"comma list of artifacts: {','.join(EMIT_CHOICES)}",
     )
 
@@ -144,18 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_detect(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {
-        "dwt_levels": args.dwt_levels,
-        "dwt_first": args.dwt_first,
-        "threshold": args.threshold,
-        "tau_split": args.tau_split,
-        "tau_merge": args.tau_merge,
-        "d_min": args.d_min,
-        "d_max": args.d_max,
-        "output_dir": args.output_dir,
-        "emit": args.emit,
-    }
+    # --out, then the config file's output_dir, then "out".
+    file_values = {"output_dir": Path("out")}
+    if args.config:
+        file_values.update(parse_config_file(args.config))
+    cli_values = {k: v for k, v in vars(args).items() if k in CONFIG_PARSERS}
     cfg = build_config(file_values, cli_values)
     results = run_batch(args.inputs, cfg)
     failed = 0

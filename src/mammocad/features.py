@@ -27,17 +27,6 @@ class FeatureVector:
     edge_distance_variance: float
     intensity_diff: float
 
-    def as_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "compactness": self.compactness,
-            "mean_gradient": self.mean_gradient,
-            "boundary_gradient": self.boundary_gradient,
-            "gray_std": self.gray_std,
-            "edge_distance_variance": self.edge_distance_variance,
-            "intensity_diff": self.intensity_diff,
-        }
-
 
 def gradient_map(img: GrayImage) -> np.ndarray:
     """Per-pixel gradient magnitude sqrt(Gx^2 + Gy^2), Sobel/8, edge-padded."""

@@ -4,7 +4,9 @@ Pixel coordinates are (x, y) with x the column and y the row; arrays are
 stored row-major, so ``pixels[y, x]``.
 """
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,11 @@ from .errors import (
 LEVELS = 256  # gray-level count; pixel values live in [0, LEVELS - 1]
 
 _WHITESPACE = b" \t\r\n\v\f"
+# One PNM token after any whitespace and '#'-to-end-of-line comments; the
+# token is empty only at the end of the data. The pattern matches at every
+# offset, so finditer's matches abut and never restart inside a comment. It
+# never needs to backtrack, so its quantifiers are possessive, which is faster.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*+\n?)*+([^ \t\r\n\v\f#]*+)")
 
 
 @dataclass(eq=False)
@@ -58,27 +65,12 @@ class GrayImage:
         )
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next header token and the offset just past it.
-
-    Skips whitespace and '#'-to-end-of-line comments.
-    """
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in (b"#",):
-            eol = data.find(b"\n", pos)
-            pos = n if eol < 0 else eol + 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Return the next header token and the offset just past it."""
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise MalformedHeader("unexpected end of file in header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _parse_dim(token: bytes, name: str) -> int:
@@ -91,6 +83,27 @@ def _parse_dim(token: bytes, name: str) -> int:
     return value
 
 
+def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` ASCII samples after ``pos``; the first fault wins."""
+    values: list[int] = []
+    fault = None
+    try:
+        values.extend(int(m[1]) for m in islice(_TOKEN.finditer(data, pos), count))
+    except ValueError:
+        token = next(islice(_TOKEN.finditer(data, pos), len(values), None))[1]
+        if token:  # an empty token is the end of the data
+            fault = InvalidPixelValue(f"non-numeric sample {token!r}")
+    if fault is None and len(values) < count:
+        fault = TruncatedData(f"expected {count} samples, found {len(values)}")
+    # A sample out of range comes before the fault that ended the scan.
+    if values and (min(values) < 0 or max(values) > maxval):
+        value = next(v for v in values if not 0 <= v <= maxval)
+        raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
+    if fault is not None:
+        raise fault
+    return np.array(values, dtype=np.uint8)
+
+
 def read_pgm(path) -> GrayImage:
     """Read a P2 (ASCII) or P5 (binary) PGM file with maxval <= 255."""
     try:
@@ -98,12 +111,12 @@ def read_pgm(path) -> GrayImage:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
-    magic, pos = _next_token(data, 0)
+    magic, pos = _header_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise MalformedHeader(f"unsupported magic {magic!r}; want P2 or P5")
-    width_tok, pos = _next_token(data, pos)
-    height_tok, pos = _next_token(data, pos)
-    maxval_tok, pos = _next_token(data, pos)
+    width_tok, pos = _header_token(data, pos)
+    height_tok, pos = _header_token(data, pos)
+    maxval_tok, pos = _header_token(data, pos)
     width = _parse_dim(width_tok, "width")
     height = _parse_dim(height_tok, "height")
     maxval = _parse_dim(maxval_tok, "maxval")
@@ -120,22 +133,7 @@ def read_pgm(path) -> GrayImage:
             raise TruncatedData(f"expected {count} bytes, found {len(raw)}")
         flat = np.frombuffer(raw, dtype=np.uint8)
     else:
-        values = []
-        while len(values) < count:
-            try:
-                token, pos = _next_token(data, pos)
-            except MalformedHeader:
-                raise TruncatedData(
-                    f"expected {count} samples, found {len(values)}"
-                ) from None
-            try:
-                value = int(token)
-            except ValueError:
-                raise InvalidPixelValue(f"non-numeric sample {token!r}") from None
-            if not 0 <= value <= maxval:
-                raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
-            values.append(value)
-        flat = np.array(values, dtype=np.uint8)
+        flat = _p2_samples(data, pos, count, maxval)
     return GrayImage(flat.reshape(height, width))
 
 

@@ -8,7 +8,7 @@ timing values embedded in the JSON report.
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classify import Detection, RuleSet, classify, default_rules
@@ -20,13 +20,7 @@ from .segment import extract_regions, overlay_boundaries, segment_image, write_r
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
 
 EMIT_CHOICES = ("inverted", "mask", "labels", "overlay", "features", "report")
-RULE_KEYS = (
-    "min_area",
-    "max_area",
-    "min_compactness",
-    "min_boundary_gradient",
-    "min_intensity_diff",
-)
+# Between id and D, the columns are the FeatureVector fields in order.
 CSV_HEADER = "id,area,cmp,mwg,mg,var,edv,diff,D,label"
 
 
@@ -82,6 +76,12 @@ class PipelineConfig:
             raise ConfigError("rule min_area must be <= max_area")
         if not 0.0 <= overrides.get("min_compactness", 0.0) <= 1.0:
             raise ConfigError("rule min_compactness must be in [0, 1]")
+
+
+# Rule thresholds settable by name: the RuleSet fields that are not also
+# PipelineConfig fields (the d band comes from d_min and d_max).
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
+RULE_KEYS = tuple(f.name for f in fields(RuleSet) if f.name not in _CONFIG_FIELDS)
 
 
 @dataclass
@@ -245,33 +245,21 @@ def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    """JSON-ready dict with keys matching the report fields."""
+    """JSON-ready dict with keys matching the report fields.
+
+    Shallow: the lists and the feature and fit dicts are the report's own
+    objects, so change the dict only to serialize it.
+    """
     return {
-        "source": report.source,
-        "image_size": list(report.image_size),
-        "threshold_used": report.threshold_used,
-        "region_count_pre_gate": report.region_count_pre_gate,
-        "region_count_post_gate": report.region_count_post_gate,
+        **vars(report),
         "detections": [
             {
-                "region_id": det.region_id,
-                "features": det.features.as_dict(),
-                "dimension": det.dimension,
-                "label": det.label,
-                "failed_rules": list(det.failed_rules),
-                "fit": None
-                if det.fit is None
-                else {
-                    "scales": list(det.fit.scales),
-                    "areas": list(det.fit.areas),
-                    "dimension": det.fit.dimension,
-                    "intercept": det.fit.intercept,
-                    "residual": det.fit.residual,
-                },
+                **vars(det),
+                "features": vars(det.features),
+                "fit": None if det.fit is None else vars(det.fit),
             }
             for det in sorted(report.detections, key=lambda d: d.region_id)
         ],
-        "timings": dict(report.timings),
     }
 
 
@@ -283,21 +271,6 @@ def features_csv(report: DetectionReport) -> str:
     """Feature table, one row per detection, sorted by region id."""
     lines = [CSV_HEADER]
     for det in sorted(report.detections, key=lambda d: d.region_id):
-        f = det.features
-        lines.append(
-            ",".join(
-                [
-                    str(det.region_id),
-                    str(f.area),
-                    repr(f.compactness),
-                    repr(f.mean_gradient),
-                    repr(f.boundary_gradient),
-                    repr(f.gray_std),
-                    repr(f.edge_distance_variance),
-                    repr(f.intensity_diff),
-                    repr(det.dimension),
-                    det.label,
-                ]
-            )
-        )
+        numbers = [det.region_id, *vars(det.features).values(), det.dimension]
+        lines.append(",".join([*map(repr, numbers), det.label]))
     return "\n".join(lines) + "\n"

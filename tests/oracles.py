@@ -9,6 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from mammocad.errors import (
+    InvalidPixelValue,
+    MalformedHeader,
+    TruncatedData,
+    UnsupportedMaxval,
+)
+
 
 def otsu_sweep(counts) -> int:
     """Exhaustive between-class-variance argmax in exact rational arithmetic.
@@ -349,3 +356,70 @@ def region_geometry(labels):
         bbox = (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
         out.append((rid, pts, boundary, bbox, (sum(xs) / len(xs), sum(ys) / len(ys))))
     return out
+
+
+_PGM_WHITESPACE = b" \t\r\n\v\f"
+
+
+def pgm_token(data, pos):
+    """Next PNM token at or after ``pos`` and the offset just past it.
+
+    Byte-at-a-time: skips whitespace and '#'-to-end-of-line comments; a
+    token ends at whitespace or '#'. Raises MalformedHeader at end of data.
+    """
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c == b"#":
+            eol = data.find(b"\n", pos)
+            pos = n if eol < 0 else eol + 1
+        elif c in _PGM_WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise MalformedHeader("unexpected end of file in header")
+    start = pos
+    while pos < n and data[pos : pos + 1] not in _PGM_WHITESPACE and data[pos : pos + 1] != b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def read_p2(data):
+    """Parse P2 bytes token by token into a (height, width) uint8 array.
+
+    Raises the package's error types with its messages, first fault in file
+    order wins. The raster is always read as ASCII, so P5 data is not handled.
+    """
+    magic, pos = pgm_token(data, 0)
+    if magic not in (b"P2", b"P5"):
+        raise MalformedHeader(f"unsupported magic {magic!r}; want P2 or P5")
+    dims = []
+    for _ in range(3):
+        token, pos = pgm_token(data, pos)
+        dims.append(token)
+    for i, name in enumerate(("width", "height", "maxval")):
+        try:
+            dims[i] = int(dims[i])
+        except ValueError:
+            raise MalformedHeader(f"non-numeric {name}: {dims[i]!r}") from None
+        if dims[i] < 1:
+            raise MalformedHeader(f"{name} must be >= 1, got {dims[i]}")
+    width, height, maxval = dims
+    if maxval > 255:
+        raise UnsupportedMaxval(f"maxval {maxval} > 255")
+    count = width * height
+    values = []
+    while len(values) < count:
+        try:
+            token, pos = pgm_token(data, pos)
+        except MalformedHeader:
+            raise TruncatedData(f"expected {count} samples, found {len(values)}") from None
+        try:
+            value = int(token)
+        except ValueError:
+            raise InvalidPixelValue(f"non-numeric sample {token!r}") from None
+        if not 0 <= value <= maxval:
+            raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
+        values.append(value)
+    return np.array(values, dtype=np.uint8).reshape(height, width)

@@ -1,16 +1,22 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mammocad.errors import (
+    InvalidPixelValue,
     IoFailure,
     MalformedHeader,
+    MammoCadError,
     NotDivisible,
     TruncatedData,
     UnsupportedMaxval,
 )
 from mammocad.image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
+
+from oracles import read_p2
 
 
 @st.composite
@@ -21,6 +27,50 @@ def gray_images(draw, max_side=12):
         st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h)
     )
     return GrayImage(np.array(pix, dtype=np.uint8).reshape(h, w))
+
+
+WHITESPACE = [bytes([c]) for c in b" \t\r\n\v\f"]
+# Comment text: anything but a newline, including '#' and digits.
+comment_text = st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"#"))
+separators = st.lists(
+    st.one_of(
+        st.sampled_from(WHITESPACE),
+        comment_text.map(lambda text: b"#" + text + b"\n"),
+    ),
+    max_size=3,
+).map(b"".join)
+odd_samples = st.sampled_from(
+    [b"+5", b"1_0", b"-1", b"-0", b"007", b"256", b"x", b"5x", b"0x1", b"\xff", b"\x00"]
+)
+samples = st.one_of(
+    st.integers(0, 255).map(lambda v: str(v).encode()),
+    odd_samples,
+    st.integers(2**64 - 2, 2**65).map(lambda v: str(v).encode()),
+)
+
+
+@st.composite
+def p2_streams(draw):
+    """P2 bytes with random separators, comments and odd samples.
+
+    Most streams hold exactly width * height samples; some have too few
+    or extra trailing tokens, and some end in a comment with no newline.
+    """
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([1, 15, 200, 255, 256]))
+    count = max(width * height + draw(st.sampled_from([0, 0, 0, -1, 1, 2])), 0)
+    tokens = [b"P2", b"%d" % width, b"%d" % height, b"%d" % maxval]
+    tokens += [draw(samples) for _ in range(count)]
+    out = b""
+    for token in tokens:
+        # An empty separator after a token would glue it to the next one;
+        # a lone comment right after the token keeps them apart.
+        sep = draw(separators)
+        out += token + (sep or draw(st.sampled_from(WHITESPACE + [b"#c\n"])))
+    if draw(st.booleans()):
+        out += b"#" + draw(comment_text)  # comment at EOF, no newline
+    return out
 
 
 def img_of(rows):
@@ -82,6 +132,46 @@ class TestReadPgm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_pgm(tmp_path / "nope.pgm")
+
+    def test_small_maxval_samples_used_as_is(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_text("P2\n2 1\n15\n15 0\n")
+        assert read_pgm(path).pixels.tolist() == [[15, 0]]
+
+    @pytest.mark.parametrize(
+        "raster, message",
+        [
+            ("0 256 x", "sample 256 outside [0, 255]"),  # out of range before non-numeric
+            ("0 x 256", "non-numeric sample b'x'"),
+            ("-1 0 0", "sample -1 outside [0, 255]"),
+        ],
+    )
+    def test_first_bad_sample_reported(self, tmp_path, raster, message):
+        path = tmp_path / "a.pgm"
+        path.write_text(f"P2\n3 1\n255\n{raster}\n")
+        with pytest.raises(InvalidPixelValue, match=re.escape(message)):
+            read_pgm(path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.one_of(p2_streams(), st.binary(max_size=40).map(lambda b: b"P2 " + b)))
+    @example(data=b"P2 1 1 255 +5")
+    @example(data=b"P2 1 1 255 1_0")
+    @example(data=b"P2\v2\f1\r255\t7#note\n8#eof")  # every separator, '#' after a token
+    @example(data=b"P2 1 1 255 3 extra tokens")
+    @example(data=b"P2 2 1 255 3 #one comment, one sample short")
+    @example(data=b"P2 1 1 #255")  # no maxval: a comment's text is no token
+    @example(data=b"P2 1 1 255 #5")  # no sample either
+    def test_p2_matches_reference(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "p2_stream.pgm"
+        path.write_bytes(data)
+        try:
+            expected = read_p2(data)
+        except Exception as exc:
+            with pytest.raises(MammoCadError) as err:
+                read_pgm(path)
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        else:
+            assert read_pgm(path).pixels.tolist() == expected.tolist()
 
 
 class TestWritePgm:

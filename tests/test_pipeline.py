@@ -1,13 +1,18 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mammocad.cli import build_config, main, parse_config_file
+from mammocad.classify import RuleSet
+from mammocad.cli import CONFIG_PARSERS, build_config, main, parse_config_file
 from mammocad.errors import ConfigError, PipelineStageError
 from mammocad.image import GrayImage, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import (
+    RULE_KEYS,
     BatchError,
     DetectionReport,
     PipelineConfig,
@@ -179,28 +184,58 @@ class TestRunBatch:
         assert isinstance(results[0], BatchError)
 
 
+README_CONFIG = re.search(
+    r"### Config file\n.*?```\n(.*?)```",
+    (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
+    re.S,
+)[1]
+# The README block shows every config key at its default; output_dir is the
+# CLI's "out" and max_area the unscaled RuleSet default.
+README_VALUES = {
+    **{f.name: f.default for f in fields(PipelineConfig) if f.name in CONFIG_PARSERS},
+    "output_dir": Path("out"),
+    **{key: getattr(RuleSet, key) for key in RULE_KEYS},
+}
+
+
 class TestConfigFile:
-    def test_parse_values(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "# pipeline settings\n"
+                "dwt_levels = 0\n"
+                "threshold = 140\n"
+                "tau_merge = 12\n"
+                "d_min = 2.0  # wide band\n"
+                "d_max = 3.0\n"
+                "min_area = 20\n"
+                "emit = report\n"
+                "dwt_first = false\n",
+                {
+                    "dwt_levels": 0,
+                    "threshold": 140,
+                    "tau_merge": 12,
+                    "d_min": 2.0,
+                    "d_max": 3.0,
+                    "min_area": 20,
+                    "emit": ("report",),
+                    "dwt_first": False,
+                },
+            ),
+            (README_CONFIG, README_VALUES),
+        ],
+        ids=["inline", "readme"],
+    )
+    def test_parse_values(self, tmp_path, text, expected):
         cfg_file = tmp_path / "pipeline.cfg"
-        cfg_file.write_text(
-            "# pipeline settings\n"
-            "dwt_levels = 0\n"
-            "threshold = 140\n"
-            "tau_merge = 12\n"
-            "d_min = 2.0  # wide band\n"
-            "d_max = 3.0\n"
-            "min_area = 20\n"
-            "emit = report\n"
-            "dwt_first = false\n"
-        )
+        cfg_file.write_text(text)
         values = parse_config_file(cfg_file)
-        assert values["dwt_levels"] == 0
-        assert values["threshold"] == 140
-        assert values["tau_merge"] == 12
-        assert values["d_min"] == 2.0
-        assert values["min_area"] == 20
-        assert values["emit"] == ("report",)
-        assert values["dwt_first"] is False
+        assert values == expected
+        assert {k: type(v) for k, v in values.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
+        build_config(values, {})
 
     def test_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -227,6 +262,26 @@ class TestConfigFile:
         assert cfg.tau_merge == 20
         assert cfg.d_min == 2.0
         assert cfg.rule_overrides == {}
+
+    def test_file_output_dir_used_without_out_flag(self, tmp_path):
+        src = tmp_path / "b.pgm"
+        write_pgm(generate_phantom("blank", 1, 128)[0], src)
+        cfg_file = tmp_path / "out.cfg"
+        cfg_file.write_text(f"output_dir = {tmp_path / 'fromfile'}\nemit = report\n")
+        assert main(["detect", str(src), "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "fromfile" / "b_report.json").exists()
+
+        flag_dir = tmp_path / "fromflag"
+        args = ["detect", str(src), "--config", str(cfg_file), "--out", str(flag_dir)]
+        assert main(args) == 0
+        assert (flag_dir / "b_report.json").exists()
+
+    def test_out_defaults_to_out(self, tmp_path, monkeypatch):
+        src = tmp_path / "b.pgm"
+        write_pgm(generate_phantom("blank", 1, 128)[0], src)
+        monkeypatch.chdir(tmp_path)
+        assert main(["detect", str(src), "--emit", "report"]) == 0
+        assert (tmp_path / "out" / "b_report.json").exists()
 
     def test_rule_keys_become_overrides(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
@@ -309,6 +364,11 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["detect", "x.pgm", "--threshold", "warm"])
         assert err.value.code == 2
+
+    def test_unknown_emit_is_config_error(self, tmp_path, capsys):
+        code = main(["detect", str(tmp_path / "never_read.pgm"), "--emit", "report,bogus"])
+        assert code == 2
+        assert "unknown emit artifact 'bogus'" in capsys.readouterr().err
 
     def test_config_file_drives_detection(self, tmp_path):
         img, _ = generate_phantom("tumor", 3, 1024)
