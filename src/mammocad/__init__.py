@@ -8,14 +8,16 @@ survivor tumor/normal from its shape and intensity descriptors.
 
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import MammoCadError
-from .features import FeatureVector, compute_features, gradient_map
+from .features import FeatureVector, compute_features, feature_table, gradient_map
 from .fractal import (
     BlanketFit,
+    BlanketTable,
     blanket_area_table,
     blanket_areas,
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
+    fit_table,
     roughness_gate,
 )
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
@@ -36,6 +38,7 @@ __all__ = [
     "BatchError",
     "BinaryMask",
     "BlanketFit",
+    "BlanketTable",
     "Detection",
     "DetectionReport",
     "FeatureVector",
@@ -55,7 +58,9 @@ __all__ = [
     "compute_features",
     "default_rules",
     "extract_regions",
+    "feature_table",
     "fit_dimension",
+    "fit_table",
     "generate_phantom",
     "gradient_map",
     "haar_downsample",

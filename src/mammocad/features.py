@@ -3,28 +3,50 @@
 All descriptors are computed on the working (negated) gray image. Gradients
 come from 3x3 Sobel kernels normalized by 1/8 with replicate-padded borders,
 so a unit-slope ramp reads 1.0 in its interior.
+
+:func:`feature_table` computes the descriptors of many regions in one pass
+over the label map, and it keeps the summation order of the per-region
+definitions, so every value has the same bits:
+
+- the gradient means are sequential sums: a weighted ``np.bincount`` adds
+  in raster order, as Python's left-to-right ``sum`` over a region's pixels
+  does;
+- gray sums are exact integers, and so are bounding-box sums taken from an
+  integral image;
+- ``gray_std`` and the edge-distance means use numpy's pairwise sum on each
+  region's own slice, as ``ndarray.mean`` does on the region's values;
+- distances to the centroid come from ``math.hypot``, which can differ from
+  ``np.hypot`` in the last bit.
+
+One region alone is the same pass over its bounding box
+(:func:`compute_features` without a table).
 """
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DegenerateRegion, ImageTooSmall
 from .image import GrayImage
-from .segment import Region
+from .segment import Region, RegionMap, boundary_mask
 
 
 @dataclass
 class FeatureVector:
     """The seven region descriptors used for classification."""
 
-    area: int
-    compactness: float
-    mean_gradient: float
-    boundary_gradient: float
-    gray_std: float
+    area: int  # pixel count
+    compactness: float  # area over bounding-box area; 1.0 fills the box
+    mean_gradient: float  # mean gradient magnitude over the region's pixels
+    boundary_gradient: float  # the same over its boundary pixels: edge sharpness
+    gray_std: float  # population standard deviation of the gray values
+    # Variance of the boundary-to-centroid distances over their mean: zero
+    # for rotationally symmetric boundaries, doubled by doubling the region.
     edge_distance_variance: float
+    # Mean gray inside minus mean gray of the rest of the bounding box; the
+    # inside mean alone when the region fills its box.
     intensity_diff: float
 
 
@@ -44,81 +66,147 @@ def gradient_map(img: GrayImage) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def area(region: Region) -> int:
-    """Pixel count of the region."""
-    return len(region.pixels)
+def _slice_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``mean()`` of each consecutive slice of ``values``, slice i ``lengths[i]`` long."""
+    ends = np.cumsum(lengths).tolist()
+    sums = [np.add.reduce(values[a:b]) for a, b in zip([0, *ends], ends)]
+    return np.array(sums) / lengths
 
 
-def compactness(region: Region) -> float:
-    """Region area over its bounding-rectangle area; 1.0 fills the box."""
-    _, _, w, h = region.bbox
-    return len(region.pixels) / (w * h)
+def _feature_rows(
+    labels: np.ndarray,
+    gray: np.ndarray,
+    grad: np.ndarray,
+    ids: np.ndarray,
+    origin: tuple[int, int],
+) -> np.ndarray:
+    """Descriptor rows of the regions ``ids`` (ascending) of a label window.
 
-
-def mean_region_gradient(region: Region, grad: np.ndarray) -> float:
-    """Average gradient magnitude over all region pixels."""
-    return float(sum(grad[y, x] for x, y in region.pixels) / len(region.pixels))
-
-
-def mean_boundary_gradient(region: Region, grad: np.ndarray) -> float:
-    """Average gradient magnitude over the boundary pixels; boundary sharpness."""
-    if not region.boundary:
-        raise DegenerateRegion(f"region {region.id} has no boundary pixels")
-    return float(sum(grad[y, x] for x, y in region.boundary) / len(region.boundary))
-
-
-def gray_std(region: Region, img: GrayImage) -> float:
-    """Population standard deviation of the region's gray values."""
-    values = np.array([img.pixels[y, x] for x, y in region.pixels], dtype=np.float64)
-    return float(np.sqrt(((values - values.mean()) ** 2).mean()))
-
-
-def edge_distance_variance(region: Region) -> float:
-    """Variance of boundary-to-centroid distances, normalized by their mean.
-
-    Zero for rotationally symmetric boundaries; grows with shape
-    irregularity. Doubling all coordinates doubles the value (the
-    normalization is by the mean distance, not its square).
+    ``origin`` is the window's top-left corner in the image, so centroids
+    and distances are taken in image coordinates.
     """
-    cx, cy = region.centroid
-    dists = np.array(
-        [math.hypot(x - cx, y - cy) for x, y in region.boundary], dtype=np.float64
-    )
-    d_mean = float(dists.mean())
-    if d_mean == 0.0:
+    slot = np.full(labels.max(initial=0) + 1, len(ids))
+    slot[ids] = np.arange(len(ids))
+    flat = labels.ravel()
+    at = np.flatnonzero(slot[flat] < len(ids))
+    at = at[np.argsort(slot[flat[at]], kind="stable")]  # by region, raster order within
+    group = slot[flat[at]]
+    ys, xs = np.divmod(at, labels.shape[1])
+    area = np.bincount(group)
+    ends = np.cumsum(area)
+    edge = boundary_mask(labels).ravel()[at]
+    edge_group = group[edge]
+    edge_count = np.bincount(edge_group)
+
+    grads = grad.ravel()[at]
+    mean_gradient = np.bincount(group, weights=grads) / area
+    boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count
+
+    starts = ends - area
+    col_min = np.minimum.reduceat(xs, starts)
+    col_end = np.maximum.reduceat(xs, starts) + 1
+    row_min = ys[starts]
+    row_end = ys[ends - 1] + 1
+    box_area = (col_end - col_min) * (row_end - row_min)
+
+    values = gray.ravel()[at].astype(np.float64)
+    gray_mean = _slice_means(values, area)
+    gray_std = np.sqrt(_slice_means((values - gray_mean[group]) ** 2, area))
+
+    x0, y0 = origin
+    cx = np.bincount(group, weights=xs + x0) / area
+    cy = np.bincount(group, weights=ys + y0) / area
+    dx = (xs[edge] + x0 - cx[edge_group]).tolist()
+    dy = (ys[edge] + y0 - cy[edge_group]).tolist()
+    dists = np.array(list(map(math.hypot, dx, dy)))
+    d_mean = _slice_means(dists, edge_count)
+    if not d_mean.all():
         raise DegenerateRegion("all boundary pixels coincide with the centroid")
-    return float(((dists - d_mean) ** 2).mean() / d_mean)
+    d_var = _slice_means((dists - d_mean[edge_group]) ** 2, edge_count)
+
+    integral = np.zeros((gray.shape[0] + 1, gray.shape[1] + 1), dtype=np.int64)
+    integral[1:, 1:] = gray.cumsum(0, dtype=np.int64).cumsum(1)
+    box_sum = (
+        integral[row_end, col_end]
+        - integral[row_min, col_end]
+        - integral[row_end, col_min]
+        + integral[row_min, col_min]
+    )
+    inside = np.bincount(group, weights=values)
+    # With no outside pixel, box_sum - inside is 0 and the inside mean stays.
+    outside_mean = (box_sum - inside) / np.maximum(box_area - area, 1)
+    columns = [
+        area,
+        area / box_area,
+        mean_gradient,
+        boundary_gradient,
+        gray_std,
+        d_var / d_mean,
+        inside / area - outside_mean,
+    ]
+    return np.array(columns, dtype=np.float64).T
 
 
-def intensity_diff(region: Region, img: GrayImage) -> float:
-    """Mean gray inside the region minus mean gray of the rest of its bbox.
+def feature_table(
+    img: GrayImage, region_map: RegionMap, ids: Iterable[int], grad: np.ndarray | None = None
+) -> np.ndarray:
+    """Descriptors of the regions ``ids`` in one pass over the label map.
 
-    If the region fills its bounding box exactly there is no outside part;
-    the inside mean is returned alone.
+    Returns an array of shape (region_count + 1, 7) whose row i holds the
+    :class:`FeatureVector` fields of region i in field order; rows of
+    regions not in ``ids`` are 0. ``grad`` defaults to :func:`gradient_map`.
     """
-    x0, y0, w, h = region.bbox
-    inside = sum(int(img.pixels[y, x]) for x, y in region.pixels)
-    n_inside = len(region.pixels)
-    box = img.pixels[y0 : y0 + h, x0 : x0 + w]
-    n_outside = w * h - n_inside
-    if n_outside == 0:
-        return inside / n_inside
-    outside = int(box.sum(dtype=np.int64)) - inside
-    return inside / n_inside - outside / n_outside
+    labels = region_map.labels
+    if labels.shape != img.pixels.shape:
+        raise ValueError("image and region map dimensions differ")
+    rows = region_map.region_count + 1
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size and not (1 <= ids.min() and ids.max() < rows):
+        raise ValueError(f"region ids must lie in 1..{rows - 1}")
+    wanted = np.zeros(rows, dtype=bool)
+    wanted[ids] = True
+    ids = np.flatnonzero(wanted)
+    if grad is None:
+        grad = gradient_map(img)
+    elif grad.shape != labels.shape:
+        raise ValueError("gradient and region map dimensions differ")
+    table = np.zeros((rows, 7), dtype=np.float64)
+    if ids.size:
+        # The pass runs on the bounding box of those regions: the outer
+        # neighbour of a region pixel on its edge is not in the region, so
+        # every boundary stays as it is on the whole map.
+        covered = wanted[labels]
+        ys = np.flatnonzero(covered.any(axis=1))
+        xs = np.flatnonzero(covered.any(axis=0))
+        box = np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+        table[ids] = _feature_rows(labels[box], img.pixels[box], grad[box], ids, (xs[0], ys[0]))
+    return table
 
 
 def compute_features(
-    region: Region, img: GrayImage, grad: np.ndarray | None = None
+    region: Region,
+    img: GrayImage,
+    grad: np.ndarray | None = None,
+    table: np.ndarray | None = None,
 ) -> FeatureVector:
-    """Assemble the full feature vector for one region."""
-    if grad is None:
-        grad = gradient_map(img)
-    return FeatureVector(
-        area=area(region),
-        compactness=compactness(region),
-        mean_gradient=mean_region_gradient(region, grad),
-        boundary_gradient=mean_boundary_gradient(region, grad),
-        gray_std=gray_std(region, img),
-        edge_distance_variance=edge_distance_variance(region),
-        intensity_diff=intensity_diff(region, img),
-    )
+    """The feature vector of one region.
+
+    ``table`` may be a precomputed :func:`feature_table` that covers
+    ``region``; its row ``region.id`` is then read. Without one, the same
+    pass runs over the region's bounding box.
+    """
+    if table is None:
+        if grad is None:
+            grad = gradient_map(img)
+        x0, y0, w, h = region.bbox
+        mask = np.zeros((h, w), dtype=np.int32)
+        xs, ys = np.array(region.pixels).T
+        mask[ys - y0, xs - x0] = 1
+        window = np.s_[y0 : y0 + h, x0 : x0 + w]
+        row = _feature_rows(mask, img.pixels[window], grad[window], np.array([1]), (x0, y0))[0]
+    else:
+        row = table[region.id]
+        if not row[0]:
+            raise ValueError(f"table has no row for region {region.id}")
+    area, *rest = row.tolist()
+    return FeatureVector(int(area), *rest)

@@ -11,13 +11,14 @@ independent cross-check.
 
 The blankets of all fitted regions grow in one pass over the label map,
 where a neighbor counts only if it carries the same label
-(:func:`blanket_area_table`); one region alone is the same pass over its
-bounding box (:func:`blanket_areas`).
+(:func:`blanket_area_table`), and their log-log lines are fitted in one
+pass over the table's rows (:func:`fit_table`); one region alone is the
+same two passes over its bounding box and its one row.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,15 @@ class BlanketFit:
     dimension: float
     intercept: float
     residual: float
+
+
+class BlanketTable(NamedTuple):
+    """Blanket areas and log-log fits of many regions, row i for region i."""
+
+    areas: np.ndarray  # (rows, r_max) from blanket_area_table
+    dimension: np.ndarray  # (rows,); NaN in rows that were not fitted
+    intercept: np.ndarray
+    residual: np.ndarray
 
 
 def blanket_area_table(
@@ -115,6 +125,23 @@ def blanket_areas(
     return list(range(1, r_max + 1)), table[1].tolist()
 
 
+def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D, intercept and residual of log A(r) on log r for each row of ``areas``.
+
+    Every sum reduces along the last axis, which numpy runs as the same
+    pairwise sum on each row of a 2-D array as on a 1-D row, so a row
+    fitted with the others has the bits of that row fitted alone.
+    """
+    x = np.log(np.asarray(scales, dtype=np.float64))
+    y = np.log(areas)
+    x_mean = x.mean()
+    y_mean = y.mean(axis=-1, keepdims=True)
+    slope = ((x - x_mean) * (y - y_mean)).sum(axis=-1, keepdims=True) / ((x - x_mean) ** 2).sum()
+    intercept = y_mean - slope * x_mean
+    residual = ((y - (slope * x + intercept)) ** 2).sum(axis=-1)
+    return 2.0 - slope[..., 0], intercept[..., 0], residual
+
+
 def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
     """Least-squares line of log A(r) on log r; D is 2 minus the slope."""
     if len(scales) != len(areas) or len(scales) < 2:
@@ -123,29 +150,44 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
         raise ValueError("areas must be positive")
     if len(set(scales)) == 1:
         raise DegenerateFit("all scales equal")
-    x = np.log(np.asarray(scales, dtype=np.float64))
-    y = np.log(np.asarray(areas, dtype=np.float64))
-    x_mean = x.mean()
-    y_mean = y.mean()
-    slope = float(((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum())
-    intercept = float(y_mean - slope * x_mean)
-    residual = float(((y - (slope * x + intercept)) ** 2).sum())
-    return BlanketFit(list(scales), [float(a) for a in areas], 2.0 - slope, intercept, residual)
+    fitted = _fit_lines(scales, np.asarray(areas, dtype=np.float64))
+    return BlanketFit(list(scales), [float(a) for a in areas], *map(float, fitted))
+
+
+def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
+    """Fit the rows ``ids`` of a :func:`blanket_area_table` at r = 1..r_max at once."""
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size and not (1 <= ids.min() and ids.max() < len(areas)):
+        raise ValueError(f"region ids must lie in 1..{len(areas) - 1}")
+    fits = np.full((3, len(areas)), np.nan)
+    fits[:, ids] = _fit_lines(range(1, areas.shape[1] + 1), areas[ids])
+    return BlanketTable(areas, *fits)
 
 
 def blanket_dimension(
-    img: GrayImage, region: Region, r_max: int = 8, areas: np.ndarray | None = None
+    img: GrayImage, region: Region, r_max: int = 8, table: BlanketTable | None = None
 ) -> BlanketFit:
     """Blanket areas plus the log-log fit in one call.
 
-    ``areas`` may be a precomputed :func:`blanket_area_table` that covers
-    ``region``; its row ``region.id`` is then fitted instead of growing the
+    ``table`` may be a precomputed :func:`fit_table` that covers ``region``;
+    its row ``region.id`` is then read instead of growing and fitting the
     region's blanket again.
     """
-    if areas is None:
+    if table is None:
         return fit_dimension(*blanket_areas(img, region, r_max))
     _require_two_pixels(region)
-    return fit_dimension(list(range(1, r_max + 1)), areas[region.id].tolist())
+    if table.areas.shape[1] != r_max:
+        raise ValueError(f"table has {table.areas.shape[1]} radii, not r_max = {r_max}")
+    rid = region.id
+    if math.isnan(table.dimension[rid]):
+        raise ValueError(f"table has no fit for region {rid}")
+    return BlanketFit(
+        list(range(1, r_max + 1)),
+        table.areas[rid].tolist(),
+        float(table.dimension[rid]),
+        float(table.intercept[rid]),
+        float(table.residual[rid]),
+    )
 
 
 def box_count_dimension(img: GrayImage, region: Region) -> float:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classify import Detection, RuleSet, classify, default_rules
-from .errors import ConfigError, MammoCadError, PipelineStageError
-from .features import compute_features, gradient_map
-from .fractal import blanket_area_table, blanket_dimension, roughness_gate
+from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
+from .features import compute_features, feature_table, gradient_map
+from .fractal import blanket_area_table, blanket_dimension, fit_table, roughness_gate
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
@@ -156,12 +156,14 @@ def run_pipeline(
         "segment",
         lambda: segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block),
     )
-    regions = stage("regions", lambda: extract_regions(region_map, inverted))
+    regions = stage(
+        "regions", lambda: extract_regions(region_map, inverted, cfg.min_region_pixels)
+    )
 
     def _fractal():
-        fitted = [region for region in regions if region.area >= cfg.min_region_pixels]
-        areas = blanket_area_table(inverted, region_map, [r.id for r in fitted], cfg.r_max)
-        return {r.id: blanket_dimension(inverted, r, cfg.r_max, areas) for r in fitted}
+        ids = [region.id for region in regions]
+        table = fit_table(blanket_area_table(inverted, region_map, ids, cfg.r_max), ids)
+        return {r.id: blanket_dimension(inverted, r, cfg.r_max, table) for r in regions}
 
     fits = stage("fractal", _fractal)
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
@@ -170,9 +172,10 @@ def run_pipeline(
         if not gated_ids:
             return {}
         grad = gradient_map(inverted)
+        table = feature_table(inverted, region_map, gated_ids, grad)
         by_id = {region.id: region for region in regions}
         return {
-            rid: compute_features(by_id[rid], inverted, grad) for rid in gated_ids
+            rid: compute_features(by_id[rid], inverted, grad, table) for rid in gated_ids
         }
 
     vectors = stage("features", _features)
@@ -201,7 +204,10 @@ def run_pipeline(
 
     if cfg.output_dir is not None and cfg.emit:
         out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create {out}: {exc}") from exc
         stem = Path(source).stem if source != "<memory>" else "image"
         if "inverted" in cfg.emit:
             write_pgm(inverted, out / f"{stem}_inverted.pgm")
@@ -213,18 +219,21 @@ def run_pipeline(
             # Boundaries read best on the working source image, i.e. the
             # inverted image negated back.
             write_pgm(
-                overlay_boundaries(negate(inverted), regions),
+                overlay_boundaries(negate(inverted), region_map),
                 out / f"{stem}_overlay.pgm",
             )
         if "features" in cfg.emit:
-            (out / f"{stem}_features.csv").write_text(
-                features_csv(report), encoding="utf-8"
-            )
+            _write_text(out / f"{stem}_features.csv", features_csv(report))
         if "report" in cfg.emit:
-            (out / f"{stem}_report.json").write_text(
-                report_json(report), encoding="utf-8"
-            )
+            _write_text(out / f"{stem}_report.json", report_json(report))
     return report
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:

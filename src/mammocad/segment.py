@@ -392,34 +392,46 @@ def segment_image(
     return merge(img, mask, split(img, mask, tau_split, min_block), tau_merge)
 
 
-def extract_regions(region_map: RegionMap, img: GrayImage | None = None) -> list[Region]:
-    """Build one :class:`Region` per label id, ascending.
+def boundary_mask(labels: np.ndarray) -> np.ndarray:
+    """Labelled pixels on the image border or with a 4-neighbour of another label.
 
-    The foreground pixels are grouped by region with one stable sort, which
-    keeps them in raster order within each region. The boundary mask comes
-    once from the label map padded with a label no region has, and each
-    region's boundary list picks from its own pixel list.
+    This is the union of every region's ``boundary``.
     """
-    labels = region_map.labels
-    height, width = labels.shape
-    if img is not None and (img.height, img.width) != (height, width):
-        raise ValueError("image and region map dimensions differ")
-    count = region_map.region_count
-    if not count:
-        return []
-    padded = np.pad(labels, 1, constant_values=-1)
-    on_boundary = (
+    padded = np.full((labels.shape[0] + 2, labels.shape[1] + 2), -1, dtype=labels.dtype)
+    padded[1:-1, 1:-1] = labels
+    return (labels != 0) & (
         (padded[:-2, 1:-1] != labels)
         | (padded[2:, 1:-1] != labels)
         | (padded[1:-1, :-2] != labels)
         | (padded[1:-1, 2:] != labels)
     )
-    flat = np.flatnonzero(labels).astype(np.int32)
+
+
+def extract_regions(
+    region_map: RegionMap, img: GrayImage | None = None, min_pixels: int = 1
+) -> list[Region]:
+    """One :class:`Region` per label id with at least ``min_pixels`` pixels, ascending.
+
+    The pixels of those regions are grouped by region with one stable sort,
+    which keeps them in raster order within each region, and each region's
+    boundary list picks from its own pixel list with :func:`boundary_mask`.
+    """
+    labels = region_map.labels
+    height, width = labels.shape
+    if img is not None and (img.height, img.width) != (height, width):
+        raise ValueError("image and region map dimensions differ")
+    sizes = np.bincount(labels.ravel(), minlength=region_map.region_count + 1)
+    kept = sizes >= min_pixels
+    kept[0] = False
+    ids = np.flatnonzero(kept)
+    if not ids.size:
+        return []
+    flat = np.flatnonzero(kept[labels.ravel()]).astype(np.int32)
     flat = flat[np.argsort(labels.ravel()[flat], kind="stable")]
     ys, xs = np.divmod(flat, np.int32(width))
     points = list(zip(xs.tolist(), ys.tolist()))
-    edge = on_boundary.ravel()[flat].tolist()
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    edge = boundary_mask(labels).ravel()[flat].tolist()
+    sizes = sizes[ids]
     ends = np.cumsum(sizes)
     starts = ends - sizes
     x_min = np.minimum.reduceat(xs, starts).tolist()
@@ -430,12 +442,12 @@ def extract_regions(region_map: RegionMap, img: GrayImage | None = None) -> list
     y_max = ys[ends - 1].tolist()
 
     regions = []
-    for k, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+    for k, (rid, start, end) in enumerate(zip(ids.tolist(), starts.tolist(), ends.tolist())):
         pixels = points[start:end]
         area = end - start
         regions.append(
             Region(
-                k + 1,
+                rid,
                 pixels,
                 list(compress(pixels, edge[start:end])),
                 (x_min[k], y_min[k], x_max[k] - x_min[k] + 1, y_max[k] - y_min[k] + 1),
@@ -466,10 +478,10 @@ def write_region_map_pgm(region_map: RegionMap, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def overlay_boundaries(img: GrayImage, regions: list[Region]) -> GrayImage:
-    """Paint region boundary pixels at 255 over a copy of the image."""
+def overlay_boundaries(img: GrayImage, region_map: RegionMap) -> GrayImage:
+    """Paint the label map's :func:`boundary_mask` at 255 over a copy of the image."""
+    if (img.height, img.width) != region_map.labels.shape:
+        raise ValueError("image and region map dimensions differ")
     out = img.pixels.copy()
-    for region in regions:
-        for x, y in region.boundary:
-            out[y, x] = 255
+    out[boundary_mask(region_map.labels)] = 255
     return GrayImage(out)

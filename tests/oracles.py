@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from mammocad.errors import (
+    DegenerateRegion,
     InvalidPixelValue,
     MalformedHeader,
     TruncatedData,
@@ -159,6 +160,93 @@ def naive_features(region, img, grad):
         "edge_distance_variance": edv,
         "intensity_diff": diff,
     }
+
+
+# The per-region descriptors the package computed before its one-pass
+# feature table, one function per field over the Region lists; the table
+# must equal them bit for bit.
+
+
+def area(region):
+    """Pixel count of the region."""
+    return len(region.pixels)
+
+
+def compactness(region):
+    """Region area over its bounding-rectangle area; 1.0 fills the box."""
+    _, _, w, h = region.bbox
+    return len(region.pixels) / (w * h)
+
+
+def mean_region_gradient(region, grad):
+    """Average gradient magnitude over all region pixels."""
+    return float(sum(grad[y, x] for x, y in region.pixels) / len(region.pixels))
+
+
+def mean_boundary_gradient(region, grad):
+    """Average gradient magnitude over the boundary pixels; boundary sharpness."""
+    if not region.boundary:
+        raise DegenerateRegion(f"region {region.id} has no boundary pixels")
+    return float(sum(grad[y, x] for x, y in region.boundary) / len(region.boundary))
+
+
+def gray_std(region, img):
+    """Population standard deviation of the region's gray values."""
+    values = np.array([img.pixels[y, x] for x, y in region.pixels], dtype=np.float64)
+    return float(np.sqrt(((values - values.mean()) ** 2).mean()))
+
+
+def edge_distance_variance(region):
+    """Variance of boundary-to-centroid distances, normalized by their mean."""
+    cx, cy = region.centroid
+    dists = np.array(
+        [math.hypot(x - cx, y - cy) for x, y in region.boundary], dtype=np.float64
+    )
+    d_mean = float(dists.mean())
+    if d_mean == 0.0:
+        raise DegenerateRegion("all boundary pixels coincide with the centroid")
+    return float(((dists - d_mean) ** 2).mean() / d_mean)
+
+
+def intensity_diff(region, img):
+    """Mean gray inside the region minus mean gray of the rest of its bbox."""
+    x0, y0, w, h = region.bbox
+    inside = sum(int(img.pixels[y, x]) for x, y in region.pixels)
+    n_inside = len(region.pixels)
+    box = img.pixels[y0 : y0 + h, x0 : x0 + w]
+    n_outside = w * h - n_inside
+    if n_outside == 0:
+        return inside / n_inside
+    outside = int(box.sum(dtype=np.int64)) - inside
+    return inside / n_inside - outside / n_outside
+
+
+def region_features(region, img, grad):
+    """The seven descriptors of one region, by name, from the functions above."""
+    return {
+        "area": area(region),
+        "compactness": compactness(region),
+        "mean_gradient": mean_region_gradient(region, grad),
+        "boundary_gradient": mean_boundary_gradient(region, grad),
+        "gray_std": gray_std(region, img),
+        "edge_distance_variance": edge_distance_variance(region),
+        "intensity_diff": intensity_diff(region, img),
+    }
+
+
+def line_fit(scales, areas):
+    """(D, intercept, residual) of log A on log r, fitted on one 1-D row.
+
+    The per-region fit the package ran before fitting all rows at once.
+    """
+    x = np.log(np.asarray(scales, dtype=np.float64))
+    y = np.log(np.asarray(areas, dtype=np.float64))
+    x_mean = x.mean()
+    y_mean = y.mean()
+    slope = float(((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum())
+    intercept = float(y_mean - slope * x_mean)
+    residual = float(((y - (slope * x + intercept)) ** 2).sum())
+    return 2.0 - slope, intercept, residual
 
 
 def connected_components_8(pixels):

@@ -69,4 +69,7 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
     assert row["fits"] > 0
     assert row["features"] == len(report.detections) > 0
     assert row["regions"] == report.region_count_pre_gate
+    # The pipeline builds its regions in extract_regions, so their time is
+    # the extract layer's and not pipeline.self_ms.
+    assert row["segment.extract_ms"] > 0
     assert abs(row["unaccounted_ms"]) <= 1e-6 * max(1.0, row["total_ms"])

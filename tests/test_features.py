@@ -2,24 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mammocad.errors import DegenerateRegion, ImageTooSmall
-from mammocad.features import (
+from mammocad.features import FeatureVector, compute_features, feature_table, gradient_map
+from mammocad.image import GrayImage, negate
+from mammocad.segment import Region, RegionMap, extract_regions, segment_image
+from mammocad.threshold import BinaryMask
+
+from oracles import (
     area,
     compactness,
-    compute_features,
     edge_distance_variance,
-    gradient_map,
     gray_std,
     intensity_diff,
     mean_boundary_gradient,
     mean_region_gradient,
+    naive_features,
+    region_features,
+    sobel_magnitude,
 )
-from mammocad.image import GrayImage, negate
-from mammocad.segment import Region, extract_regions, segment_image
-from mammocad.threshold import BinaryMask
-
-from oracles import naive_features, sobel_magnitude
+from test_fractal import checkerboard, cross_and_ring, dense_map, labeled_images
 
 
 def region_of(img, bits):
@@ -258,3 +262,67 @@ class TestOracleEquivalence:
             want = naive_features(region, img, grad)
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, abs=1e-9), name
+
+
+def solid_blocks(side):
+    """Regions that each fill their bounding box, so no bbox pixel is outside."""
+    return np.kron(np.arange(1, 5).reshape(2, 2), np.ones((side, side), dtype=np.int64))
+
+
+class TestFeatureTable:
+    """The one-pass table equals the per-region code in ``oracles`` bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(img, rm, grad, ids):
+        regions = {r.id: r for r in extract_regions(rm, img)}
+        table = feature_table(img, rm, ids, grad)
+        assert table.shape == (rm.region_count + 1, 7)
+        for rid, region in regions.items():
+            if region.area < 2:
+                with pytest.raises(DegenerateRegion):
+                    compute_features(region, img, grad)
+                continue
+            expected = FeatureVector(**region_features(region, img, grad))
+            assert compute_features(region, img, grad) == expected
+            if rid in ids:
+                assert compute_features(region, img, grad, table) == expected
+            else:
+                assert not table[rid].any()
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=labeled_images(), scale=st.sampled_from([1.0, 1e-3, 7.3e5]))
+    def test_matches_oracle(self, case, scale):
+        img, rm, rng = case
+        grad = rng.random(img.pixels.shape) * scale
+        areas = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
+        ids = [rid for rid, n in enumerate(areas) if rid and n >= 2 and rng.random() < 0.7]
+        self.assert_matches_oracle(img, rm, grad, ids)
+
+    @pytest.mark.parametrize("make", [checkerboard, cross_and_ring, solid_blocks])
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    def test_structured_maps(self, make, side):
+        rng = np.random.default_rng(side)
+        rm = dense_map(make(side))
+        img = GrayImage(rng.integers(0, 256, rm.labels.shape).astype(np.uint8))
+        areas = np.bincount(rm.labels.ravel())
+        ids = [rid for rid in range(1, rm.region_count + 1) if areas[rid] >= 2]
+        self.assert_matches_oracle(img, rm, gradient_map(img), ids)
+
+    def test_validation(self):
+        img = GrayImage(np.zeros((3, 3), np.uint8))
+        rm = RegionMap(np.ones((3, 3), np.int32), 1)
+        for ids in ([0], [2], [-1]):
+            with pytest.raises(ValueError):
+                feature_table(img, rm, ids)
+        with pytest.raises(ValueError):
+            feature_table(GrayImage(np.zeros((3, 4), np.uint8)), rm, [1])
+        with pytest.raises(ValueError):
+            feature_table(img, rm, [1], np.zeros((3, 4)))
+        assert not feature_table(img, rm, []).any()
+        (region,) = extract_regions(rm, img)
+        with pytest.raises(ValueError):
+            compute_features(region, img, table=feature_table(img, rm, []))
+        dot = np.zeros((3, 3), np.int32)
+        dot[1, 1] = 1
+        with pytest.raises(DegenerateRegion):
+            feature_table(img, RegionMap(dot, 1), [1])

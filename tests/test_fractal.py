@@ -13,13 +13,14 @@ from mammocad.fractal import (
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
+    fit_table,
     roughness_gate,
 )
 from mammocad.image import GrayImage
 from mammocad.segment import RegionMap, extract_regions, segment_image
 from mammocad.threshold import BinaryMask
 
-from oracles import blanket_recursion, diamond_square, padded_blanket_areas
+from oracles import blanket_recursion, diamond_square, line_fit, padded_blanket_areas
 
 
 def full_region(img):
@@ -181,7 +182,8 @@ class TestBlanketAreaTable:
         rng = np.random.default_rng(3)
         img = GrayImage(rng.integers(0, 256, (12, 12)).astype(np.uint8))
         rm = dense_map(rng.integers(0, 4, (12, 12)) // 2 * rng.integers(1, 3, (12, 12)))
-        table = blanket_area_table(img, rm, range(1, rm.region_count + 1), 6)
+        ids = range(1, rm.region_count + 1)
+        table = fit_table(blanket_area_table(img, rm, ids, 6), ids)
         for region in extract_regions(rm, img):
             if region.area >= 2:
                 assert blanket_dimension(img, region, 6, table) == blanket_dimension(
@@ -205,9 +207,58 @@ class TestBlanketAreaTable:
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
         region = region_from_mask(img, bits)
-        table = blanket_area_table(img, RegionMap(bits.astype(np.int32), 1), [1], 4)
+        table = fit_table(blanket_area_table(img, RegionMap(bits.astype(np.int32), 1), [1], 4), [1])
         with pytest.raises(RegionTooSmall):
             blanket_dimension(img, region, 4, table)
+
+
+class TestFitTable:
+    """Fitting all table rows at once equals fitting each row alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=labeled_images(), r_max=st.integers(2, 16))
+    def test_matches_per_row_fit(self, case, r_max):
+        img, rm, rng = case
+        regions = [r for r in extract_regions(rm, img, min_pixels=2) if rng.random() < 0.7]
+        ids = [r.id for r in regions]
+        areas = blanket_area_table(img, rm, ids, r_max)
+        table = fit_table(areas, ids)
+        scales = list(range(1, r_max + 1))
+        for region in regions:
+            row = areas[region.id].tolist()
+            dimension, intercept, residual = line_fit(scales, row)
+            expected = BlanketFit(scales, row, dimension, intercept, residual)
+            assert blanket_dimension(img, region, r_max, table) == expected
+            assert blanket_dimension(img, region, r_max) == expected
+            assert fit_dimension(scales, row) == expected
+        unfitted = np.ones(rm.region_count + 1, dtype=bool)
+        unfitted[ids] = False
+        assert np.isnan(table.dimension[unfitted]).all()
+
+    @pytest.mark.parametrize("r_max", [2, 5, 8, 9, 16, 33])
+    def test_many_rows(self, r_max):
+        rng = np.random.default_rng(r_max)
+        areas = rng.random((300, r_max)) * 10.0 ** rng.integers(0, 6, (300, 1)) + 1.0
+        ids = list(range(1, 300, 2))
+        table = fit_table(areas, ids)
+        scales = list(range(1, r_max + 1))
+        for rid in ids:
+            fitted = (table.dimension[rid], table.intercept[rid], table.residual[rid])
+            assert fitted == line_fit(scales, areas[rid].tolist())
+
+    def test_validation(self):
+        areas = np.ones((3, 4))
+        for ids in ([0], [3], [-1]):
+            with pytest.raises(ValueError):
+                fit_table(areas, ids)
+        assert np.isnan(fit_table(areas, []).dimension).all()
+        img = GrayImage(np.zeros((3, 3), np.uint8))
+        rm = RegionMap(np.ones((3, 3), np.int32), 1)
+        table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
+        with pytest.raises(ValueError):
+            blanket_dimension(img, full_region(img), 5, table)
+        with pytest.raises(ValueError):
+            blanket_dimension(img, full_region(img), 4, fit_table(table.areas, []))
 
 
 class TestFitDimension:

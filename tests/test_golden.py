@@ -1,8 +1,9 @@
 """Golden fingerprints that pin the pipeline's outputs byte for byte.
 
 Each case runs the whole pipeline and hashes the JSON report with its
-``timings`` removed (re-serialized the way ``report_json`` writes it) and
-the label map PGM. A hash may change only in a change that says why.
+``timings`` removed (re-serialized the way ``report_json`` writes it), the
+label map PGM, the feature CSV and the boundary overlay PGM. A hash may
+change only in a change that says why.
 """
 
 import json
@@ -25,53 +26,85 @@ def box_noise(seed, size, box=3):
     return GrayImage(((2 * sums + box * box) // (2 * box * box)).astype(np.uint8))
 
 
-# name -> (image factory, config overrides, report sha256, labels sha256)
+# name -> (image factory, config overrides, report, labels, features, overlay sha256)
 CASES = {
     "blank_256": (
         lambda: generate_phantom("blank", 1, 256)[0],
         {},
         "31d0229f663a9341d587ffb5227e0fb326e795b74862d680c49cec0c527f1f8f",
         "3c67d1c688ea8d5d7debeb94b6062dcb59be12f01e25e32989622f8a8795043c",
+        "6edae4b181937d0f64b7cc7d5b9125e8de6d47cce533c87360539dfc802b80ed",
+        "1d4c6fa6995033e4f29ffdefd5f5c5080a9fe56dc2eb8dff28d31a48e00bce6c",
     ),
     "tumor_256": (
         lambda: generate_phantom("tumor", 1, 256)[0],
         {},
         "dddcd6acf9bca1ea0c51a14be43e7f29a96b46cbe9be3e4d7f2ffb144834fc61",
         "441b10cc9b73948afbd16d1fc3f76a99113fa59f07b68467eb39466f4eaea8d0",
+        "6edae4b181937d0f64b7cc7d5b9125e8de6d47cce533c87360539dfc802b80ed",
+        "ead57187d5b2562d03bf210f81c664f4e910e3c8817a020371587c3af414f227",
     ),
     "multi_256": (
         lambda: generate_phantom("multi", 1, 256)[0],
         {},
         "8cd170dd21d445137556fdf73156f660505e02942ba2f3bc34ea5823850b08b2",
         "746c1d96faf8c4ed7fc2d5144f758670eafb9ed099e99e5476bcfe303ccda88b",
+        "6edae4b181937d0f64b7cc7d5b9125e8de6d47cce533c87360539dfc802b80ed",
+        "68db76aea04d60fd0108a4d112b525f6aaa7b496ce7634cea163122fa6ca85c5",
     ),
     "tumor_128_l0": (
         lambda: generate_phantom("tumor", 1, 128)[0],
         {"dwt_levels": 0},
         "42680406803f632aa17b8beb58bf72a32dcd515a2e86b231f53c107142d6f2d1",
         "bd5087d8f7d6629be1322e31d42566bab89e71b9ce4f04eb509d923465b35b22",
+        "c6e4bf926fbd13f26404b5b9632ab0c412bc1c3042109735d9fdf3bf30392029",
+        "f8c7c937c9578f036ec354b7b5090fcebf00576e55064346ecafd4b2c6c20f5b",
     ),
     "noise_64_l0": (
         lambda: box_noise(7, 64),
         {"dwt_levels": 0},
         "ed77e35b1864e883e262f273cf1ee5584ebe562ee5bbd1404a00931113a72fb6",
         "063c8c3c0aed2e5b79876c8c0fefb796bb6ec712a9977a43a19120e48a48aac5",
+        "0f63aec2dac9b1a85b150947ebf18351f8d141810b055dc77b6898abb5c62c31",
+        "04dd8a59d5ce2bc4d5c96c52f9212c9a801a159f00b923c6c457c96e59b2e0e3",
+    ),
+    # ~2000 regions: every per-region table at scale.
+    "noise_112_l0": (
+        lambda: box_noise(11, 112),
+        {"dwt_levels": 0},
+        "cfc1412948d0e8e8d80bb47ba443a23cf952b8b98652f58a81d0a83fa8146b5e",
+        "98de0618bdf1f0984ff5587617db8484edfa78b98802bd28a2e0be1768ec2727",
+        "40822efdef23fd5bc554110e61035976499f6ca3d12151167e74c37f2e83e2ea",
+        "dd2e85f3380e03ec45f18357f672b7894a3807875dbf05e16d879747e29bacf6",
+    ),
+    # More than 8 fit points, so numpy's sums run their pairwise blocks.
+    "noise_64_l0_r12": (
+        lambda: box_noise(7, 64),
+        {"dwt_levels": 0, "r_max": 12},
+        "d3b88e6e11c9b69cf20946f6f9f725879a94d50e35a2c754bb955808c5d98070",
+        "063c8c3c0aed2e5b79876c8c0fefb796bb6ec712a9977a43a19120e48a48aac5",
+        "4eff5cbede603747a22c16e9e3d60c59802cdedcf5e480f088f1078af5361cf9",
+        "04dd8a59d5ce2bc4d5c96c52f9212c9a801a159f00b923c6c457c96e59b2e0e3",
     ),
 }
 
 
+# Artifacts hashed after the report: emit name -> file name suffix.
+ARTIFACTS = {"labels": "labels.pgm", "features": "features.csv", "overlay": "overlay.pgm"}
+
+
 def fingerprints(name, tmp_path):
-    make, overrides, _, _ = CASES[name]
-    cfg = PipelineConfig(output_dir=tmp_path, emit=("report", "labels"), **overrides)
+    make, overrides, *_ = CASES[name]
+    cfg = PipelineConfig(output_dir=tmp_path, emit=("report", *ARTIFACTS), **overrides)
     run_pipeline(make(), cfg, source=f"{name}.pgm")
     report = json.loads((tmp_path / f"{name}_report.json").read_text(encoding="utf-8"))
     report.pop("timings")
     report_bytes = (json.dumps(report, indent=2) + "\n").encode("utf-8")
-    labels_bytes = (tmp_path / f"{name}_labels.pgm").read_bytes()
-    return sha256(report_bytes).hexdigest(), sha256(labels_bytes).hexdigest()
+    files = [(tmp_path / f"{name}_{suffix}").read_bytes() for suffix in ARTIFACTS.values()]
+    return tuple(sha256(data).hexdigest() for data in [report_bytes, *files])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_fingerprints(name, tmp_path):
-    _, _, report_hash, labels_hash = CASES[name]
-    assert fingerprints(name, tmp_path) == (report_hash, labels_hash)
+    _, _, *hashes = CASES[name]
+    assert fingerprints(name, tmp_path) == tuple(hashes)

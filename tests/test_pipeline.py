@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mammocad.classify import RuleSet
 from mammocad.cli import CONFIG_PARSERS, build_config, main, parse_config_file
@@ -12,6 +15,7 @@ from mammocad.errors import ConfigError, PipelineStageError
 from mammocad.image import GrayImage, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import (
+    EMIT_CHOICES,
     RULE_KEYS,
     BatchError,
     DetectionReport,
@@ -430,6 +434,28 @@ class TestBatchContract:
         with pytest.raises(ConfigError):
             run_batch([tmp_path / "never_read.pgm"], cfg)
 
+    def test_artifact_write_failure_is_a_per_file_error(self, tmp_path, capsys):
+        first = tmp_path / "a.pgm"
+        second = tmp_path / "b.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], first)
+        write_pgm(generate_phantom("tumor", 2, 64)[0], second)
+        out = tmp_path / "out"
+        (out / "a_report.json").mkdir(parents=True)  # blocks a's report only
+        assert main(["detect", str(first), str(second), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{first}: ERROR: cannot write" in err
+        assert "b.pgm" not in err
+        assert json.loads((out / "b_report.json").read_text())["source"] == str(second)
+
+    def test_output_dir_that_is_a_file_is_a_per_file_error(self, tmp_path):
+        src = tmp_path / "a.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], src)
+        out = tmp_path / "taken"
+        out.write_text("")
+        results = run_batch([src, src], PipelineConfig(output_dir=out))
+        assert [type(r) for r in results] == [BatchError, BatchError]
+        assert all("cannot create" in r.error for r in results)
+
     def test_contradictory_override_file_exits_two(self, tmp_path):
         cfg_file = tmp_path / "rules.cfg"
         cfg_file.write_text("min_area = 50\nmax_area = 10\n")
@@ -462,3 +488,59 @@ class TestBatchContract:
             "features",
             "classify",
         ]
+
+
+def extreme_image(kind, side):
+    """A small image at an edge of the input space."""
+    ramp = (np.arange(side) * 37 % 256).astype(np.uint8)
+    if kind == "row":
+        return ramp.reshape(1, side)
+    if kind == "column":
+        return ramp.reshape(side, 1)
+    if kind == "tiny":
+        return np.array([[0, 255, 0], [255, 128, 255], [0, 255, 0]], np.uint8)
+    if kind == "black":
+        return np.zeros((side, side), np.uint8)
+    if kind == "white":
+        return np.full((side, side), 255, np.uint8)
+    if kind == "checkerboard":
+        return (np.indices((side, side)).sum(0) % 2 * 255).astype(np.uint8)
+    if kind == "noise":  # an ordinary image beside the extremes, for detections
+        return np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
+    dots = np.full((side, side), 255, np.uint8)  # isolated dark dots
+    dots[::2, ::2] = 0
+    return dots
+
+
+KINDS = ("row", "column", "tiny", "black", "white", "checkerboard", "dots", "noise")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    images=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 24)), min_size=1, max_size=3),
+    dwt_levels=st.integers(0, 3),
+    dwt_first=st.booleans(),
+    threshold=st.sampled_from(["auto", 0, 255]),
+    tau_split=st.integers(0, 255),
+    tau_merge=st.integers(0, 255),
+    r_max=st.integers(2, 12),
+)
+def test_batch_sweep_over_extreme_inputs(images, **config):
+    """Every file gives a report with all six artifacts, or a BatchError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = []
+        for i, (kind, side) in enumerate(images):
+            paths.append(tmp / f"{i}_{kind}.pgm")
+            write_pgm(GrayImage(extreme_image(kind, side)), paths[-1])
+        cfg = PipelineConfig(output_dir=tmp / "out", emit=EMIT_CHOICES, **config)
+        results = run_batch(paths, cfg)
+        assert len(results) == len(paths)
+        for path, result in zip(paths, results):
+            assert result.source == str(path)
+            if isinstance(result, DetectionReport):
+                for name in EMIT_CHOICES:
+                    suffix = {"features": "csv", "report": "json"}.get(name, "pgm")
+                    assert (tmp / "out" / f"{path.stem}_{name}.{suffix}").is_file(), name
+            else:
+                assert isinstance(result, BatchError)

@@ -257,7 +257,7 @@ class TestExports:
     def test_overlay_paints_boundary(self):
         img = GrayImage(np.full((3, 3), 50, np.uint8))
         rm = segment_image(img, full_mask(3, 3))
-        overlay = overlay_boundaries(img, extract_regions(rm, img))
+        overlay = overlay_boundaries(img, rm)
         assert overlay.pixels[0, 0] == 255
         assert overlay.pixels[1, 1] == 50
 
@@ -331,9 +331,20 @@ class TestOracleEquivalence:
         rm = merge(img, mask, blocks, tau_merge)
         expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
         assert np.array_equal(rm.labels, expected)
+        geometry = region_geometry(expected)
         assert [
             (r.id, r.pixels, r.boundary, r.bbox, r.centroid) for r in extract_regions(rm, img)
-        ] == region_geometry(expected)
+        ] == geometry
+        for min_pixels in (2, 8):
+            assert [
+                (r.id, r.pixels, r.boundary, r.bbox, r.centroid)
+                for r in extract_regions(rm, img, min_pixels)
+            ] == [g for g in geometry if len(g[1]) >= min_pixels]
+        painted = img.pixels.copy()
+        for _, _, boundary, _, _ in geometry:
+            for x, y in boundary:
+                painted[y, x] = 255
+        assert np.array_equal(overlay_boundaries(img, rm).pixels, painted)
 
     @pytest.mark.parametrize("base,spread,tau,density,min_block", [
         (42, 1, 0, 1.0, 1),  # constant foreground
