@@ -45,10 +45,6 @@ class DegenerateFit(MammoCadError):
     """Log-log fit impossible: all scales identical."""
 
 
-class ImageTooSmall(MammoCadError):
-    """Image is below the minimum size for the operation."""
-
-
 class DegenerateRegion(MammoCadError):
     """Region geometry is degenerate for the requested descriptor."""
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateRegion, ImageTooSmall
+from .errors import DegenerateRegion
 from .image import GrayImage
 from .segment import Region, RegionMap, boundary_mask
 
@@ -51,9 +51,11 @@ class FeatureVector:
 
 
 def gradient_map(img: GrayImage) -> np.ndarray:
-    """Per-pixel gradient magnitude sqrt(Gx^2 + Gy^2), Sobel/8, edge-padded."""
-    if img.width < 3 or img.height < 3:
-        raise ImageTooSmall("gradient needs at least a 3x3 image")
+    """Per-pixel gradient magnitude sqrt(Gx^2 + Gy^2), Sobel/8, edge-padded.
+
+    Edge padding works at any size: on a 1- or 2-pixel side the kernel
+    reads replicated edge pixels.
+    """
     p = np.pad(img.pixels.astype(np.float64), 1, mode="edge")
     gx = (
         (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])

@@ -3,6 +3,10 @@
 The quadtree split recursively quarters blocks whose foreground pixel values
 spread more than ``tau_split``; the merge pass then fuses 4-adjacent regions
 whose mean gray values differ by at most ``tau_merge`` until nothing changes.
+One scan by ascending region id reaches that fixpoint: a region's mean
+changes only during its own visit, two regions become adjacent only during a
+visit by one of them, and each visit ends with no neighbour within
+``tau_merge`` (see :func:`merge`).
 Background pixels never join a region. Regions are 8-connected internally;
 adjacency between regions (for merging and boundaries) is 4-connected, which
 avoids checkerboard fusion.
@@ -16,7 +20,7 @@ merge they replace.
 """
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -128,13 +132,14 @@ def _halvings(n: int, depth: int, shift: int) -> list[_Level]:
 
 def split(
     img: GrayImage, mask: BinaryMask, tau_split: int = 10, min_block: int = 1
-) -> list[Block]:
+) -> np.ndarray:
     """Quadtree-split the image into blocks homogeneous on the foreground.
 
     A block splits into (ceil/floor) quadrants while the max-min spread of
     its foreground pixel values exceeds ``tau_split`` and its longer side
     exceeds ``min_block``. Blocks with no foreground never split. The
-    returned leaves tile the image in depth-first NW, NE, SW, SE order.
+    leaves come back as an ``(n, 4)`` int array of ``(x, y, w, h)`` rows that
+    tile the image in depth-first NW, NE, SW, SE order.
 
     The quadtree is decided level by level: all blocks of one depth share
     the same row and column intervals, so the foreground extremes of every
@@ -156,7 +161,7 @@ def split(
     highs = [np.where(mask.bits, img.pixels, np.int16(-1))]
     lows = [np.where(mask.bits, img.pixels, np.int16(256))]
     if max(height, width) <= min_block or highs[0].max() - lows[0].min() <= tau:
-        return [(0, 0, width, height)]  # the root is a leaf: no pyramid needed
+        return np.array([[0, 0, width, height]], dtype=np.int32)  # the root is a leaf
 
     depth = (max(height, width) - 1).bit_length()
     rows = _halvings(height, depth, 1)
@@ -183,42 +188,42 @@ def split(
             break
         alive = splits[np.ix_(rows[d + 1].parent, cols[d + 1].parent)]
 
-    # One (x, y, w, h) array, not four lists: fewer large temporaries.
     keys, *sides = (np.concatenate(part) for part in zip(*found))
-    return list(map(tuple, np.stack(sides, 1)[np.argsort(keys)].tolist()))
+    return np.stack(sides, 1)[np.argsort(keys)]
 
 
-def _block_ranks(blocks: list[Block], width: int, height: int) -> np.ndarray:
+def _block_ranks(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
     """Check that ``blocks`` partition the image; map each pixel to its block.
 
-    Blocks are ranked in raster order of their top-left corner. Coverage and
-    ranks come from 2-D difference arrays: +v at the top-left and
-    bottom-right corners, -v at the other two, then a cumsum along each
-    axis.
+    Each pixel reads 1 + the rank of its block in raster order of the
+    blocks' top-left corners. The ranks come from one 2-D difference array
+    (+v at the top-left and bottom-right corners, -v at the other two, added
+    by one ``np.add.at``) and a cumsum along each axis. int32 sums wrap, but
+    an uncovered pixel still reads exactly 0 and a pixel of one block its
+    rank. Blocks inside the image partition it exactly when their areas add
+    up to the image's and no pixel reads 0.
     """
-    arr = np.fromiter(chain.from_iterable(blocks), dtype=np.int64).reshape(-1, 4)
-    x, y, w, h = arr.T
+    x, y, w, h = blocks.T.astype(np.int64)
     right, bottom = x + w, y + h
     bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (w < 1) | (h < 1)
     if bad.any():
-        raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))])} outside image")
-    ranks = np.empty(len(arr), dtype=np.int32)
-    ranks[np.lexsort((x, y))] = np.arange(len(arr), dtype=np.int32)
-
-    def painted(values):
-        diff = np.zeros((height + 1, width + 1), dtype=np.int32)
-        np.add.at(diff, (y, x), values)
-        np.add.at(diff, (y, right), -values)
-        np.add.at(diff, (bottom, x), -values)
-        np.add.at(diff, (bottom, right), values)
-        return diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[:height, :width]
-
-    if not (painted(np.ones(len(arr), dtype=np.int32)) == 1).all():
+        raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))].tolist())} outside image")
+    ranks = np.empty(len(blocks), dtype=np.int32)
+    ranks[np.lexsort((x, y))] = np.arange(1, len(blocks) + 1, dtype=np.int32)
+    stride = width + 1
+    corners = np.concatenate(
+        (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
+    )
+    diff = np.zeros((height + 1) * stride, dtype=np.int32)
+    np.add.at(diff, corners, np.concatenate((ranks, ranks, -ranks, -ranks)))
+    diff = diff.reshape(height + 1, stride)
+    painted = diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[:height, :width]
+    if (w * h).sum() != width * height or not painted.all():
         raise ValueError("blocks do not partition the image")
-    return painted(ranks)
+    return painted
 
 
-def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> np.ndarray:
+def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label the 8-connected foreground components of every block.
 
     Two pixels connect when both are foreground and in the same block.
@@ -228,6 +233,9 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> np.ndarray:
     point at its root, so a root is its component's first pixel in raster
     order. Ids follow blocks in raster order of their top-left corner, then
     components in raster order of their first pixel.
+
+    Returns the seed label map and the flat index of each seed's first
+    pixel, in id order.
     """
     height, width = bits.shape
     index = np.arange(height * width, dtype=np.int32).reshape(height, width)
@@ -260,11 +268,10 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> np.ndarray:
 
     # Background pixels are never joined, so they stay their own roots.
     roots = np.flatnonzero((parent == index.ravel()) & bits.ravel())
+    roots = roots[np.lexsort((roots, block_of.ravel()[roots]))]
     ids = np.zeros(height * width, dtype=np.int32)
-    ids[roots[np.lexsort((roots, block_of.ravel()[roots]))]] = np.arange(
-        1, len(roots) + 1, dtype=np.int32
-    )
-    return ids[parent].reshape(height, width)
+    ids[roots] = np.arange(1, len(roots) + 1, dtype=np.int32)
+    return ids[parent].reshape(height, width), roots
 
 
 def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,94 +298,98 @@ def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge(
-    img: GrayImage, mask: BinaryMask, blocks: list[Block], tau_merge: int = 10
+    img: GrayImage, mask: BinaryMask, blocks: np.ndarray | list[Block], tau_merge: int = 10
 ) -> RegionMap:
     """Fuse 4-adjacent block regions with similar means until stable.
 
     Starting regions are the 8-connected foreground components of each leaf
-    block. Regions are scanned by ascending id; a scanned region absorbs any
-    4-adjacent region whose mean gray value is within ``tau_merge`` of its
-    own, and passes repeat until one completes with no merge, so at return
-    no adjacent pair is within ``tau_merge``. Ids are then relabeled densely
-    in raster order of each region's first pixel.
+    block; ``blocks`` is :func:`split`'s ``(n, 4)`` array or any list of
+    ``(x, y, w, h)`` tuples that partitions the image. Regions are scanned
+    by ascending id; a scanned region absorbs any 4-adjacent region whose
+    mean gray value is within ``tau_merge`` of its own, and passes repeat
+    until one completes with no merge, so at return no adjacent pair is
+    within ``tau_merge``. Ids are then relabeled densely in raster order of
+    each region's first pixel.
 
     The seeds come from union-find labelling (:func:`_seed_labels`). The
     scan runs on a region adjacency graph built once from the seed labels,
     with integer gray sums and pixel counts per region. A scanned region
     absorbs its smallest-id neighbour within ``tau_merge``, takes over that
     neighbour's neighbours, recomputes its mean as sum / count and looks
-    again.
+    again. Neighbour lists are not rewritten on an absorb: ids are read
+    through ``absorbed_by`` to the region that holds them now.
+
+    One pass reaches the fixpoint, so the scan makes only that one. A
+    region's mean changes only during its own visit, and two regions become
+    adjacent only during a visit by one of them. Each visit ends with no
+    neighbour within ``tau_merge``. So for two regions adjacent after the
+    pass, the later of their two visits ended with them adjacent, both
+    means final and the means more than ``tau_merge`` apart, and a second
+    pass would merge nothing.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
-    block_of = _block_ranks(blocks, img.width, img.height)
-    seeds = _seed_labels(mask.bits, block_of)
-    count = int(seeds.max(initial=0))
+    block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height)
+    seeds, first_pixel = _seed_labels(mask.bits, block_of)
+    count = len(first_pixel)
     flat = seeds.ravel()
     sums = np.bincount(flat, weights=img.pixels.ravel(), minlength=count + 1)
     sums = sums.astype(np.int64).tolist()
     sizes = np.bincount(flat, minlength=count + 1).tolist()
     means = [s / n if n else 0.0 for s, n in zip(sums, sizes)]
-    targets, offsets = _adjacency(seeds, count)
+    # Memoryviews read the graph as Python ints without a copy of it.
+    targets, offsets = map(memoryview, _adjacency(seeds, count))
+    # A region's neighbour ids, stored when its visit ends; before that it
+    # has absorbed nothing and its ids are the graph's. Either may name
+    # regions absorbed since, so ids are read through ``absorbed_by``.
     neighbours: list[list[int] | None] = [None] * (count + 1)
-
-    def links_of(rid: int) -> list[int]:
-        """The current neighbours of ``rid``, read from the graph on first use.
-
-        Every absorb reads the lists it changes first, so a list not read
-        yet still equals the graph's.
-        """
-        links = neighbours[rid]
-        if links is None:
-            links = neighbours[rid] = targets[offsets[rid] : offsets[rid + 1]].tolist()
-        return links
-
     absorbed_by = [0] * (count + 1)  # 0 while the region is its own
-    scan = list(range(1, count + 1))
-    merged_any = True
-    while merged_any:
-        merged_any = False
-        for rid in scan:
-            if absorbed_by[rid]:
-                continue  # absorbed earlier in this pass
-            own = links_of(rid)
-            while True:
-                mean = means[rid]
-                close = [other for other in own if abs(mean - means[other]) <= tau_merge]
-                if not close:
-                    break
-                target = min(close)
-                own.remove(target)
-                for other in links_of(target):
-                    if other != rid:
-                        links = links_of(other)
-                        links.remove(target)
-                        if rid not in links:
-                            links.append(rid)
-                            own.append(other)
-                neighbours[target] = None  # no list holds target any more
-                sums[rid] += sums[target]
-                sizes[rid] += sizes[target]
-                means[rid] = sums[rid] / sizes[rid]
-                absorbed_by[target] = rid
-                merged_any = True
-        scan = [rid for rid in scan if not absorbed_by[rid]]
+    seen_in = [0] * (count + 1)  # the visit that last listed the region
 
+    for rid in range(1, count + 1):
+        if absorbed_by[rid]:
+            continue
+        own = []  # rid's current neighbours, each once
+        seen_in[rid] = rid
+        target = rid
+        while True:
+            links = neighbours[target]
+            if links is None:
+                links = targets[offsets[target] : offsets[target + 1]]
+            neighbours[target] = None  # read once: rid holds them from now on
+            for other in links:
+                while absorbed_by[other]:
+                    other = absorbed_by[other]
+                if seen_in[other] != rid:
+                    seen_in[other] = rid
+                    own.append(other)
+            mean = means[rid]
+            close = [other for other in own if -tau_merge <= mean - means[other] <= tau_merge]
+            if not close:
+                break
+            target = min(close)
+            own.remove(target)
+            absorbed_by[target] = rid
+            sums[rid] += sums[target]
+            sizes[rid] += sizes[target]
+            means[rid] = sums[rid] / sizes[rid]
+        neighbours[rid] = own
+
+    # Each seed's final region, then each region's first pixel: the first
+    # of its seeds' first pixels.
     owner = np.array(absorbed_by, dtype=np.int32)
-    own_region = owner == 0
-    owner[own_region] = np.flatnonzero(own_region)
+    alive = np.flatnonzero(owner == 0)[1:]
+    owner[alive] = alive
     while True:
         jumped = owner[owner]
         if np.array_equal(jumped, owner):
             break
         owner = jumped
-    merged = owner[seeds]
-    present, first = np.unique(merged, return_index=True)
-    first = first[present > 0]
-    present = present[present > 0]
+    first = np.full(count + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first, owner[1:], first_pixel)
     final_id = np.zeros(count + 1, dtype=np.int32)
-    final_id[present[np.argsort(first)]] = np.arange(1, len(present) + 1, dtype=np.int32)
-    return RegionMap(final_id[merged], len(present))
+    final_id[alive[np.argsort(first[alive])]] = np.arange(1, len(alive) + 1, dtype=np.int32)
+    return RegionMap(final_id[owner][seeds], len(alive))
 
 
 def segment_image(

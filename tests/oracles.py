@@ -347,6 +347,11 @@ def flood_merge(pixels, bits, blocks, tau_merge):
     ``tau_merge`` of its own until none is, and passes repeat until one
     makes no merge. Final ids follow the raster order of first pixels.
     """
+    return flood_merge_passes(pixels, bits, blocks, tau_merge)[0]
+
+
+def flood_merge_passes(pixels, bits, blocks, tau_merge):
+    """:func:`flood_merge`'s label array and the number of merges in each pass."""
     height, width = bits.shape
     labels = np.zeros((height, width), dtype=np.int64)
     members = {}
@@ -387,9 +392,9 @@ def flood_merge(pixels, bits, blocks, tau_merge):
                         seen.add(other)
         return sorted(seen)
 
-    merged = True
-    while merged:
-        merged = False
+    passes = []
+    while not passes or passes[-1]:
+        passes.append(0)
         for rid in sorted(members):
             if rid not in members:
                 continue
@@ -406,14 +411,14 @@ def flood_merge(pixels, bits, blocks, tau_merge):
                     labels[y, x] = rid
                 members[rid].extend(members.pop(target))
                 total[rid] += total.pop(target)
-                merged = True
+                passes[-1] += 1
 
     order = sorted(members, key=lambda rid: min((y, x) for x, y in members[rid]))
     final = np.zeros((height, width), dtype=np.int64)
     for new_id, rid in enumerate(order, start=1):
         for x, y in members[rid]:
             final[y, x] = new_id
-    return final
+    return final, passes
 
 
 def region_geometry(labels):

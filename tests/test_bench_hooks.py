@@ -19,6 +19,7 @@ from mammocad.pipeline import EMIT_CHOICES, PipelineConfig, run_batch
 from mammocad.segment import segment_image
 from mammocad.threshold import apply_threshold, histogram, otsu_threshold
 
+from oracles import quadtree_split
 from test_golden import box_noise
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -32,12 +33,17 @@ def tracing():
     return module
 
 
-def fitted_regions(img, cfg):
-    """Regions of at least ``min_region_pixels``, from the stages directly."""
+def working(img, cfg):
+    """The inverted working image and its foreground mask, from the stages directly."""
     if cfg.dwt_levels:
         img = haar_downsample(img, cfg.dwt_levels)
     inverted = negate(img)
-    mask = apply_threshold(inverted, otsu_threshold(histogram(inverted)))
+    return inverted, apply_threshold(inverted, otsu_threshold(histogram(inverted)))
+
+
+def fitted_regions(img, cfg):
+    """Regions of at least ``min_region_pixels``, from the stages directly."""
+    inverted, mask = working(img, cfg)
     labels = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block).labels
     return int((np.bincount(labels.ravel())[1:] >= cfg.min_region_pixels).sum())
 
@@ -65,6 +71,11 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
         [report] = run_batch([path], cfg)
         tracer.end()
     row = tracer.per_image()[name]
+    # The tracer counts leaves as len(split(...)): one per (x, y, w, h) row.
+    inverted, mask = working(img, cfg)
+    assert row["leaves"] == len(
+        quadtree_split(inverted.pixels, mask.bits, cfg.tau_split, cfg.min_block)
+    )
     assert row["fits"] == fitted_regions(img, cfg)
     assert row["fits"] > 0
     assert row["features"] == len(report.detections) > 0

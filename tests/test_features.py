@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mammocad.errors import DegenerateRegion, ImageTooSmall
+from mammocad.errors import DegenerateRegion
 from mammocad.features import FeatureVector, compute_features, feature_table, gradient_map
 from mammocad.image import GrayImage, negate
 from mammocad.segment import Region, RegionMap, extract_regions, segment_image
@@ -63,9 +64,15 @@ class TestGradientMap:
         transposed = GrayImage(img.pixels.T.copy())
         assert np.allclose(gradient_map(img), gradient_map(transposed).T)
 
-    def test_too_small(self):
-        with pytest.raises(ImageTooSmall):
-            gradient_map(GrayImage(np.zeros((2, 5), np.uint8)))
+    def test_one_and_two_rows(self):
+        """No minimum size: 1xN and 2xN images match the edge-padded loop reference."""
+        rng = np.random.default_rng(2)
+        for rows, cols in itertools.product((1, 2), (1, 2, 3, 8)):
+            pix = rng.integers(0, 256, (rows, cols)).astype(np.uint8)
+            assert np.allclose(gradient_map(GrayImage(pix)), sobel_magnitude(pix), atol=1e-12)
+            assert np.allclose(
+                gradient_map(GrayImage(pix.T.copy())), sobel_magnitude(pix.T), atol=1e-12
+            )
 
     def test_matches_loop_convolution(self):
         rng = np.random.default_rng(21)

@@ -26,6 +26,11 @@ def box_noise(seed, size, box=3):
     return GrayImage(((2 * sums + box * box) // (2 * box * box)).astype(np.uint8))
 
 
+def corner_tumor():
+    """The 128 px tumor phantom cropped so its blob touches the top and left edges."""
+    return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[58:, 58:].copy())
+
+
 # name -> (image factory, config overrides, report, labels, features, overlay sha256)
 CASES = {
     "blank_256": (
@@ -85,6 +90,24 @@ CASES = {
         "063c8c3c0aed2e5b79876c8c0fefb796bb6ec712a9977a43a19120e48a48aac5",
         "4eff5cbede603747a22c16e9e3d60c59802cdedcf5e480f088f1078af5361cf9",
         "04dd8a59d5ce2bc4d5c96c52f9212c9a801a159f00b923c6c457c96e59b2e0e3",
+    ),
+    # Full resolution at 512 px: the working image is the phantom itself.
+    "tumor_512_l0": (
+        lambda: generate_phantom("tumor", 1, 512)[0],
+        {"dwt_levels": 0},
+        "1294404122d54396c178d648d174c51a09125b34bd27b4749b9a2f507dc2bf6c",
+        "ab4c01bc12001eeffc7e09bf9958ab50e8c558ed7dcdaa4b95a9e2bc3877625c",
+        "ef99b2f650c247b01aadd20829d30731876cfdca0dd9c604fadf78f75ddd8e4d",
+        "6ae85aa380e86810539ca069dd3bf011d1da8f77e6324159a3317aae3ba459b4",
+    ),
+    # The detected blob's foreground touches the image border on two sides.
+    "tumor_corner_l0": (
+        corner_tumor,
+        {"dwt_levels": 0},
+        "2538f625009454b51b6c0875842925028cdd534433f9c98ad3754ac2ccde8a9c",
+        "ab03fc6d6e5776491e7d2a8dba4d9ccfad28f472e595a736ce2938da1d703e70",
+        "26bfe37d57bdbcc9013503c6ccf3f53f47ebfe32fe535cdf7db015b165d72c73",
+        "e4a7c974da42237b9ca66d02b7ba6d3e72a47a886512cc6c37ea2416e3d9eac9",
     ),
 }
 

@@ -515,6 +515,16 @@ def extreme_image(kind, side):
 KINDS = ("row", "column", "tiny", "black", "white", "checkerboard", "dots", "noise")
 
 
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_one_pixel_wide_image_reaches_features(kind):
+    """A 1x8 ramp whose region passes the D gate gets features: no 3x3 minimum."""
+    cfg = PipelineConfig(
+        dwt_levels=0, threshold=0, tau_split=46, tau_merge=189, r_max=3, output_dir=None
+    )
+    report = run_pipeline(GrayImage(extreme_image(kind, 8)), cfg)
+    assert report.region_count_post_gate == len(report.detections) == 1
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     images=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 24)), min_size=1, max_size=3),

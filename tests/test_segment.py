@@ -15,7 +15,13 @@ from mammocad.segment import (
 )
 from mammocad.threshold import BinaryMask
 
-from oracles import connected_components_8, flood_merge, quadtree_split, region_geometry
+from oracles import (
+    connected_components_8,
+    flood_merge,
+    flood_merge_passes,
+    quadtree_split,
+    region_geometry,
+)
 
 
 def full_mask(w, h, t=0):
@@ -24,6 +30,12 @@ def full_mask(w, h, t=0):
 
 def img_of(rows):
     return GrayImage(np.array(rows, dtype=np.uint8))
+
+
+def leaves(blocks):
+    """``split``'s (n, 4) leaf array as the oracle's list of (x, y, w, h) tuples."""
+    assert blocks.ndim == 2 and blocks.shape[1] == 4 and blocks.dtype.kind == "i"
+    return list(map(tuple, blocks.tolist()))
 
 
 def half_half_8x8():
@@ -71,20 +83,20 @@ def adjacent_pairs(region_map):
 class TestSplit:
     def test_constant_image_single_block(self):
         img = GrayImage(np.full((8, 8), 42, np.uint8))
-        assert split(img, full_mask(8, 8)) == [(0, 0, 8, 8)]
+        assert leaves(split(img, full_mask(8, 8))) == [(0, 0, 8, 8)]
 
     def test_max_tolerance_single_block(self):
         img = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
-        assert split(img, full_mask(8, 8), tau_split=255) == [(0, 0, 8, 8)]
+        assert leaves(split(img, full_mask(8, 8), tau_split=255)) == [(0, 0, 8, 8)]
 
     def test_half_half_splits_once(self):
         blocks = split(half_half_8x8(), full_mask(8, 8), tau_split=10)
-        assert sorted(blocks) == [(0, 0, 4, 4), (0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 4, 4)]
+        assert sorted(leaves(blocks)) == [(0, 0, 4, 4), (0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 4, 4)]
 
     def test_background_only_block_never_splits(self):
         img = half_half_8x8()
         mask = BinaryMask(np.zeros((8, 8), dtype=bool), 0)
-        assert split(img, mask) == [(0, 0, 8, 8)]
+        assert leaves(split(img, mask)) == [(0, 0, 8, 8)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -152,6 +164,36 @@ class TestMerge:
         img = GrayImage(np.zeros((4, 4), np.uint8))
         with pytest.raises(ValueError):
             merge(img, full_mask(4, 4), [(0, 0, 4, 2)], 10)
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            ([(0, 0, 4)], None),  # not four numbers a block
+            ([(0, 0, 4, 4), (0, 0, 1)], None),
+            (np.zeros((2, 3), dtype=int), None),
+            ([(0, 0, 4, 4), (4, 0, 1, 1)], r"block \(4, 0, 1, 1\) outside image"),
+            (np.array([[0, 0, 4, 2], [0, -1, 4, 3]]), r"block \(0, -1, 4, 3\) outside image"),
+            ([(0, 0, 2, 4), (2, 0, 2, 0)], "outside image"),  # an empty block
+            ([(0, 0, 4, 4), (1, 1, 2, 2)], "do not partition"),  # overlap, too much area
+            ([(0, 0, 4, 2), (0, 1, 4, 2)], "do not partition"),  # overlap, the image's area
+            ([], "do not partition"),
+        ],
+    )
+    def test_bad_blocks_raise(self, blocks, message):
+        img = GrayImage(np.zeros((4, 4), np.uint8))
+        with pytest.raises(ValueError, match=message):
+            merge(img, full_mask(4, 4), blocks, 10)
+
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 10_000), tau_merge=st.sampled_from([0, 5, 30]))
+    def test_block_list_and_array_agree(self, seed, tau_merge):
+        rng = np.random.default_rng(seed)
+        img, mask = random_pair(rng)
+        blocks = split(img, mask, 5)
+        from_array = merge(img, mask, blocks, tau_merge)
+        from_list = merge(img, mask, leaves(blocks), tau_merge)
+        assert from_list.region_count == from_array.region_count
+        assert np.array_equal(from_list.labels, from_array.labels)
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 10_000))
@@ -327,7 +369,7 @@ class TestOracleEquivalence:
     def test_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge, min_block):
         img, mask = pair
         blocks = split(img, mask, tau_split, min_block)
-        assert blocks == quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        assert leaves(blocks) == quadtree_split(img.pixels, mask.bits, tau_split, min_block)
         rm = merge(img, mask, blocks, tau_merge)
         expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
         assert np.array_equal(rm.labels, expected)
@@ -362,9 +404,23 @@ class TestOracleEquivalence:
             pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
             bits = rng.random((height, width)) < density
             img, mask = GrayImage(pixels), BinaryMask(bits, 0)
-            assert split(img, mask, tau, min_block) == quadtree_split(
+            assert leaves(split(img, mask, tau, min_block)) == quadtree_split(
                 pixels, bits, tau, min_block
             )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair=image_and_mask(max_side=24),
+        tau_split=st.sampled_from(TAUS),
+        tau_merge=st.sampled_from(TAUS),
+        min_block=st.integers(1, 5),
+    )
+    def test_oracle_second_pass_never_merges(self, pair, tau_split, tau_merge, min_block):
+        """``merge`` scans once: in the reference, every pass after the first merges nothing."""
+        img, mask = pair
+        blocks = quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        _, passes = flood_merge_passes(img.pixels, mask.bits, blocks, tau_merge)
+        assert passes[1:] == ([0] if passes[0] else [])
 
     @pytest.mark.parametrize("side", [5, 16, 33])
     def test_serpentine_single_block(self, side):
