@@ -80,6 +80,9 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
     assert row["fits"] > 0
     assert row["features"] == len(report.detections) > 0
     assert row["regions"] == report.region_count_pre_gate
+    # fractal.kept_frac and classify.tumors come from these two counts.
+    assert row["kept"] == report.region_count_post_gate
+    assert row["tumors"] == sum(det.label == "tumor" for det in report.detections)
     # The pipeline builds its regions in extract_regions, so their time is
     # the extract layer's and not pipeline.self_ms.
     assert row["segment.extract_ms"] > 0
