@@ -18,8 +18,8 @@ definitions, so every value has the same bits:
 - distances to the centroid come from ``math.hypot``, which can differ from
   ``np.hypot`` in the last bit.
 
-One region alone is the same pass over its bounding box
-(:func:`compute_features` without a table).
+A region is a label id: :func:`compute_features` reads its row, and one
+region alone is a table of that one id.
 """
 
 import math
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateRegion
 from .image import GrayImage
-from .segment import Region, RegionMap, boundary_mask
+from .segment import RegionMap, boundary_mask
 
 
 @dataclass
@@ -185,30 +185,10 @@ def feature_table(
     return table
 
 
-def compute_features(
-    region: Region,
-    img: GrayImage,
-    grad: np.ndarray | None = None,
-    table: np.ndarray | None = None,
-) -> FeatureVector:
-    """The feature vector of one region.
-
-    ``table`` may be a precomputed :func:`feature_table` that covers
-    ``region``; its row ``region.id`` is then read. Without one, the same
-    pass runs over the region's bounding box.
-    """
-    if table is None:
-        if grad is None:
-            grad = gradient_map(img)
-        x0, y0, w, h = region.bbox
-        mask = np.zeros((h, w), dtype=np.int32)
-        xs, ys = np.array(region.pixels).T
-        mask[ys - y0, xs - x0] = 1
-        window = np.s_[y0 : y0 + h, x0 : x0 + w]
-        row = _feature_rows(mask, img.pixels[window], grad[window], np.array([1]), (x0, y0))[0]
-    else:
-        row = table[region.id]
-        if not row[0]:
-            raise ValueError(f"table has no row for region {region.id}")
+def compute_features(table: np.ndarray, region_id: int) -> FeatureVector:
+    """The feature vector of region ``region_id``: its row of a :func:`feature_table`."""
+    row = table[region_id]
+    if not row[0]:
+        raise ValueError(f"table has no row for region {region_id}")
     area, *rest = row.tolist()
     return FeatureVector(int(area), *rest)

@@ -12,8 +12,8 @@ independent cross-check.
 The blankets of all fitted regions grow in one pass over the label map,
 where a neighbor counts only if it carries the same label
 (:func:`blanket_area_table`), and their log-log lines are fitted in one
-pass over the table's rows (:func:`fit_table`); one region alone is the
-same two passes over its bounding box and its one row.
+pass over the table's rows (:func:`fit_table`). A region is a label id:
+one region alone is a table of that one id (:func:`blanket_areas`).
 """
 
 import math
@@ -99,13 +99,8 @@ def blanket_area_table(
     return table
 
 
-def _require_two_pixels(region: Region) -> None:
-    if len(region.pixels) < 2:
-        raise RegionTooSmall(f"region {region.id} has {len(region.pixels)} pixel(s)")
-
-
 def blanket_areas(
-    img: GrayImage, region: Region, r_max: int = 8
+    img: GrayImage, region_map: RegionMap, region_id: int, r_max: int = 8
 ) -> tuple[list[int], list[float]]:
     """Surface-area estimates A(r) for r = 1..r_max over one region.
 
@@ -113,16 +108,14 @@ def blanket_areas(
     u_r = max(u_{r-1} + 1, 4-neighbor max of u_{r-1}) and b_r symmetrically
     with min and -1. Neighbors outside the region (or image) are ignored, so
     the blanket is intrinsic to the region and background cannot bias it.
-    This is :func:`blanket_area_table` run on the region's bounding box.
+    This is row ``region_id`` of :func:`blanket_area_table` of that one id;
+    a region of fewer than 2 pixels raises :class:`RegionTooSmall`.
     """
-    _require_two_pixels(region)
-    x0, y0, w, h = region.bbox
-    mask = np.zeros((h, w), dtype=np.int32)
-    xs, ys = np.array(region.pixels).T
-    mask[ys - y0, xs - x0] = 1
-    window = GrayImage(img.pixels[y0 : y0 + h, x0 : x0 + w])
-    table = blanket_area_table(window, RegionMap(mask, 1), [1], r_max)
-    return list(range(1, r_max + 1)), table[1].tolist()
+    areas = blanket_area_table(img, region_map, [region_id], r_max)[region_id]
+    size = np.count_nonzero(region_map.labels == region_id)
+    if size < 2:
+        raise RegionTooSmall(f"region {region_id} has {size} pixel(s)")
+    return list(range(1, r_max + 1)), areas.tolist()
 
 
 def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,25 +157,15 @@ def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
     return BlanketTable(areas, *fits)
 
 
-def blanket_dimension(
-    img: GrayImage, region: Region, r_max: int = 8, table: BlanketTable | None = None
-) -> BlanketFit:
-    """Blanket areas plus the log-log fit in one call.
-
-    ``table`` may be a precomputed :func:`fit_table` that covers ``region``;
-    its row ``region.id`` is then read instead of growing and fitting the
-    region's blanket again.
-    """
-    if table is None:
-        return fit_dimension(*blanket_areas(img, region, r_max))
-    _require_two_pixels(region)
-    if table.areas.shape[1] != r_max:
-        raise ValueError(f"table has {table.areas.shape[1]} radii, not r_max = {r_max}")
+def blanket_dimension(table: BlanketTable, region: Region) -> BlanketFit:
+    """The blanket fit of ``region``: row ``region.id`` of a :func:`fit_table`."""
     rid = region.id
+    if region.area < 2:
+        raise RegionTooSmall(f"region {rid} has {region.area} pixel(s)")
     if math.isnan(table.dimension[rid]):
         raise ValueError(f"table has no fit for region {rid}")
     return BlanketFit(
-        list(range(1, r_max + 1)),
+        list(range(1, table.areas.shape[1] + 1)),
         table.areas[rid].tolist(),
         float(table.dimension[rid]),
         float(table.intercept[rid]),

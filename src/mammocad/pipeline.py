@@ -9,6 +9,7 @@ timing values embedded in the JSON report.
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from .classify import Detection, RuleSet, classify, default_rules
@@ -63,9 +64,13 @@ class PipelineConfig:
         for name in self.emit:
             if name not in EMIT_CHOICES:
                 raise ConfigError(f"unknown emit artifact {name!r}")
-        for key in self.rule_overrides:
-            if key not in RULE_KEYS:
+        for key, value in self.rule_overrides.items():
+            kind = _RULE_TYPES.get(key)
+            if kind is None:
                 raise ConfigError(f"unknown rule {key!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a real number"
+                raise ConfigError(f"rule {key} must be {noun}, got {value!r}")
         # max_area alone is checked against the default min_area, which does
         # not scale with the image; min_area alone meets the scaled default
         # max_area only per image, in resolve_rules.
@@ -79,9 +84,15 @@ class PipelineConfig:
 
 
 # Rule thresholds settable by name: the RuleSet fields that are not also
-# PipelineConfig fields (the d band comes from d_min and d_max).
+# PipelineConfig fields (the d band comes from d_min and d_max), each with
+# the numbers its annotation admits. Bools are numbers too, but no rule's.
 _CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
-RULE_KEYS = tuple(f.name for f in fields(RuleSet) if f.name not in _CONFIG_FIELDS)
+_RULE_TYPES = {
+    f.name: Integral if f.type is int else Real
+    for f in fields(RuleSet)
+    if f.name not in _CONFIG_FIELDS
+}
+RULE_KEYS = tuple(_RULE_TYPES)
 
 
 @dataclass
@@ -156,14 +167,12 @@ def run_pipeline(
         "segment",
         lambda: segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block),
     )
-    regions = stage(
-        "regions", lambda: extract_regions(region_map, inverted, cfg.min_region_pixels)
-    )
+    regions = stage("regions", lambda: extract_regions(region_map, cfg.min_region_pixels))
 
     def _fractal():
         ids = [region.id for region in regions]
         table = fit_table(blanket_area_table(inverted, region_map, ids, cfg.r_max), ids)
-        return {r.id: blanket_dimension(inverted, r, cfg.r_max, table) for r in regions}
+        return {region.id: blanket_dimension(table, region) for region in regions}
 
     fits = stage("fractal", _fractal)
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
@@ -171,12 +180,8 @@ def run_pipeline(
     def _features():
         if not gated_ids:
             return {}
-        grad = gradient_map(inverted)
-        table = feature_table(inverted, region_map, gated_ids, grad)
-        by_id = {region.id: region for region in regions}
-        return {
-            rid: compute_features(by_id[rid], inverted, grad, table) for rid in gated_ids
-        }
+        table = feature_table(inverted, region_map, gated_ids, gradient_map(inverted))
+        return {rid: compute_features(table, rid) for rid in gated_ids}
 
     vectors = stage("features", _features)
 

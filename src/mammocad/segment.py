@@ -20,7 +20,6 @@ merge they replace.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,23 +69,17 @@ class RegionMap:
 
 @dataclass
 class Region:
-    """One segmented region with its geometry.
+    """One segmented region: a label id and its summary geometry.
 
-    ``pixels`` and ``boundary`` are raster-ordered (x, y) lists; boundary
-    pixels have at least one 4-neighbor outside the region or lie on the
-    image border. ``bbox`` is (x, y, width, height) of the smallest
-    enclosing rectangle; ``centroid`` is the mean pixel coordinate.
+    Its pixels are those of ``labels == id``. ``bbox`` is (x, y, width,
+    height) of the smallest enclosing rectangle; ``centroid`` is the mean
+    pixel coordinate.
     """
 
     id: int
-    pixels: list[tuple[int, int]]
-    boundary: list[tuple[int, int]]
+    area: int
     bbox: tuple[int, int, int, int]
     centroid: tuple[float, float]
-
-    @property
-    def area(self) -> int:
-        return len(self.pixels)
 
 
 class _Level(NamedTuple):
@@ -406,7 +399,7 @@ def segment_image(
 def boundary_mask(labels: np.ndarray) -> np.ndarray:
     """Labelled pixels on the image border or with a 4-neighbour of another label.
 
-    This is the union of every region's ``boundary``.
+    These are the boundary pixels of every region at once.
     """
     padded = np.full((labels.shape[0] + 2, labels.shape[1] + 2), -1, dtype=labels.dtype)
     padded[1:-1, 1:-1] = labels
@@ -418,19 +411,14 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     )
 
 
-def extract_regions(
-    region_map: RegionMap, img: GrayImage | None = None, min_pixels: int = 1
-) -> list[Region]:
+def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[Region]:
     """One :class:`Region` per label id with at least ``min_pixels`` pixels, ascending.
 
     The pixels of those regions are grouped by region with one stable sort,
-    which keeps them in raster order within each region, and each region's
-    boundary list picks from its own pixel list with :func:`boundary_mask`.
+    which keeps them in raster order within each region, and every
+    region's extremes and coordinate sums come from one ``reduceat`` each.
     """
     labels = region_map.labels
-    height, width = labels.shape
-    if img is not None and (img.height, img.width) != (height, width):
-        raise ValueError("image and region map dimensions differ")
     sizes = np.bincount(labels.ravel(), minlength=region_map.region_count + 1)
     kept = sizes >= min_pixels
     kept[0] = False
@@ -439,9 +427,7 @@ def extract_regions(
         return []
     flat = np.flatnonzero(kept[labels.ravel()]).astype(np.int32)
     flat = flat[np.argsort(labels.ravel()[flat], kind="stable")]
-    ys, xs = np.divmod(flat, np.int32(width))
-    points = list(zip(xs.tolist(), ys.tolist()))
-    edge = boundary_mask(labels).ravel()[flat].tolist()
+    ys, xs = np.divmod(flat, np.int32(labels.shape[1]))
     sizes = sizes[ids]
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -451,21 +437,15 @@ def extract_regions(
     y_sum = np.add.reduceat(ys, starts, dtype=np.int64).tolist()
     y_min = ys[starts].tolist()
     y_max = ys[ends - 1].tolist()
-
-    regions = []
-    for k, (rid, start, end) in enumerate(zip(ids.tolist(), starts.tolist(), ends.tolist())):
-        pixels = points[start:end]
-        area = end - start
-        regions.append(
-            Region(
-                rid,
-                pixels,
-                list(compress(pixels, edge[start:end])),
-                (x_min[k], y_min[k], x_max[k] - x_min[k] + 1, y_max[k] - y_min[k] + 1),
-                (x_sum[k] / area, y_sum[k] / area),
-            )
+    return [
+        Region(
+            rid,
+            area,
+            (x_min[k], y_min[k], x_max[k] - x_min[k] + 1, y_max[k] - y_min[k] + 1),
+            (x_sum[k] / area, y_sum[k] / area),
         )
-    return regions
+        for k, (rid, area) in enumerate(zip(ids.tolist(), sizes.tolist()))
+    ]
 
 
 def write_region_map_pgm(region_map: RegionMap, path) -> None:

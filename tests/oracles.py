@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: plain loops, Fractions, dicts. None
-of it shares code paths with the package.
+of it shares code paths with the package: the per-region references take
+:class:`RegionRecord`s that :func:`region_geometry` builds from a label map.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +165,8 @@ def naive_features(region, img, grad):
 
 
 # The per-region descriptors the package computed before its one-pass
-# feature table, one function per field over the Region lists; the table
-# must equal them bit for bit.
+# feature table, one function per field over a RegionRecord's lists; the
+# table must equal them bit for bit.
 
 
 def area(region):
@@ -421,12 +423,22 @@ def flood_merge_passes(pixels, bits, blocks, tau_merge):
     return final, passes
 
 
-def region_geometry(labels):
-    """Per label id 1..max: (id, pixels, boundary, bbox, centroid) tuples.
+class RegionRecord(NamedTuple):
+    """One region of a label map, found by :func:`region_geometry`.
 
     Pixels and boundary are raster-ordered (x, y) lists; a boundary pixel
     lies on the image border or has a 4-neighbour with another label.
     """
+
+    id: int
+    pixels: list
+    boundary: list
+    bbox: tuple  # (x, y, width, height)
+    centroid: tuple  # mean (x, y)
+
+
+def region_geometry(labels):
+    """A :class:`RegionRecord` per label id 1..max, by plain loops over the map."""
     height, width = labels.shape
     count = int(labels.max()) if labels.size else 0
     pixels_of = {rid: [] for rid in range(1, count + 1)}
@@ -447,7 +459,7 @@ def region_geometry(labels):
         xs = [x for x, _ in pts]
         ys = [y for _, y in pts]
         bbox = (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-        out.append((rid, pts, boundary, bbox, (sum(xs) / len(xs), sum(ys) / len(ys))))
+        out.append(RegionRecord(rid, pts, boundary, bbox, (sum(xs) / len(xs), sum(ys) / len(ys))))
     return out
 
 

@@ -10,15 +10,15 @@ import time
 
 import numpy as np
 
-from mammocad.features import compute_features, gradient_map
-from mammocad.fractal import blanket_dimension, box_count_dimension, fit_dimension
+from mammocad.features import compute_features, feature_table, gradient_map
+from mammocad.fractal import blanket_areas, box_count_dimension, fit_dimension
 from mammocad.image import GrayImage, haar_downsample, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import PipelineConfig, run_batch, run_pipeline
 from mammocad.segment import RegionMap, extract_regions, segment_image
 from mammocad.threshold import BinaryMask, Histogram, otsu_threshold
 
-from oracles import diamond_square, naive_features, otsu_sweep
+from oracles import diamond_square, naive_features, otsu_sweep, region_geometry
 
 ALL_ARTIFACTS = ("inverted", "mask", "labels", "overlay", "features", "report")
 
@@ -27,9 +27,14 @@ def _pass(number, message):
     print(f"PASS criterion {number}: {message}")
 
 
-def full_region(img):
-    labels = np.ones(img.pixels.shape, dtype=np.int32)
-    return extract_regions(RegionMap(labels, 1), img)[0]
+def full_map(img):
+    """The label map whose one region is the whole image."""
+    return RegionMap(np.ones(img.pixels.shape, dtype=np.int32), 1)
+
+
+def features_of(img, rm, rid, grad=None):
+    """The features of region ``rid`` alone: a table of that one id."""
+    return compute_features(feature_table(img, rm, [rid], grad), rid)
 
 
 def hist_from_counts(counts):
@@ -42,10 +47,9 @@ def working_truth(truth):
     return truth.reshape(h // 8, 8, w // 8, 8).mean(axis=(1, 3)) > 0.5
 
 
-def regions_from_labels_pgm(path, inverted):
+def map_from_labels_pgm(path):
     labels = read_pgm(path).pixels.astype(np.int32)
-    region_map = RegionMap(labels, int(labels.max()))
-    return {r.id: r for r in extract_regions(region_map, inverted)}
+    return RegionMap(labels, int(labels.max()))
 
 
 def test_criterion_1_pyramid_size_law():
@@ -61,7 +65,7 @@ def test_criterion_1_pyramid_size_law():
 
 def test_criterion_2_flat_surface_and_exact_fit():
     img = GrayImage(np.full((16, 16), 123, np.uint8))
-    fit = blanket_dimension(img, full_region(img))
+    fit = fit_dimension(*blanket_areas(img, full_map(img), 1))
     assert abs(fit.dimension - 2.0) <= 1e-9
     for d0 in (2.4, 2.75):
         scales = list(range(1, 9))
@@ -93,9 +97,9 @@ def test_criterion_3_fractal_oracle_agreement():
         ("noise", noise),
         ("midpoint", midpoint),
     ]:
-        region = full_region(img)
-        d_blanket = blanket_dimension(img, region).dimension
-        d_box = box_count_dimension(img, region)
+        rm = full_map(img)
+        d_blanket = fit_dimension(*blanket_areas(img, rm, 1)).dimension
+        d_box = box_count_dimension(img, extract_regions(rm)[0])
         gap = abs(d_blanket - d_box)
         assert gap <= 0.3, (name, d_blanket, d_box)
         dims[name] = d_blanket
@@ -183,34 +187,33 @@ def test_criterion_5_segmentation_invariants():
 def test_criterion_6_feature_hand_values_and_oracles():
     # 3x3 solid square: brute force over its 8 boundary pixels.
     img3 = GrayImage(np.full((3, 3), 1, np.uint8))
-    region3 = full_region(img3)
-    dists = [math.hypot(x - 1.0, y - 1.0) for x, y in region3.boundary]
+    (record3,) = region_geometry(full_map(img3).labels)
+    dists = [math.hypot(x - 1.0, y - 1.0) for x, y in record3.boundary]
     d_mean = sum(dists) / len(dists)
     brute_edv = sum((d - d_mean) ** 2 for d in dists) / len(dists) / d_mean
-    got_edv = compute_features(region3, img3).edge_distance_variance
+    got_edv = features_of(img3, full_map(img3), 1).edge_distance_variance
     assert abs(got_edv - brute_edv) <= 1e-6
     assert abs(got_edv - 0.0355339059) <= 1e-6
 
     pix = np.zeros((1, 2), np.uint8)
     pix[0, 1] = 2
     img2 = GrayImage(pix)
-    region2 = full_region(img2)
-    assert abs(compute_features(region2, img2, np.zeros((1, 2))).gray_std - 1.0) <= 1e-6
+    assert abs(features_of(img2, full_map(img2), 1, np.zeros((1, 2))).gray_std - 1.0) <= 1e-6
 
     pix = np.full((5, 5), 100, np.uint8)
     for x, y in ((2, 2), (1, 2), (3, 2), (2, 1), (2, 3)):
         pix[y, x] = 200
     imgd = GrayImage(pix)
     rm = segment_image(imgd, BinaryMask(imgd.pixels > 150, 150))
-    (regiond,) = extract_regions(rm, imgd)
-    assert abs(compute_features(regiond, imgd).intensity_diff - 100.0) <= 1e-6
+    assert rm.region_count == 1
+    assert abs(features_of(imgd, rm, 1).intensity_diff - 100.0) <= 1e-6
 
     ramp = GrayImage(np.tile(np.arange(8, dtype=np.uint8), (8, 1)))
     bits = np.zeros((8, 8), bool)
     bits[2:6, 2:6] = True
     rm = segment_image(ramp, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
-    (region_ramp,) = extract_regions(rm, ramp)
-    assert abs(compute_features(region_ramp, ramp).mean_gradient - 1.0) <= 1e-6
+    assert rm.region_count == 1
+    assert abs(features_of(ramp, rm, 1).mean_gradient - 1.0) <= 1e-6
 
     rng = np.random.default_rng(17)
     blobs = 0
@@ -219,11 +222,11 @@ def test_criterion_6_feature_hand_values_and_oracles():
         mask = BinaryMask(rng.random((10, 10)) < 0.5, 0)
         rm = segment_image(img, mask, tau_split=255, tau_merge=255)
         grad = gradient_map(img)
-        for region in extract_regions(rm, img):
-            if region.area < 2 or blobs >= 100:
+        for record in region_geometry(rm.labels):
+            if len(record.pixels) < 2 or blobs >= 100:
                 continue
-            got = compute_features(region, img, grad)
-            want = naive_features(region, img, grad)
+            got = features_of(img, rm, record.id, grad)
+            want = naive_features(record, img, grad)
             for name, value in want.items():
                 assert abs(getattr(got, name) - value) <= 1e-9, name
             blobs += 1
@@ -239,13 +242,9 @@ def test_criterion_7_end_to_end_phantoms(tmp_path):
     report = run_pipeline(img, cfg, source="tumor.pgm")
     tumors = [d for d in report.detections if d.label == "tumor"]
     assert len(tumors) == 1
-    regions = regions_from_labels_pgm(
-        out / "tumor_labels.pgm", read_pgm(out / "tumor_inverted.pgm")
-    )
+    labels = map_from_labels_pgm(out / "tumor_labels.pgm").labels
     truth8 = working_truth(truth)
-    hit = np.zeros_like(truth8, dtype=bool)
-    for x, y in regions[tumors[0].region_id].pixels:
-        hit[y, x] = True
+    hit = labels == tumors[0].region_id
     overlap = (hit & truth8).sum() / truth8.sum()
     assert overlap >= 0.8
 
@@ -258,17 +257,15 @@ def test_criterion_7_end_to_end_phantoms(tmp_path):
     multi_tumors = [d for d in multi_report.detections if d.label == "tumor"]
     assert len(multi_tumors) == 1
     inverted = read_pgm(out / "multi_inverted.pgm")
-    regions = regions_from_labels_pgm(out / "multi_labels.pgm", inverted)
+    region_map = map_from_labels_pgm(out / "multi_labels.pgm")
     truth8 = working_truth(multi_truth)
-    kept = np.zeros_like(truth8, dtype=bool)
-    for x, y in regions[multi_tumors[0].region_id].pixels:
-        kept[y, x] = True
+    kept = region_map.labels == multi_tumors[0].region_id
     assert (kept & truth8).sum() / truth8.sum() >= 0.8  # textured blob kept
     smooth_id = int(read_pgm(out / "multi_labels.pgm").pixels[64, 90])  # smooth blob center
     assert smooth_id > 0
     detected_ids = {d.region_id for d in multi_report.detections}
     assert smooth_id not in detected_ids  # dropped by the roughness gate
-    assert blanket_dimension(inverted, regions[smooth_id]).dimension < 2.4
+    assert fit_dimension(*blanket_areas(inverted, region_map, smooth_id)).dimension < 2.4
     elapsed = time.perf_counter() - start
     _pass(
         7,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mammocad.errors import DegenerateRegion
 from mammocad.features import FeatureVector, compute_features, feature_table, gradient_map
 from mammocad.image import GrayImage, negate
-from mammocad.segment import Region, RegionMap, extract_regions, segment_image
+from mammocad.segment import RegionMap, segment_image
 from mammocad.threshold import BinaryMask
 
 from oracles import (
@@ -22,16 +22,28 @@ from oracles import (
     mean_region_gradient,
     naive_features,
     region_features,
+    region_geometry,
     sobel_magnitude,
 )
 from test_fractal import checkerboard, cross_and_ring, dense_map, labeled_images
 
 
-def region_of(img, bits):
+def map_of(img, bits):
+    """The label map whose one region is the pixels ``bits`` marks."""
     rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
-    regions = extract_regions(rm, img)
-    assert len(regions) == 1
-    return regions[0]
+    assert rm.region_count == 1
+    return rm
+
+
+def region_of(img, bits):
+    """The oracle record of the one region ``bits`` marks."""
+    (record,) = region_geometry(map_of(img, bits).labels)
+    return record
+
+
+def features_of(img, rm, rid, grad=None):
+    """The package's features of region ``rid`` alone: a table of that one id."""
+    return compute_features(feature_table(img, rm, [rid], grad), rid)
 
 
 def ramp_image(side=8):
@@ -39,14 +51,15 @@ def ramp_image(side=8):
 
 
 def random_regions(rng, count):
+    """(image, label map, oracle record) of ``count`` random regions of 2+ pixels."""
     out = []
     while len(out) < count:
         img = GrayImage(rng.integers(0, 256, (10, 10)).astype(np.uint8))
         bits = rng.random((10, 10)) < 0.5
         rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
-        for region in extract_regions(rm, img):
-            if region.area >= 2:
-                out.append((img, region))
+        for record in region_geometry(rm.labels):
+            if len(record.pixels) >= 2:
+                out.append((img, rm, record))
     return out[:count]
 
 
@@ -182,8 +195,7 @@ class TestEdgeDistanceVariance:
     def test_doubling_coordinates_doubles_value(self):
         img = GrayImage(np.full((3, 3), 1, np.uint8))
         region = region_of(img, np.ones((3, 3), bool))
-        scaled = Region(
-            id=region.id,
+        scaled = region._replace(
             pixels=[(2 * x, 2 * y) for x, y in region.pixels],
             boundary=[(2 * x, 2 * y) for x, y in region.boundary],
             bbox=(0, 0, 5, 5),
@@ -241,7 +253,7 @@ class TestInvariances:
             pix[oy : oy + 4, ox : ox + 4] = patch
             bits[oy : oy + 4, ox : ox + 4] = blob
             img = GrayImage(pix)
-            features.append(compute_features(region_of(img, bits), img))
+            features.append(features_of(img, map_of(img, bits), 1))
         a, b = features
         for name in vars(a):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9), name
@@ -253,9 +265,9 @@ class TestInvariances:
         bits[3:5, 3:5] = True
         img1 = GrayImage(pix)
         img2 = GrayImage(pix + 40)
-        region = region_of(img1, bits)
-        f1 = compute_features(region, img1)
-        f2 = compute_features(region, img2)
+        rm = map_of(img1, bits)
+        f1 = features_of(img1, rm, 1)
+        f2 = features_of(img2, rm, 1)
         for name in vars(f1):
             assert getattr(f1, name) == pytest.approx(getattr(f2, name), abs=1e-9), name
 
@@ -263,10 +275,10 @@ class TestInvariances:
 class TestOracleEquivalence:
     def test_matches_naive_on_random_blobs(self):
         rng = np.random.default_rng(17)
-        for img, region in random_regions(rng, 25):
+        for img, rm, record in random_regions(rng, 25):
             grad = gradient_map(img)
-            got = compute_features(region, img, grad)
-            want = naive_features(region, img, grad)
+            got = features_of(img, rm, record.id, grad)
+            want = naive_features(record, img, grad)
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, abs=1e-9), name
 
@@ -281,18 +293,18 @@ class TestFeatureTable:
 
     @staticmethod
     def assert_matches_oracle(img, rm, grad, ids):
-        regions = {r.id: r for r in extract_regions(rm, img)}
         table = feature_table(img, rm, ids, grad)
         assert table.shape == (rm.region_count + 1, 7)
-        for rid, region in regions.items():
-            if region.area < 2:
+        for record in region_geometry(rm.labels):
+            rid = record.id
+            if len(record.pixels) < 2:
                 with pytest.raises(DegenerateRegion):
-                    compute_features(region, img, grad)
+                    features_of(img, rm, rid, grad)
                 continue
-            expected = FeatureVector(**region_features(region, img, grad))
-            assert compute_features(region, img, grad) == expected
+            expected = FeatureVector(**region_features(record, img, grad))
+            assert features_of(img, rm, rid, grad) == expected
             if rid in ids:
-                assert compute_features(region, img, grad, table) == expected
+                assert compute_features(table, rid) == expected
             else:
                 assert not table[rid].any()
 
@@ -326,9 +338,8 @@ class TestFeatureTable:
         with pytest.raises(ValueError):
             feature_table(img, rm, [1], np.zeros((3, 4)))
         assert not feature_table(img, rm, []).any()
-        (region,) = extract_regions(rm, img)
         with pytest.raises(ValueError):
-            compute_features(region, img, table=feature_table(img, rm, []))
+            compute_features(feature_table(img, rm, []), 1)
         dot = np.zeros((3, 3), np.int32)
         dot[1, 1] = 1
         with pytest.raises(DegenerateRegion):

@@ -20,26 +20,34 @@ from mammocad.image import GrayImage
 from mammocad.segment import RegionMap, extract_regions, segment_image
 from mammocad.threshold import BinaryMask
 
-from oracles import blanket_recursion, diamond_square, line_fit, padded_blanket_areas
+from oracles import (
+    blanket_recursion,
+    diamond_square,
+    line_fit,
+    padded_blanket_areas,
+    region_geometry,
+)
+
+
+def full_map(img):
+    """The label map whose one region is the whole image."""
+    return RegionMap(np.ones(img.pixels.shape, dtype=np.int32), 1)
 
 
 def full_region(img):
-    labels = np.ones(img.pixels.shape, dtype=np.int32)
-    return extract_regions(RegionMap(labels, 1), img)[0]
+    return extract_regions(full_map(img))[0]
 
 
-def region_from_mask(img, bits):
+def map_from_mask(img, bits):
     rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
-    regions = extract_regions(rm, img)
-    assert len(regions) == 1
-    return regions[0]
+    assert rm.region_count == 1
+    return rm
 
 
 class TestBlanketAreas:
     def test_constant_region_area_is_pixel_count(self):
         img = GrayImage(np.full((6, 6), 77, np.uint8))
-        region = full_region(img)
-        scales, areas = blanket_areas(img, region, r_max=8)
+        scales, areas = blanket_areas(img, full_map(img), 1, r_max=8)
         assert scales == list(range(1, 9))
         assert areas == [36.0] * 8
 
@@ -49,8 +57,7 @@ class TestBlanketAreas:
         pix[0, 0], pix[1, 0] = 10, 12
         bits[0, 0] = bits[1, 0] = True
         img = GrayImage(pix)
-        region = region_from_mask(img, bits)
-        scales, areas = blanket_areas(img, region, r_max=2)
+        scales, areas = blanket_areas(img, map_from_mask(img, bits), 1, r_max=2)
         assert scales == [1, 2]
         assert areas == [3.0, 2.5]
 
@@ -60,17 +67,16 @@ class TestBlanketAreas:
             img = GrayImage(rng.integers(0, 256, (9, 9)).astype(np.uint8))
             bits = rng.random((9, 9)) < 0.6
             rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
-            for region in extract_regions(rm, img):
-                if region.area < 2:
+            for record in region_geometry(rm.labels):
+                if len(record.pixels) < 2:
                     continue
-                got = blanket_areas(img, region, r_max=5)
-                assert got == blanket_recursion(img, region, 5)
+                got = blanket_areas(img, rm, record.id, r_max=5)
+                assert got == blanket_recursion(img, record, 5)
 
     def test_volume_strictly_increasing(self):
         rng = np.random.default_rng(4)
         img = GrayImage(rng.integers(0, 256, (8, 8)).astype(np.uint8))
-        region = full_region(img)
-        scales, areas = blanket_areas(img, region, r_max=8)
+        scales, areas = blanket_areas(img, full_map(img), 1, r_max=8)
         volumes = [a * 2 * r for r, a in zip(scales, areas)]
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
         assert all(a > 0 for a in areas)
@@ -78,23 +84,22 @@ class TestBlanketAreas:
     def test_gray_shift_invariance(self):
         rng = np.random.default_rng(9)
         base = rng.integers(0, 200, (7, 7)).astype(np.uint8)
-        region = full_region(GrayImage(base))
-        _, areas1 = blanket_areas(GrayImage(base), region, r_max=6)
-        _, areas2 = blanket_areas(GrayImage(base + 30), region, r_max=6)
+        rm = full_map(GrayImage(base))
+        _, areas1 = blanket_areas(GrayImage(base), rm, 1, r_max=6)
+        _, areas2 = blanket_areas(GrayImage(base + 30), rm, 1, r_max=6)
         assert areas1 == areas2
 
     def test_region_too_small(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
-        region = region_from_mask(img, bits)
         with pytest.raises(RegionTooSmall):
-            blanket_areas(img, region, r_max=4)
+            blanket_areas(img, map_from_mask(img, bits), 1, r_max=4)
 
     def test_r_max_validation(self):
         img = GrayImage(np.zeros((4, 4), np.uint8))
         with pytest.raises(ValueError):
-            blanket_areas(img, full_region(img), r_max=1)
+            blanket_areas(img, full_map(img), 1, r_max=1)
 
 
 def dense_map(raw):
@@ -152,16 +157,16 @@ class TestBlanketAreaTable:
     def assert_matches_oracle(img, rm, ids, r_max):
         table = blanket_area_table(img, rm, ids, r_max)
         assert table.shape == (rm.region_count + 1, r_max)
-        regions = {r.id: r for r in extract_regions(rm, img)}
+        records = {r.id: r for r in region_geometry(rm.labels)}
         for rid in range(rm.region_count + 1):
             if rid in ids:
-                assert table[rid].tolist() == padded_blanket_areas(img, regions[rid], r_max)[1]
+                assert table[rid].tolist() == padded_blanket_areas(img, records[rid], r_max)[1]
             else:
                 assert not table[rid].any()
-        for region in regions.values():
-            if region.area >= 2:
-                expected = padded_blanket_areas(img, region, r_max)
-                assert blanket_areas(img, region, r_max) == expected
+        for record in records.values():
+            if len(record.pixels) >= 2:
+                expected = padded_blanket_areas(img, record, r_max)
+                assert blanket_areas(img, rm, record.id, r_max) == expected
 
     @settings(deadline=None, max_examples=80)
     @given(case=labeled_images(), r_max=st.integers(2, 10))
@@ -184,11 +189,9 @@ class TestBlanketAreaTable:
         rm = dense_map(rng.integers(0, 4, (12, 12)) // 2 * rng.integers(1, 3, (12, 12)))
         ids = range(1, rm.region_count + 1)
         table = fit_table(blanket_area_table(img, rm, ids, 6), ids)
-        for region in extract_regions(rm, img):
-            if region.area >= 2:
-                assert blanket_dimension(img, region, 6, table) == blanket_dimension(
-                    img, region, 6
-                )
+        for region in extract_regions(rm, min_pixels=2):
+            alone = fit_dimension(*blanket_areas(img, rm, region.id, 6))
+            assert blanket_dimension(table, region) == alone
 
     def test_validation(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
@@ -206,10 +209,10 @@ class TestBlanketAreaTable:
         img = GrayImage(np.zeros((3, 3), np.uint8))
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
-        region = region_from_mask(img, bits)
-        table = fit_table(blanket_area_table(img, RegionMap(bits.astype(np.int32), 1), [1], 4), [1])
+        rm = map_from_mask(img, bits)
+        table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
         with pytest.raises(RegionTooSmall):
-            blanket_dimension(img, region, 4, table)
+            blanket_dimension(table, extract_regions(rm)[0])
 
 
 class TestFitTable:
@@ -219,7 +222,7 @@ class TestFitTable:
     @given(case=labeled_images(), r_max=st.integers(2, 16))
     def test_matches_per_row_fit(self, case, r_max):
         img, rm, rng = case
-        regions = [r for r in extract_regions(rm, img, min_pixels=2) if rng.random() < 0.7]
+        regions = [r for r in extract_regions(rm, min_pixels=2) if rng.random() < 0.7]
         ids = [r.id for r in regions]
         areas = blanket_area_table(img, rm, ids, r_max)
         table = fit_table(areas, ids)
@@ -228,8 +231,8 @@ class TestFitTable:
             row = areas[region.id].tolist()
             dimension, intercept, residual = line_fit(scales, row)
             expected = BlanketFit(scales, row, dimension, intercept, residual)
-            assert blanket_dimension(img, region, r_max, table) == expected
-            assert blanket_dimension(img, region, r_max) == expected
+            assert blanket_dimension(table, region) == expected
+            assert fit_dimension(*blanket_areas(img, rm, region.id, r_max)) == expected
             assert fit_dimension(scales, row) == expected
         unfitted = np.ones(rm.region_count + 1, dtype=bool)
         unfitted[ids] = False
@@ -255,10 +258,9 @@ class TestFitTable:
         img = GrayImage(np.zeros((3, 3), np.uint8))
         rm = RegionMap(np.ones((3, 3), np.int32), 1)
         table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
+        assert blanket_dimension(table, full_region(img)).scales == [1, 2, 3, 4]
         with pytest.raises(ValueError):
-            blanket_dimension(img, full_region(img), 5, table)
-        with pytest.raises(ValueError):
-            blanket_dimension(img, full_region(img), 4, fit_table(table.areas, []))
+            blanket_dimension(fit_table(table.areas, []), full_region(img))
 
 
 class TestFitDimension:
@@ -333,9 +335,8 @@ class TestOracleAgreement:
             ("noise", noise),
             ("midpoint", mpd),
         ]:
-            region = full_region(img)
-            d_blanket = blanket_dimension(img, region).dimension
-            d_box = box_count_dimension(img, region)
+            d_blanket = fit_dimension(*blanket_areas(img, full_map(img), 1)).dimension
+            d_box = box_count_dimension(img, full_region(img))
             assert abs(d_blanket - d_box) <= 0.3, name
             dims[name] = d_blanket
         assert dims["flat"] < dims["ramp_noise"] < dims["noise"]

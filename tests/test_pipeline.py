@@ -425,14 +425,33 @@ class TestBatchContract:
             {"max_area": 10},  # below the default min_area of 50
             {"min_compactness": 1.5},
             {"min_compactness": -0.1},
+            # Mistyped: min_area and max_area take ints, the rest real numbers.
+            {"min_area": "x"},
+            {"min_area": 2.5},
+            {"max_area": None},
+            {"max_area": True},
+            {"min_compactness": "0.5"},
+            {"min_boundary_gradient": None},
+            {"min_intensity_diff": False},
         ],
     )
     def test_contradictory_overrides_rejected_before_reading(self, overrides, tmp_path):
         cfg = PipelineConfig(rule_overrides=overrides, output_dir=None)
         with pytest.raises(ConfigError):
             cfg.validate()
+        # The path does not exist: reading it would give a BatchError entry.
         with pytest.raises(ConfigError):
             run_batch([tmp_path / "never_read.pgm"], cfg)
+
+    def test_overrides_of_any_number_type_accepted(self):
+        overrides = {
+            "min_area": np.int64(10),
+            "max_area": 5000,
+            "min_compactness": 1,
+            "min_boundary_gradient": np.float32(1.5),
+            "min_intensity_diff": 5,
+        }
+        PipelineConfig(rule_overrides=overrides).validate()
 
     def test_artifact_write_failure_is_a_per_file_error(self, tmp_path, capsys):
         first = tmp_path / "a.pgm"

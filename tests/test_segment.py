@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
+    boundary_mask,
     extract_regions,
     merge,
     overlay_boundaries,
@@ -221,60 +222,57 @@ class TestMerge:
         rng = np.random.default_rng(seed)
         img, mask = random_pair(rng, side=12)
         rm = segment_image(img, mask)
-        for region in extract_regions(rm, img):
-            assert connected_components_8(region.pixels) == 1
+        for rid in range(1, rm.region_count + 1):
+            assert connected_components_8(zip(*np.nonzero(rm.labels == rid))) == 1
 
 
 class TestExtractRegions:
     def test_3x3_square_geometry(self):
         img = GrayImage(np.full((3, 3), 50, np.uint8))
         rm = segment_image(img, full_mask(3, 3))
-        (region,) = extract_regions(rm, img)
+        (region,) = extract_regions(rm)
         assert region.area == 9
         assert region.bbox == (0, 0, 3, 3)
         assert region.centroid == (1.0, 1.0)
-        assert len(region.boundary) == 8
-        assert (1, 1) not in region.boundary
+        edge = boundary_mask(rm.labels)
+        assert edge.sum() == 8
+        assert not edge[1, 1]
 
     def test_single_pixel_region(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[7, 5] = True
         img = GrayImage(np.zeros((10, 10), np.uint8))
         rm = segment_image(img, BinaryMask(bits, 0))
-        (region,) = extract_regions(rm, img)
-        assert region.pixels == [(5, 7)]
-        assert region.boundary == [(5, 7)]
+        (region,) = extract_regions(rm)
+        assert (region.id, region.area) == (1, 1)
+        assert np.array_equal(boundary_mask(rm.labels), bits)
         assert region.bbox == (5, 7, 1, 1)
         assert region.centroid == (5.0, 7.0)
 
     def test_full_image_boundary_is_border_ring(self):
         img = GrayImage(np.full((4, 5), 9, np.uint8))
         rm = segment_image(img, full_mask(5, 4))
-        (region,) = extract_regions(rm, img)
-        expected = {
-            (x, y)
-            for x in range(5)
-            for y in range(4)
-            if x in (0, 4) or y in (0, 3)
-        }
-        assert set(region.boundary) == expected
+        ring = np.ones((4, 5), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert np.array_equal(boundary_mask(rm.labels), ring)
 
     def test_no_regions(self):
         img = GrayImage(np.zeros((4, 4), np.uint8))
         rm = segment_image(img, BinaryMask(np.zeros((4, 4), bool), 0))
         assert rm.region_count == 0
-        assert extract_regions(rm, img) == []
+        assert extract_regions(rm) == []
 
     def test_boundary_subset_and_area_sums(self):
         rng = np.random.default_rng(3)
         img, mask = random_pair(rng)
         rm = segment_image(img, mask)
-        regions = extract_regions(rm, img)
+        regions = extract_regions(rm)
         assert sum(r.area for r in regions) == int(mask.bits.sum())
+        assert not (boundary_mask(rm.labels) & (rm.labels == 0)).any()
         for r in regions:
-            assert set(r.boundary) <= set(r.pixels)
-            x0, y0, w, h = r.bbox
-            assert all(x0 <= x < x0 + w and y0 <= y < y0 + h for x, y in r.pixels)
+            ys, xs = np.nonzero(rm.labels == r.id)
+            assert len(xs) == r.area
+            assert r.bbox == (xs.min(), ys.min(), np.ptp(xs) + 1, np.ptp(ys) + 1)
 
 
 class TestExports:
@@ -374,17 +372,16 @@ class TestOracleEquivalence:
         expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
         assert np.array_equal(rm.labels, expected)
         geometry = region_geometry(expected)
-        assert [
-            (r.id, r.pixels, r.boundary, r.bbox, r.centroid) for r in extract_regions(rm, img)
-        ] == geometry
-        for min_pixels in (2, 8):
-            assert [
-                (r.id, r.pixels, r.boundary, r.bbox, r.centroid)
-                for r in extract_regions(rm, img, min_pixels)
-            ] == [g for g in geometry if len(g[1]) >= min_pixels]
+        for min_pixels in (1, 2, 8):
+            regions = extract_regions(rm, min_pixels)
+            assert [(r.id, r.area, r.bbox, r.centroid) for r in regions] == [
+                (g.id, len(g.pixels), g.bbox, g.centroid)
+                for g in geometry
+                if len(g.pixels) >= min_pixels
+            ]
         painted = img.pixels.copy()
-        for _, _, boundary, _, _ in geometry:
-            for x, y in boundary:
+        for record in geometry:
+            for x, y in record.boundary:
                 painted[y, x] = 255
         assert np.array_equal(overlay_boundaries(img, rm).pixels, painted)
 
