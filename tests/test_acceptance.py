@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mammocad.features import compute_features, feature_table, gradient_map
+from mammocad.features import gradient_map
 from mammocad.fractal import blanket_areas, box_count_dimension, fit_dimension
 from mammocad.image import GrayImage, haar_downsample, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
@@ -19,22 +19,14 @@ from mammocad.segment import RegionMap, extract_regions, segment_image
 from mammocad.threshold import BinaryMask, Histogram, otsu_threshold
 
 from oracles import diamond_square, naive_features, otsu_sweep, region_geometry
+from test_features import features_of
+from test_fractal import full_map
 
 ALL_ARTIFACTS = ("inverted", "mask", "labels", "overlay", "features", "report")
 
 
 def _pass(number, message):
     print(f"PASS criterion {number}: {message}")
-
-
-def full_map(img):
-    """The label map whose one region is the whole image."""
-    return RegionMap(np.ones(img.pixels.shape, dtype=np.int32), 1)
-
-
-def features_of(img, rm, rid, grad=None):
-    """The features of region ``rid`` alone: a table of that one id."""
-    return compute_features(feature_table(img, rm, [rid], grad), rid)
 
 
 def hist_from_counts(counts):
