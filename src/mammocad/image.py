@@ -6,7 +6,6 @@ stored row-major, so ``pixels[y, x]``.
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +22,17 @@ from .errors import (
 LEVELS = 256  # gray-level count; pixel values live in [0, LEVELS - 1]
 
 _WHITESPACE = b" \t\r\n\v\f"
-# One PNM token after any whitespace and '#'-to-end-of-line comments; the
-# token is empty only at the end of the data. The pattern matches at every
-# offset, so finditer's matches abut and never restart inside a comment. It
-# never needs to backtrack, so its quantifiers are possessive, which is faster.
+# One header token after any whitespace and '#'-to-end-of-line comments; the
+# token is empty only at the end of the data. It never needs to backtrack,
+# so its quantifiers are possessive, which is faster.
 _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*+\n?)*+([^ \t\r\n\v\f#]*+)")
+# A raster comment; the newline that ends it stays as a separator.
+_COMMENT = re.compile(rb"#[^\n]*+")
+# A raster byte's digit value, or _SPACE for whitespace and _OTHER otherwise.
+_SPACE, _OTHER = 10, 11
+_DIGIT = np.full(256, _OTHER, dtype=np.uint8)
+_DIGIT[list(_WHITESPACE)] = _SPACE
+_DIGIT[ord("0") : ord("9") + 1] = range(10)
 
 
 @dataclass(eq=False)
@@ -84,24 +89,55 @@ def _parse_dim(token: bytes, name: str) -> int:
 
 
 def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """The first ``count`` ASCII samples after ``pos``; the first fault wins."""
-    values: list[int] = []
-    fault = None
-    try:
-        values.extend(int(m[1]) for m in islice(_TOKEN.finditer(data, pos), count))
-    except ValueError:
-        token = next(islice(_TOKEN.finditer(data, pos), len(values), None))[1]
-        if token:  # an empty token is the end of the data
-            fault = InvalidPixelValue(f"non-numeric sample {token!r}")
-    if fault is None and len(values) < count:
-        fault = TruncatedData(f"expected {count} samples, found {len(values)}")
-    # A sample out of range comes before the fault that ended the scan.
-    if values and (min(values) < 0 or max(values) > maxval):
-        value = next(v for v in values if not 0 <= v <= maxval)
-        raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
-    if fault is not None:
-        raise fault
-    return np.array(values, dtype=np.uint8)
+    """The first ``count`` ASCII samples after ``pos``; the first fault wins.
+
+    Tokens of one to three ASCII digits are read as arrays. Any other token
+    (a sign, '_', four or more bytes, any other byte) goes through int() on
+    its own, which decides its value or its fault.
+    """
+    raster = memoryview(data)[pos:]
+    if data.find(b"#", pos) >= 0:
+        raster = _COMMENT.sub(b" ", raster)
+    # Four spaces in front give every token three readable bytes before its
+    # last one; one space behind ends a token at the end of the data.
+    text = b"".join((b"    ", raster, b" "))
+    digit = np.take(_DIGIT, np.frombuffer(text, dtype=np.uint8))
+    space = digit == _SPACE
+    # An entry j of ends is a token whose last byte is j + 3, so the shifted
+    # view digit[k:][ends] reads byte j + k: the ones digit for k = 3, back
+    # to the byte before a three-digit token for k = 0.
+    ends = np.flatnonzero(space[4:] > space[3:-1])[:count]
+    found = len(ends)
+    ones, tens, hundreds, before = (digit[k:][ends] for k in (3, 2, 1, 0))
+    # A token runs left from its last byte to the first space; it is simple
+    # if it holds one to three digits. Digits beyond that space are zeroed.
+    simple = (ones < 10) & (
+        (tens == _SPACE)
+        | (tens < 10) & ((hundreds == _SPACE) | (hundreds < 10) & (before == _SPACE))
+    )
+    hundreds[(tens == _SPACE) | (hundreds == _SPACE)] = 0
+    tens[tens == _SPACE] = 0
+    values = ones + tens.astype(np.uint16) * 10 + hundreds.astype(np.uint16) * 100
+    over = simple & (values > maxval)
+    first_over = int(over.argmax()) if over.any() else found
+    for i in np.flatnonzero(~simple[:first_over]):
+        # The token starts at the first byte after the previous one that is
+        # not a space.
+        previous_end = ends[i - 1] + 4 if i else 0
+        end = ends[i] + 4
+        token = text[previous_end + space[previous_end:end].argmin() : end]
+        try:
+            value = int(token)
+        except ValueError:
+            raise InvalidPixelValue(f"non-numeric sample {token!r}") from None
+        if not 0 <= value <= maxval:
+            raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
+        values[i] = value
+    if first_over < found:
+        raise InvalidPixelValue(f"sample {values[first_over]} outside [0, {maxval}]")
+    if found < count:
+        raise TruncatedData(f"expected {count} samples, found {found}")
+    return values.astype(np.uint8)
 
 
 def read_pgm(path) -> GrayImage:

@@ -45,6 +45,8 @@ class PipelineConfig:
     emit: tuple[str, ...] = ("report", "features")
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            _check_number(name, getattr(self, name), kind)
         if self.dwt_levels < 0:
             raise ConfigError("dwt_levels must be >= 0")
         if self.threshold != "auto" and not (
@@ -68,9 +70,7 @@ class PipelineConfig:
             kind = _RULE_TYPES.get(key)
             if kind is None:
                 raise ConfigError(f"unknown rule {key!r}")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is Integral else "a real number"
-                raise ConfigError(f"rule {key} must be {noun}, got {value!r}")
+            _check_number(f"rule {key}", value, kind)
         # max_area alone is checked against the default min_area, which does
         # not scale with the image; min_area alone meets the scaled default
         # max_area only per image, in resolve_rules.
@@ -83,16 +83,26 @@ class PipelineConfig:
             raise ConfigError("rule min_compactness must be in [0, 1]")
 
 
+# The numbers an int or float annotation admits. Bools are numbers too, but
+# no numeric field's (dwt_first is annotated bool, not int).
+_NUMBERS = {int: Integral, float: Real}
+# The numeric PipelineConfig fields; threshold (int | str) has its own check.
+_FIELD_TYPES = {
+    f.name: _NUMBERS[f.type] for f in fields(PipelineConfig) if f.type in _NUMBERS
+}
 # Rule thresholds settable by name: the RuleSet fields that are not also
-# PipelineConfig fields (the d band comes from d_min and d_max), each with
-# the numbers its annotation admits. Bools are numbers too, but no rule's.
+# PipelineConfig fields (the d band comes from d_min and d_max).
 _CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
 _RULE_TYPES = {
-    f.name: Integral if f.type is int else Real
-    for f in fields(RuleSet)
-    if f.name not in _CONFIG_FIELDS
+    f.name: _NUMBERS[f.type] for f in fields(RuleSet) if f.name not in _CONFIG_FIELDS
 }
 RULE_KEYS = tuple(_RULE_TYPES)
+
+
+def _check_number(name: str, value, kind: type) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is Integral else "a real number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass

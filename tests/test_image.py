@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mammocad.errors import (
     UnsupportedMaxval,
 )
 from mammocad.image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
+from mammocad.phantom import generate_phantom
 
 from oracles import read_p2
 
@@ -40,7 +42,8 @@ separators = st.lists(
     max_size=3,
 ).map(b"".join)
 odd_samples = st.sampled_from(
-    [b"+5", b"1_0", b"-1", b"-0", b"007", b"256", b"x", b"5x", b"0x1", b"\xff", b"\x00"]
+    [b"+5", b"1_0", b"-1", b"-0", b"007", b"0007", b"00255", b"256", b"x", b"5x",
+     b"5\x00", b"0x1", b"\xff", b"\x00"]
 )
 samples = st.one_of(
     st.integers(0, 255).map(lambda v: str(v).encode()),
@@ -161,17 +164,59 @@ class TestReadPgm:
     @example(data=b"P2 2 1 255 3 #one comment, one sample short")
     @example(data=b"P2 1 1 #255")  # no maxval: a comment's text is no token
     @example(data=b"P2 1 1 255 #5")  # no sample either
+    @example(data=b"P2 2 1 255 7 8")  # last sample at EOF, no whitespace after it
+    @example(data=b"P2 2 1 255#c\n7 8")  # comment right after the maxval
+    @example(data=b"P2 2 1 255 0007 00255")  # leading zeros past three bytes
+    @example(data=b"P2 1 1 255 -0")
+    @example(data=b"P2 1 1 255 5\x00")
+    @example(data=b"P2 1 1 255 7 x")  # bad token after the last needed sample
     def test_p2_matches_reference(self, data, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "p2_stream.pgm"
-        path.write_bytes(data)
+        assert_p2_matches_reference(data, tmp_path_factory.getbasetemp())
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        odd=st.lists(st.tuples(st.integers(0, 128 * 128 - 1), samples), max_size=3),
+        missing=st.sampled_from([0, 0, 1, -2]),
+    )
+    def test_large_p2_matches_reference(self, seed, odd, missing, tmp_path_factory):
+        # A 128x128 raster with random separators and comments, odd or bad
+        # tokens deep inside it, and some streams short or long at the end.
+        rng = np.random.default_rng(seed)
+        tokens = [b"%d" % v for v in rng.integers(0, 256, 128 * 128 - missing)]
+        for at, token in odd:
+            tokens[min(at, len(tokens) - 1)] = token
+        seps = [b" ", b"\n", b"\t", b"\r\n", b"\v", b"\f", b"  "]
+        seps += [b"#\n", b" #c 12\n", b"#x#9\n"]  # a comment right after a token
+        picks = rng.integers(0, len(seps), len(tokens))
+        data = b"P2 128 128 255\n" + b"".join(t + seps[k] for t, k in zip(tokens, picks))
+        assert_p2_matches_reference(data, tmp_path_factory.getbasetemp())
+
+    def test_p2_read_memory_bounded(self, tmp_path):
+        # Arrays with one entry per file byte stay uint8 or bool.
+        path = tmp_path / "phantom.pgm"
+        write_pgm(generate_phantom("tumor", 1, 1024)[0], path, mode="ascii")
+        tracemalloc.start()
         try:
-            expected = read_p2(data)
-        except Exception as exc:
-            with pytest.raises(MammoCadError) as err:
-                read_pgm(path)
-            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
-        else:
-            assert read_pgm(path).pixels.tolist() == expected.tolist()
+            img = read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.pixels.shape == (1024, 1024)
+        assert peak <= 16 * path.stat().st_size
+
+
+def assert_p2_matches_reference(data, directory):
+    path = directory / "p2_stream.pgm"
+    path.write_bytes(data)
+    try:
+        expected = read_p2(data)
+    except Exception as exc:
+        with pytest.raises(MammoCadError) as err:
+            read_pgm(path)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+    else:
+        assert read_pgm(path).pixels.tolist() == expected.tolist()
 
 
 class TestWritePgm:

@@ -443,6 +443,33 @@ class TestBatchContract:
         with pytest.raises(ConfigError):
             run_batch([tmp_path / "never_read.pgm"], cfg)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"tau_split": "3"},
+            {"d_min": "2"},
+            {"r_max": 2.5},
+            {"dwt_levels": 1.0},
+            {"dwt_levels": True},
+            {"min_region_pixels": 8.0},
+            {"tau_merge": None},
+            {"d_max": False},
+        ],
+    )
+    def test_mistyped_fields_rejected_before_reading(self, field, tmp_path):
+        # Numeric fields take the numbers their annotations admit.
+        cfg = PipelineConfig(**field, output_dir=None)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_batch([tmp_path / "never_read.pgm"], cfg)
+
+    def test_fields_of_any_number_type_accepted(self):
+        PipelineConfig(
+            dwt_levels=np.int64(2), r_max=np.int32(4), d_min=2, d_max=np.float32(2.8),
+            dwt_first=False,
+        ).validate()
+
     def test_overrides_of_any_number_type_accepted(self):
         overrides = {
             "min_area": np.int64(10),
