@@ -1,11 +1,13 @@
 """Rule-based tumor/normal labeling of gated regions.
 
-Every rule is a configurable threshold; a region is labeled "tumor" only if
-all rules pass. Rule names appear in ``failed_rules`` in declaration order,
-so reports stay stable and auditable.
+Every rule is a configurable threshold on a region's features; a region is
+labeled "tumor" only if all rules pass. The D band is not a rule: the
+roughness gate alone applies it, before any region reaches classification.
+Rule names appear in ``failed_rules`` in declaration order, so reports stay
+stable and auditable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fractal import BlanketFit
 from .features import FeatureVector
@@ -17,7 +19,6 @@ class RuleSet:
 
     Defaults suit a 128x128 working image; ``max_area`` should be set to a
     quarter of the working image when built via :func:`default_rules`.
-    The d band mirrors the roughness gate for report completeness.
     """
 
     min_area: int = 50
@@ -25,25 +26,17 @@ class RuleSet:
     min_compactness: float = 0.4
     min_boundary_gradient: float = 2.0
     min_intensity_diff: float = 10.0
-    d_min: float = 2.4
-    d_max: float = 2.75
 
     def __post_init__(self):
         if self.min_area > self.max_area:
             raise ValueError("min_area must be <= max_area")
         if not 0.0 <= self.min_compactness <= 1.0:
             raise ValueError("min_compactness must be in [0, 1]")
-        if not self.d_min < self.d_max:
-            raise ValueError("d_min must be < d_max")
 
 
-def default_rules(
-    working_pixels: int, d_min: float = 2.4, d_max: float = 2.75
-) -> RuleSet:
+def default_rules(working_pixels: int) -> RuleSet:
     """Default rules with max_area scaled to a quarter of the working image."""
-    return RuleSet(
-        max_area=max(working_pixels // 4, RuleSet.min_area), d_min=d_min, d_max=d_max
-    )
+    return RuleSet(max_area=max(working_pixels // 4, RuleSet.min_area))
 
 
 @dataclass
@@ -55,11 +48,11 @@ class Detection:
     dimension: float
     label: str  # "tumor" | "normal"
     failed_rules: list[str]
-    fit: BlanketFit | None = field(default=None)
+    fit: BlanketFit
 
 
 def classify(
-    region_id: int, features: FeatureVector, dimension: float, rules: RuleSet
+    region_id: int, features: FeatureVector, fit: BlanketFit, rules: RuleSet
 ) -> Detection:
     """Evaluate every rule; the label is "tumor" iff none fail."""
     checks = (
@@ -68,9 +61,7 @@ def classify(
         ("min_compactness", features.compactness >= rules.min_compactness),
         ("min_boundary_gradient", features.boundary_gradient >= rules.min_boundary_gradient),
         ("min_intensity_diff", features.intensity_diff >= rules.min_intensity_diff),
-        ("d_min", dimension >= rules.d_min),
-        ("d_max", dimension <= rules.d_max),
     )
     failed = [name for name, ok in checks if not ok]
     label = "tumor" if not failed else "normal"
-    return Detection(region_id, features, dimension, label, failed)
+    return Detection(region_id, features, fit.dimension, label, failed, fit)

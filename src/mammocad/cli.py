@@ -41,8 +41,8 @@ def comma_list(value: str) -> tuple[str, ...]:
 
 
 # One text parser per field annotation in use. The config keys are the
-# PipelineConfig fields with one of these annotations (not rules or
-# rule_overrides) plus the rule names; CLI flags use the same parsers.
+# PipelineConfig fields with one of these annotations (not rule_overrides)
+# plus the rule names; CLI flags use the same parsers.
 _PARSERS = {
     int: int,
     float: float,
@@ -53,7 +53,7 @@ _PARSERS = {
 }
 CONFIG_PARSERS = {
     f.name: _PARSERS[f.type] for f in fields(PipelineConfig) if f.type in _PARSERS
-} | {f.name: _PARSERS[f.type] for f in fields(RuleSet) if f.name in RULE_KEYS}
+} | {f.name: _PARSERS[f.type] for f in fields(RuleSet)}
 
 
 def parse_config_file(path) -> dict:

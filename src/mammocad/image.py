@@ -19,8 +19,6 @@ from .errors import (
     UnsupportedMaxval,
 )
 
-LEVELS = 256  # gray-level count; pixel values live in [0, LEVELS - 1]
-
 _WHITESPACE = b" \t\r\n\v\f"
 # One header token after any whitespace and '#'-to-end-of-line comments; the
 # token is empty only at the end of the data. It never needs to backtrack,
@@ -57,10 +55,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @property
-    def levels(self) -> int:
-        return LEVELS
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GrayImage):
@@ -146,7 +140,12 @@ def read_pgm(path) -> GrayImage:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return decode_pgm(data)
 
+
+def decode_pgm(data: bytes) -> GrayImage:
+    """Decode the bytes of a P2 or P5 PGM file; the first fault in file
+    order wins, so a sample above maxval comes before too few samples."""
     magic, pos = _header_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise MalformedHeader(f"unsupported magic {magic!r}; want P2 or P5")
@@ -164,10 +163,14 @@ def read_pgm(path) -> GrayImage:
         # Exactly one whitespace byte separates the maxval from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
             raise MalformedHeader("missing whitespace after maxval")
-        raw = data[pos + 1 : pos + 1 + count]
-        if len(raw) < count:
-            raise TruncatedData(f"expected {count} bytes, found {len(raw)}")
-        flat = np.frombuffer(raw, dtype=np.uint8)
+        flat = np.frombuffer(data[pos + 1 : pos + 1 + count], dtype=np.uint8)
+        if maxval < 255:
+            over = flat > maxval
+            if over.any():
+                value = flat[over.argmax()]
+                raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
+        if len(flat) < count:
+            raise TruncatedData(f"expected {count} bytes, found {len(flat)}")
     else:
         flat = _p2_samples(data, pos, count, maxval)
     return GrayImage(flat.reshape(height, width))

@@ -7,6 +7,7 @@ timing values embedded in the JSON report.
 """
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
@@ -39,7 +40,6 @@ class PipelineConfig:
     d_min: float = 2.4
     d_max: float = 2.75
     min_region_pixels: int = 8
-    rules: RuleSet | None = None
     rule_overrides: dict = field(default_factory=dict)
     output_dir: Path | None = None
     emit: tuple[str, ...] = ("report", "features")
@@ -49,10 +49,10 @@ class PipelineConfig:
             _check_number(name, getattr(self, name), kind)
         if self.dwt_levels < 0:
             raise ConfigError("dwt_levels must be >= 0")
-        if self.threshold != "auto" and not (
-            isinstance(self.threshold, int) and 0 <= self.threshold <= 255
-        ):
-            raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
+        if self.threshold != "auto":
+            _check_number("threshold", self.threshold, Integral)
+            if not 0 <= self.threshold <= 255:
+                raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
         if self.tau_split < 0 or self.tau_merge < 0:
             raise ConfigError("tau_split and tau_merge must be >= 0")
         if self.min_block < 1:
@@ -71,16 +71,12 @@ class PipelineConfig:
             if kind is None:
                 raise ConfigError(f"unknown rule {key!r}")
             _check_number(f"rule {key}", value, kind)
-        # max_area alone is checked against the default min_area, which does
-        # not scale with the image; min_area alone meets the scaled default
-        # max_area only per image, in resolve_rules.
-        overrides = self.rule_overrides
-        if "max_area" in overrides and (
-            overrides.get("min_area", RuleSet.min_area) > overrides["max_area"]
-        ):
-            raise ConfigError("rule min_area must be <= max_area")
-        if not 0.0 <= overrides.get("min_compactness", 0.0) <= 1.0:
-            raise ConfigError("rule min_compactness must be in [0, 1]")
+        # The scaled default max_area is known only per image, so here it is
+        # unbounded; min_area alone meets it in resolve_rules.
+        try:
+            RuleSet(**{"max_area": sys.maxsize, **self.rule_overrides})
+        except ValueError as exc:
+            raise ConfigError(f"rule {exc}") from exc
 
 
 # The numbers an int or float annotation admits. Bools are numbers too, but
@@ -90,12 +86,8 @@ _NUMBERS = {int: Integral, float: Real}
 _FIELD_TYPES = {
     f.name: _NUMBERS[f.type] for f in fields(PipelineConfig) if f.type in _NUMBERS
 }
-# Rule thresholds settable by name: the RuleSet fields that are not also
-# PipelineConfig fields (the d band comes from d_min and d_max).
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
-_RULE_TYPES = {
-    f.name: _NUMBERS[f.type] for f in fields(RuleSet) if f.name not in _CONFIG_FIELDS
-}
+# Rule thresholds settable by name: every RuleSet field.
+_RULE_TYPES = {f.name: _NUMBERS[f.type] for f in fields(RuleSet)}
 RULE_KEYS = tuple(_RULE_TYPES)
 
 
@@ -127,10 +119,8 @@ class BatchError:
 
 
 def resolve_rules(cfg: PipelineConfig, working_pixels: int) -> RuleSet:
-    """The rule set actually applied: explicit rules, or scaled defaults."""
-    if cfg.rules is not None:
-        return cfg.rules
-    rules = default_rules(working_pixels, cfg.d_min, cfg.d_max)
+    """The rule set actually applied: scaled defaults plus rule_overrides."""
+    rules = default_rules(working_pixels)
     if cfg.rule_overrides:
         try:
             rules = replace(rules, **cfg.rule_overrides)
@@ -168,7 +158,7 @@ def run_pipeline(
         t = (
             otsu_threshold(histogram(inverted))
             if cfg.threshold == "auto"
-            else cfg.threshold
+            else int(cfg.threshold)
         )
         return apply_threshold(inverted, t)
 
@@ -197,13 +187,7 @@ def run_pipeline(
 
     def _classify():
         rules = resolve_rules(cfg, inverted.width * inverted.height)
-        return [
-            replace(
-                classify(rid, vectors[rid], fits[rid].dimension, rules),
-                fit=fits[rid],
-            )
-            for rid in gated_ids
-        ]
+        return [classify(rid, vectors[rid], fits[rid], rules) for rid in gated_ids]
 
     detections = stage("classify", _classify)
 
@@ -280,7 +264,7 @@ def report_to_dict(report: DetectionReport) -> dict:
             {
                 **vars(det),
                 "features": vars(det.features),
-                "fit": None if det.fit is None else vars(det.fit),
+                "fit": vars(det.fit),
             }
             for det in sorted(report.detections, key=lambda d: d.region_id)
         ],

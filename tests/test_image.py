@@ -15,7 +15,7 @@ from mammocad.errors import (
     TruncatedData,
     UnsupportedMaxval,
 )
-from mammocad.image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
+from mammocad.image import GrayImage, decode_pgm, haar_downsample, negate, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 
 from oracles import read_p2
@@ -142,6 +142,40 @@ class TestReadPgm:
         assert read_pgm(path).pixels.tolist() == [[15, 0]]
 
     @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (b"P5\n2 1\n15\n\xc8\x03", InvalidPixelValue, "sample 200 outside [0, 15]"),
+            (b"P5\n3 1\n15\n\x01\x10\x11", InvalidPixelValue, "sample 16 outside [0, 15]"),
+            # A bad byte among those present comes before too few bytes.
+            (b"P5\n3 1\n15\n\x01\x11", InvalidPixelValue, "sample 17 outside [0, 15]"),
+            (b"P5\n3 1\n15\n\x0f\x00", TruncatedData, "expected 3 bytes, found 2"),
+        ],
+    )
+    def test_p5_first_fault_reported(self, data, error, message, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(data)
+        with pytest.raises(error, match=re.escape(message)):
+            read_pgm(path)
+
+    @given(width=st.integers(1, 6), maxval=st.integers(1, 255), raster=st.binary(max_size=8))
+    def test_p5_matches_p2_of_same_samples(self, width, maxval, raster):
+        # A P5 raster reads like the P2 text of its bytes: the same values,
+        # or the same fault and message, apart from the truncation wording.
+        header = b"%d 1\n%d\n" % (width, maxval)
+        p5 = b"P5\n" + header + raster
+        p2 = b"P2\n" + header + b" ".join(b"%d" % v for v in raster) + b"\n"
+        try:
+            expected = read_p2(p2)
+        except TruncatedData:
+            with pytest.raises(TruncatedData):
+                decode_pgm(p5)
+        except InvalidPixelValue as exc:
+            with pytest.raises(InvalidPixelValue, match=re.escape(str(exc))):
+                decode_pgm(p5)
+        else:
+            assert decode_pgm(p5).pixels.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
         "raster, message",
         [
             ("0 256 x", "sample 256 outside [0, 255]"),  # out of range before non-numeric
@@ -170,8 +204,8 @@ class TestReadPgm:
     @example(data=b"P2 1 1 255 -0")
     @example(data=b"P2 1 1 255 5\x00")
     @example(data=b"P2 1 1 255 7 x")  # bad token after the last needed sample
-    def test_p2_matches_reference(self, data, tmp_path_factory):
-        assert_p2_matches_reference(data, tmp_path_factory.getbasetemp())
+    def test_p2_matches_reference(self, data):
+        assert_p2_matches_reference(data)
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -179,7 +213,7 @@ class TestReadPgm:
         odd=st.lists(st.tuples(st.integers(0, 128 * 128 - 1), samples), max_size=3),
         missing=st.sampled_from([0, 0, 1, -2]),
     )
-    def test_large_p2_matches_reference(self, seed, odd, missing, tmp_path_factory):
+    def test_large_p2_matches_reference(self, seed, odd, missing):
         # A 128x128 raster with random separators and comments, odd or bad
         # tokens deep inside it, and some streams short or long at the end.
         rng = np.random.default_rng(seed)
@@ -190,7 +224,7 @@ class TestReadPgm:
         seps += [b"#\n", b" #c 12\n", b"#x#9\n"]  # a comment right after a token
         picks = rng.integers(0, len(seps), len(tokens))
         data = b"P2 128 128 255\n" + b"".join(t + seps[k] for t, k in zip(tokens, picks))
-        assert_p2_matches_reference(data, tmp_path_factory.getbasetemp())
+        assert_p2_matches_reference(data)
 
     def test_p2_read_memory_bounded(self, tmp_path):
         # Arrays with one entry per file byte stay uint8 or bool.
@@ -206,17 +240,15 @@ class TestReadPgm:
         assert peak <= 16 * path.stat().st_size
 
 
-def assert_p2_matches_reference(data, directory):
-    path = directory / "p2_stream.pgm"
-    path.write_bytes(data)
+def assert_p2_matches_reference(data):
     try:
         expected = read_p2(data)
     except Exception as exc:
         with pytest.raises(MammoCadError) as err:
-            read_pgm(path)
+            decode_pgm(data)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
     else:
-        assert read_pgm(path).pixels.tolist() == expected.tolist()
+        assert decode_pgm(data).pixels.tolist() == expected.tolist()
 
 
 class TestWritePgm:

@@ -454,6 +454,9 @@ class TestBatchContract:
             {"min_region_pixels": 8.0},
             {"tau_merge": None},
             {"d_max": False},
+            {"threshold": True},
+            {"threshold": 120.0},
+            {"threshold": "120"},
         ],
     )
     def test_mistyped_fields_rejected_before_reading(self, field, tmp_path):
@@ -479,6 +482,18 @@ class TestBatchContract:
             "min_intensity_diff": 5,
         }
         PipelineConfig(rule_overrides=overrides).validate()
+
+    def test_threshold_of_any_integer_type_gives_the_same_report(self):
+        img = generate_phantom("tumor", 1, 128)[0]
+
+        def report_bytes(threshold):
+            cfg = PipelineConfig(dwt_levels=0, threshold=threshold, output_dir=None)
+            report = run_pipeline(img, cfg, source="t.pgm")
+            report.timings = {}
+            return report_json(report)
+
+        assert report_bytes(np.int64(120)) == report_bytes(120)
+        assert '"threshold_used": 120,' in report_bytes(np.uint8(120))
 
     def test_artifact_write_failure_is_a_per_file_error(self, tmp_path, capsys):
         first = tmp_path / "a.pgm"
