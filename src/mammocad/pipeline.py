@@ -10,12 +10,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from numbers import Integral, Real
 from pathlib import Path
 
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
-from .features import compute_features, feature_table, gradient_map
+from .features import FeatureVector, compute_features, feature_table, gradient_map
 from .fractal import blanket_area_table, blanket_dimension, fit_table, roughness_gate
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
@@ -252,27 +253,82 @@ def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
     return results
 
 
-def report_to_dict(report: DetectionReport) -> dict:
-    """JSON-ready dict with keys matching the report fields.
+def _json_list(items: list[str], indent: int) -> str:
+    """Encoded ``items`` as a list that ``json.dumps(indent=2)`` writes at ``indent``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
-    Shallow: the lists and the feature and fit dicts are the report's own
-    objects, so change the dict only to serialize it.
-    """
-    return {
-        **vars(report),
-        "detections": [
-            {
-                **vars(det),
-                "features": vars(det.features),
-                "fit": vars(det.fit),
-            }
-            for det in sorted(report.detections, key=lambda d: d.region_id)
-        ],
-    }
+
+# One detection as json.dumps(indent=2) writes it inside the report's list;
+# each %s takes an encoded value, in the order of the dataclass fields.
+_FEATURE_COUNT = len(fields(FeatureVector))
+_DETECTION = """\
+    {
+      "region_id": %s,
+      "features": {
+FEATURES
+      },
+      "dimension": %s,
+      "label": %s,
+      "failed_rules": %s,
+      "fit": {
+        "scales": %s,
+        "areas": %s,
+        "dimension": %s,
+        "intercept": %s,
+        "residual": %s
+      }
+    }""".replace("FEATURES", ",\n".join(f'        "{f.name}": %s' for f in fields(FeatureVector)))
 
 
 def report_json(report: DetectionReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report exactly as ``json.dumps(report_dict, indent=2)`` writes it, plus a newline.
+
+    ``report_dict`` holds ``vars()`` of the dataclasses, detections sorted by
+    region id. An indented dump runs the pure-Python encoder over every
+    token, so only the small head goes through it. One C-encoder dump of a
+    flat list formats every detection number, split on ``", "`` into the
+    tokens that dump would write (``NaN`` and ``Infinity`` included). One
+    ``%`` pass over a fixed per-detection template lays them out with the
+    strings encoded as that dump encodes them, and builds no string per
+    detection. The number fields must hold numbers, as annotated.
+    """
+    head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
+    if not report.detections:
+        return head
+    detections = sorted(report.detections, key=lambda d: d.region_id)
+    numbers = []
+    for det in detections:
+        fit = det.fit
+        numbers.append(det.region_id)
+        numbers += vars(det.features).values()
+        numbers.append(det.dimension)
+        numbers += fit.scales
+        numbers += fit.areas
+        numbers += (fit.dimension, fit.intercept, fit.residual)
+    tokens = json.dumps(numbers)[1:-1].split(", ")
+    values = []
+    at = 0
+    for det in detections:
+        scales = at + _FEATURE_COUNT + 2  # after region_id, features, dimension
+        areas = scales + len(det.fit.scales)
+        end = areas + len(det.fit.areas)
+        values += tokens[at:scales]
+        values += (
+            encode_basestring_ascii(det.label),
+            _json_list([encode_basestring_ascii(r) for r in det.failed_rules], 6),
+            _json_list(tokens[scales:areas], 8),
+            _json_list(tokens[areas:end], 8),
+        )
+        values += tokens[end : end + 3]
+        at = end + 3
+    # The head's strings escape every quote and newline, so its first
+    # '\n  "detections": []' is the key itself.
+    before, _, after = head.partition('\n  "detections": []')
+    layout = ",\n".join([_DETECTION] * len(detections))
+    return f'%s\n  "detections": [\n{layout}\n  ]%s' % (before, *values, after)
 
 
 def features_csv(report: DetectionReport) -> str:

@@ -327,9 +327,12 @@ def merge(
     count = len(first_pixel)
     flat = seeds.ravel()
     sums = np.bincount(flat, weights=img.pixels.ravel(), minlength=count + 1)
+    sizes = np.bincount(flat, minlength=count + 1)
+    # The float sums are exact integers, so one correctly rounded array
+    # division gives the bits of Python's int / int; a row of no pixels is 0.0.
+    means = (sums / np.maximum(sizes, 1)).tolist()
     sums = sums.astype(np.int64).tolist()
-    sizes = np.bincount(flat, minlength=count + 1).tolist()
-    means = [s / n if n else 0.0 for s, n in zip(sums, sizes)]
+    sizes = sizes.tolist()
     # Memoryviews read the graph as Python ints without a copy of it.
     targets, offsets = map(memoryview, _adjacency(seeds, count))
     # A region's neighbour ids, stored when its visit ends; before that it

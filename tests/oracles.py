@@ -528,3 +528,19 @@ def read_p2(data):
             raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
         values.append(value)
     return np.array(values, dtype=np.uint8).reshape(height, width)
+
+
+def report_to_dict(report):
+    """The report as a JSON-ready dict: ``vars()`` of its dataclasses.
+
+    Detections are sorted by region id. ``json.dumps(report_to_dict(r),
+    indent=2) + "\\n"`` is the reference for ``report_json``'s bytes.
+    Shallow: the lists and dicts are the report's own objects.
+    """
+    return {
+        **vars(report),
+        "detections": [
+            {**vars(det), "features": vars(det.features), "fit": vars(det.fit)}
+            for det in sorted(report.detections, key=lambda d: d.region_id)
+        ],
+    }

@@ -1,9 +1,10 @@
 """Golden fingerprints that pin the pipeline's outputs byte for byte.
 
-Each case runs the whole pipeline and hashes the JSON report with its
-``timings`` removed (re-serialized the way ``report_json`` writes it), the
-label map PGM, the feature CSV and the boundary overlay PGM. A hash may
-change only in a change that says why.
+Each case runs the whole pipeline and hashes the JSON report, the label map
+PGM, the feature CSV and the boundary overlay PGM. The report file must read
+exactly as ``json.dumps(report, indent=2)`` plus a newline; its hash is taken
+of that text re-written with ``timings`` removed. A hash may change only in a
+change that says why.
 """
 
 import json
@@ -120,7 +121,9 @@ def fingerprints(name, tmp_path):
     make, overrides, *_ = CASES[name]
     cfg = PipelineConfig(output_dir=tmp_path, emit=("report", *ARTIFACTS), **overrides)
     run_pipeline(make(), cfg, source=f"{name}.pgm")
-    report = json.loads((tmp_path / f"{name}_report.json").read_text(encoding="utf-8"))
+    text = (tmp_path / f"{name}_report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
     report.pop("timings")
     report_bytes = (json.dumps(report, indent=2) + "\n").encode("utf-8")
     files = [(tmp_path / f"{name}_{suffix}").read_bytes() for suffix in ARTIFACTS.values()]

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mammocad.classify import RuleSet
+from mammocad.classify import Detection, RuleSet
 from mammocad.cli import CONFIG_PARSERS, build_config, main, parse_config_file
 from mammocad.errors import ConfigError, PipelineStageError
+from mammocad.features import FeatureVector
+from mammocad.fractal import BlanketFit
 from mammocad.image import GrayImage, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import (
@@ -22,10 +24,11 @@ from mammocad.pipeline import (
     PipelineConfig,
     features_csv,
     report_json,
-    report_to_dict,
     run_batch,
     run_pipeline,
 )
+
+from oracles import report_to_dict
 
 REPORT_KEYS = [
     "source",
@@ -161,6 +164,64 @@ class TestArtifacts:
         first = lines[1].split(",")
         assert first[-1] in ("tumor", "normal")
         assert int(first[0]) == report.detections[0].region_id
+
+
+# Text that would trip a writer that splices or splits the encoded report.
+JSON_TRAPS = ['"detections": []', '", "', "\\", '"', "\n", "\x00", "\x1f", "\x7f", "é", "😀"]
+json_text = st.lists(st.one_of(st.text(max_size=4), st.sampled_from(JSON_TRAPS)), max_size=4).map(
+    "".join
+)
+json_floats = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308]),
+)
+json_ints = st.integers(-(2**70), 2**70)
+detections = st.builds(
+    Detection,
+    region_id=json_ints,
+    features=st.builds(
+        FeatureVector, json_ints, *[json_floats] * (len(fields(FeatureVector)) - 1)
+    ),
+    dimension=json_floats,
+    label=json_text,
+    failed_rules=st.lists(json_text, max_size=3),
+    fit=st.builds(
+        BlanketFit,
+        st.lists(json_ints, min_size=2, max_size=12),
+        st.lists(json_floats, min_size=2, max_size=12),
+        json_floats,
+        json_floats,
+        json_floats,
+    ),
+)
+reports = st.builds(
+    DetectionReport,
+    source=json_text,
+    image_size=st.lists(json_ints, min_size=2, max_size=2),
+    threshold_used=json_ints,
+    region_count_pre_gate=json_ints,
+    region_count_post_gate=json_ints,
+    detections=st.lists(detections, max_size=4),
+    timings=st.dictionaries(json_text, json_floats, max_size=3),
+)
+
+
+class TestReportJson:
+    @settings(deadline=None, max_examples=100)
+    @given(reports)
+    def test_bytes_match_indented_dump(self, report):
+        assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+    def test_numpy_integer_raises_the_dumps_type_error(self):
+        fit = BlanketFit([1, 2], [4.0, 3.5], 2.4, 1.0, 0.0)
+        features = FeatureVector(9, 0.5, 1.0, 2.0, 3.0, 0.1, 12.0)
+        det = Detection(np.int64(3), features, 2.4, "normal", [], fit)
+        report = DetectionReport("x.pgm", [8, 8], 120, 5, 1, [det], {})
+        with pytest.raises(TypeError) as expected:
+            json.dumps(report_to_dict(report), indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            report_json(report)
 
 
 class TestRunBatch:
