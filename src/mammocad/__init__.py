@@ -29,7 +29,7 @@ from .pipeline import (
     run_batch,
     run_pipeline,
 )
-from .segment import Region, RegionMap, extract_regions, merge, segment_image, split
+from .segment import RegionMap, extract_regions, merge, segment_image, split
 from .threshold import BinaryMask, Histogram, apply_threshold, histogram, otsu_threshold
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Histogram",
     "MammoCadError",
     "PipelineConfig",
-    "Region",
     "RegionMap",
     "RuleSet",
     "apply_threshold",

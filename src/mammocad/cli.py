@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import RuleSet
-from .errors import ConfigError
+from .errors import ConfigError, IoFailure, MammoCadError
 from .image import GrayImage, write_pgm
 from .phantom import KINDS, generate_phantom
 from .pipeline import (
@@ -160,7 +160,10 @@ def _cmd_detect(args) -> int:
 
 def _cmd_phantom(args) -> int:
     img, truth = generate_phantom(args.kind, args.seed, args.size)
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {args.out}: {exc}") from exc
     stem = f"{args.kind}_{args.seed}"
     image_path = args.out / f"{stem}.pgm"
     truth_path = args.out / f"{stem}_truth.pgm"
@@ -180,6 +183,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MammoCadError as exc:  # from the phantom command; detect reports per file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateRegion
 from .image import GrayImage
-from .segment import RegionMap, boundary_mask
+from .segment import RegionMap, boundary_mask, wanted_rows
 
 
 @dataclass
@@ -158,21 +158,14 @@ def feature_table(
     :class:`FeatureVector` fields of region i in field order; rows of
     regions not in ``ids`` are 0. ``grad`` defaults to :func:`gradient_map`.
     """
+    wanted = wanted_rows(img, region_map, ids)
     labels = region_map.labels
-    if labels.shape != img.pixels.shape:
-        raise ValueError("image and region map dimensions differ")
-    rows = region_map.region_count + 1
-    ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size and not (1 <= ids.min() and ids.max() < rows):
-        raise ValueError(f"region ids must lie in 1..{rows - 1}")
-    wanted = np.zeros(rows, dtype=bool)
-    wanted[ids] = True
     ids = np.flatnonzero(wanted)
     if grad is None:
         grad = gradient_map(img)
     elif grad.shape != labels.shape:
         raise ValueError("gradient and region map dimensions differ")
-    table = np.zeros((rows, 7), dtype=np.float64)
+    table = np.zeros((len(wanted), 7), dtype=np.float64)
     if ids.size:
         # The pass runs on the bounding box of those regions: the outer
         # neighbour of a region pixel on its edge is not in the region, so

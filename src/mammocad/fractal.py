@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateFit, RegionTooSmall
 from .image import GrayImage
-from .segment import Region, RegionMap
+from .segment import RegionMap, wanted_rows
 
 
 @dataclass
@@ -64,15 +64,9 @@ def blanket_area_table(
     """
     if r_max < 2:
         raise ValueError("r_max must be >= 2")
+    wanted = wanted_rows(img, region_map, ids)
     labels = region_map.labels
-    if labels.shape != img.pixels.shape:
-        raise ValueError("image and region map dimensions differ")
-    rows = region_map.region_count + 1
-    ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size and not (1 <= ids.min() and ids.max() < rows):
-        raise ValueError(f"region ids must lie in 1..{rows - 1}")
-    wanted = np.zeros(rows, dtype=bool)
-    wanted[ids] = True
+    rows = len(wanted)
     # A ring of background around the map keeps every neighbor index in
     # range and never matches a region's label.
     padded = np.pad(labels, 1).ravel()
@@ -112,10 +106,18 @@ def blanket_areas(
     a region of fewer than 2 pixels raises :class:`RegionTooSmall`.
     """
     areas = blanket_area_table(img, region_map, [region_id], r_max)[region_id]
-    size = np.count_nonzero(region_map.labels == region_id)
-    if size < 2:
-        raise RegionTooSmall(f"region {region_id} has {size} pixel(s)")
+    _check_size(areas, region_id)
     return list(range(1, r_max + 1)), areas.tolist()
+
+
+def _check_size(areas: np.ndarray, region_id: int) -> None:
+    """Raise :class:`RegionTooSmall` for a one-pixel region, from its A(1..r_max) row.
+
+    Every pixel adds (u_1 - b_1) / 2 >= 1 to A(1), and a lone pixel exactly
+    1, so A(1) < 2 exactly when the region has fewer than 2 pixels.
+    """
+    if areas[0] < 2:
+        raise RegionTooSmall(f"region {region_id} has 1 pixel")
 
 
 def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,23 +159,21 @@ def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
     return BlanketTable(areas, *fits)
 
 
-def blanket_dimension(table: BlanketTable, region: Region) -> BlanketFit:
-    """The blanket fit of ``region``: row ``region.id`` of a :func:`fit_table`."""
-    rid = region.id
-    if region.area < 2:
-        raise RegionTooSmall(f"region {rid} has {region.area} pixel(s)")
-    if math.isnan(table.dimension[rid]):
-        raise ValueError(f"table has no fit for region {rid}")
+def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
+    """The blanket fit of region ``region_id``: its row of a :func:`fit_table`."""
+    if math.isnan(table.dimension[region_id]):
+        raise ValueError(f"table has no fit for region {region_id}")
+    _check_size(table.areas[region_id], region_id)
     return BlanketFit(
         list(range(1, table.areas.shape[1] + 1)),
-        table.areas[rid].tolist(),
-        float(table.dimension[rid]),
-        float(table.intercept[rid]),
-        float(table.residual[rid]),
+        table.areas[region_id].tolist(),
+        float(table.dimension[region_id]),
+        float(table.intercept[region_id]),
+        float(table.residual[region_id]),
     )
 
 
-def box_count_dimension(img: GrayImage, region: Region) -> float:
+def box_count_dimension(img: GrayImage, region_map: RegionMap, region_id: int) -> float:
     """Differential box-counting roughness over the region's bounding box.
 
     For each grid side s (powers of two up to half the short bbox side) the
@@ -181,7 +181,10 @@ def box_count_dimension(img: GrayImage, region: Region) -> float:
     contributes ceil(max/h) - floor(min/h) + 1 boxes. D is the slope of
     log N(s) against log(1/s).
     """
-    x0, y0, w, h = region.bbox
+    wanted_rows(img, region_map, [region_id])  # checks the shapes and the id
+    ys, xs = np.nonzero(region_map.labels == region_id)
+    x0, y0 = xs.min(), ys.min()
+    w, h = xs.max() - x0 + 1, ys.max() - y0 + 1
     short = min(w, h)
     if short < 8:
         raise RegionTooSmall(f"bounding box {w}x{h} below 8x8")

@@ -168,12 +168,11 @@ def run_pipeline(
         "segment",
         lambda: segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block),
     )
-    regions = stage("regions", lambda: extract_regions(region_map, cfg.min_region_pixels))
+    ids = stage("regions", lambda: extract_regions(region_map, cfg.min_region_pixels))
 
     def _fractal():
-        ids = [region.id for region in regions]
         table = fit_table(blanket_area_table(inverted, region_map, ids, cfg.r_max), ids)
-        return {region.id: blanket_dimension(table, region) for region in regions}
+        return {rid: blanket_dimension(table, rid) for rid in ids}
 
     fits = stage("fractal", _fractal)
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)

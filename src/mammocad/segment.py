@@ -21,7 +21,7 @@ merge they replace.
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,19 +67,21 @@ class RegionMap:
         return self.labels.shape[0]
 
 
-@dataclass
-class Region:
-    """One segmented region: a label id and its summary geometry.
+def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np.ndarray:
+    """Check ``ids`` against the map; a bool per id 0..region_count, True at ``ids``.
 
-    Its pixels are those of ``labels == id``. ``bbox`` is (x, y, width,
-    height) of the smallest enclosing rectangle; ``centroid`` is the mean
-    pixel coordinate.
+    The image must have the map's shape and every id must lie in
+    1..region_count; either fault raises ``ValueError``.
     """
-
-    id: int
-    area: int
-    bbox: tuple[int, int, int, int]
-    centroid: tuple[float, float]
+    if region_map.labels.shape != img.pixels.shape:
+        raise ValueError("image and region map dimensions differ")
+    rows = region_map.region_count + 1
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size and not (1 <= ids.min() and ids.max() < rows):
+        raise ValueError(f"region ids must lie in 1..{rows - 1}")
+    wanted = np.zeros(rows, dtype=bool)
+    wanted[ids] = True
+    return wanted
 
 
 class _Level(NamedTuple):
@@ -299,10 +301,9 @@ def merge(
     block; ``blocks`` is :func:`split`'s ``(n, 4)`` array or any list of
     ``(x, y, w, h)`` tuples that partitions the image. Regions are scanned
     by ascending id; a scanned region absorbs any 4-adjacent region whose
-    mean gray value is within ``tau_merge`` of its own, and passes repeat
-    until one completes with no merge, so at return no adjacent pair is
-    within ``tau_merge``. Ids are then relabeled densely in raster order of
-    each region's first pixel.
+    mean gray value is within ``tau_merge`` of its own, so at return no
+    adjacent pair is within ``tau_merge``. Ids are then relabeled densely in
+    raster order of each region's first pixel.
 
     The seeds come from union-find labelling (:func:`_seed_labels`). The
     scan runs on a region adjacency graph built once from the seed labels,
@@ -312,7 +313,7 @@ def merge(
     again. Neighbour lists are not rewritten on an absorb: ids are read
     through ``absorbed_by`` to the region that holds them now.
 
-    One pass reaches the fixpoint, so the scan makes only that one. A
+    The scan is a single pass, since that pass reaches the fixpoint. A
     region's mean changes only during its own visit, and two regions become
     adjacent only during a visit by one of them. Each visit ends with no
     neighbour within ``tau_merge``. So for two regions adjacent after the
@@ -414,41 +415,10 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     )
 
 
-def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[Region]:
-    """One :class:`Region` per label id with at least ``min_pixels`` pixels, ascending.
-
-    The pixels of those regions are grouped by region with one stable sort,
-    which keeps them in raster order within each region, and every
-    region's extremes and coordinate sums come from one ``reduceat`` each.
-    """
-    labels = region_map.labels
-    sizes = np.bincount(labels.ravel(), minlength=region_map.region_count + 1)
-    kept = sizes >= min_pixels
-    kept[0] = False
-    ids = np.flatnonzero(kept)
-    if not ids.size:
-        return []
-    flat = np.flatnonzero(kept[labels.ravel()]).astype(np.int32)
-    flat = flat[np.argsort(labels.ravel()[flat], kind="stable")]
-    ys, xs = np.divmod(flat, np.int32(labels.shape[1]))
-    sizes = sizes[ids]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    x_min = np.minimum.reduceat(xs, starts).tolist()
-    x_max = np.maximum.reduceat(xs, starts).tolist()
-    x_sum = np.add.reduceat(xs, starts, dtype=np.int64).tolist()
-    y_sum = np.add.reduceat(ys, starts, dtype=np.int64).tolist()
-    y_min = ys[starts].tolist()
-    y_max = ys[ends - 1].tolist()
-    return [
-        Region(
-            rid,
-            area,
-            (x_min[k], y_min[k], x_max[k] - x_min[k] + 1, y_max[k] - y_min[k] + 1),
-            (x_sum[k] / area, y_sum[k] / area),
-        )
-        for k, (rid, area) in enumerate(zip(ids.tolist(), sizes.tolist()))
-    ]
+def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[int]:
+    """The ids of the regions with at least ``min_pixels`` pixels, ascending."""
+    sizes = np.bincount(region_map.labels.ravel(), minlength=region_map.region_count + 1)
+    return (np.flatnonzero(sizes[1:] >= min_pixels) + 1).tolist()
 
 
 def write_region_map_pgm(region_map: RegionMap, path) -> None:

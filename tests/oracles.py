@@ -3,6 +3,8 @@
 Everything here is deliberately naive: plain loops, Fractions, dicts. None
 of it shares code paths with the package: the per-region references take
 :class:`RegionRecord`s that :func:`region_geometry` builds from a label map.
+The one exception is :func:`oracle_pipeline`, which reads the package's
+``gradient_map``, since the Sobel loop here agrees with it only to 1e-12.
 """
 
 import math
@@ -18,6 +20,8 @@ from mammocad.errors import (
     TruncatedData,
     UnsupportedMaxval,
 )
+from mammocad.features import gradient_map
+from mammocad.image import GrayImage
 
 
 def otsu_sweep(counts) -> int:
@@ -544,3 +548,112 @@ def report_to_dict(report):
             for det in sorted(report.detections, key=lambda d: d.region_id)
         ],
     }
+
+
+def haar_pyramid(pixels, levels):
+    """``levels`` halvings, each 2x2 block {a, b, c, d} to round((a+b+c+d)/4), half up."""
+    rows = [[int(v) for v in row] for row in pixels]
+    for _ in range(levels):
+        rows = [
+            [
+                (rows[y][x] + rows[y][x + 1] + rows[y + 1][x] + rows[y + 1][x + 1] + 2) // 4
+                for x in range(0, len(rows[0]), 2)
+            ]
+            for y in range(0, len(rows), 2)
+        ]
+    return np.array(rows, dtype=np.uint8)
+
+
+def oracle_pipeline(img, cfg):
+    """The whole pipeline composed from the stage oracles above, in plain loops.
+
+    Returns the report dict without ``timings`` (source ``"<memory>"``), the
+    feature CSV text, the label map and the boundary overlay's pixels, for
+    ``run_pipeline(img, cfg)``.
+    """
+    pixels = img.pixels
+    if cfg.dwt_first:
+        pixels = haar_pyramid(pixels, cfg.dwt_levels)
+    inverted = np.array([[255 - int(v) for v in row] for row in pixels], dtype=np.uint8)
+    if not cfg.dwt_first:
+        inverted = haar_pyramid(inverted, cfg.dwt_levels)
+    height, width = inverted.shape
+
+    counts = [0] * 256
+    for v in inverted.ravel().tolist():
+        counts[v] += 1
+    threshold = otsu_sweep(counts) if cfg.threshold == "auto" else int(cfg.threshold)
+    bits = inverted > threshold
+    blocks = quadtree_split(inverted, bits, cfg.tau_split, cfg.min_block)
+    labels = flood_merge(inverted, bits, blocks, cfg.tau_merge)
+    records = region_geometry(labels)
+    working = GrayImage(inverted)
+
+    scales = list(range(1, cfg.r_max + 1))
+    fits = {}
+    for record in records:
+        if len(record.pixels) >= cfg.min_region_pixels:
+            _, areas = padded_blanket_areas(working, record, cfg.r_max)
+            dimension, intercept, residual = line_fit(scales, areas)
+            fits[record.id] = {
+                "scales": scales,
+                "areas": areas,
+                "dimension": dimension,
+                "intercept": intercept,
+                "residual": residual,
+            }
+    gated = [rid for rid, fit in fits.items() if cfg.d_min <= fit["dimension"] <= cfg.d_max]
+
+    rules = {
+        "min_area": 50,
+        "max_area": max(width * height // 4, 50),
+        "min_compactness": 0.4,
+        "min_boundary_gradient": 2.0,
+        "min_intensity_diff": 10.0,
+        **cfg.rule_overrides,
+    }
+    grad = gradient_map(working)
+    detections = []
+    for rid in gated:
+        features = region_features(records[rid - 1], working, grad)
+        failed = []
+        if features["area"] < rules["min_area"]:
+            failed.append("min_area")
+        if features["area"] > rules["max_area"]:
+            failed.append("max_area")
+        if features["compactness"] < rules["min_compactness"]:
+            failed.append("min_compactness")
+        if features["boundary_gradient"] < rules["min_boundary_gradient"]:
+            failed.append("min_boundary_gradient")
+        if features["intensity_diff"] < rules["min_intensity_diff"]:
+            failed.append("min_intensity_diff")
+        detections.append(
+            {
+                "region_id": rid,
+                "features": features,
+                "dimension": fits[rid]["dimension"],
+                "label": "normal" if failed else "tumor",
+                "failed_rules": failed,
+                "fit": fits[rid],
+            }
+        )
+    report = {
+        "source": "<memory>",
+        "image_size": [width, height],
+        "threshold_used": threshold,
+        "region_count_pre_gate": len(records),
+        "region_count_post_gate": len(detections),
+        "detections": detections,
+    }
+
+    lines = ["id,area,cmp,mwg,mg,var,edv,diff,D,label"]
+    for det in detections:
+        numbers = [det["region_id"], *det["features"].values(), det["dimension"]]
+        lines.append(",".join([repr(v) for v in numbers] + [det["label"]]))
+    csv = "\n".join(lines) + "\n"
+
+    overlay = 255 - inverted
+    for record in records:
+        for x, y in record.boundary:
+            overlay[y, x] = 255
+    return report, csv, labels, overlay

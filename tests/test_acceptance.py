@@ -15,7 +15,7 @@ from mammocad.fractal import blanket_areas, box_count_dimension, fit_dimension
 from mammocad.image import GrayImage, haar_downsample, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import PipelineConfig, run_batch, run_pipeline
-from mammocad.segment import RegionMap, extract_regions, segment_image
+from mammocad.segment import RegionMap, segment_image
 from mammocad.threshold import BinaryMask, Histogram, otsu_threshold
 
 from oracles import diamond_square, naive_features, otsu_sweep, region_geometry
@@ -91,7 +91,7 @@ def test_criterion_3_fractal_oracle_agreement():
     ]:
         rm = full_map(img)
         d_blanket = fit_dimension(*blanket_areas(img, rm, 1)).dimension
-        d_box = box_count_dimension(img, extract_regions(rm)[0])
+        d_box = box_count_dimension(img, rm, 1)
         gap = abs(d_blanket - d_box)
         assert gap <= 0.3, (name, d_blanket, d_box)
         dims[name] = d_blanket

@@ -34,10 +34,6 @@ def full_map(img):
     return RegionMap(np.ones(img.pixels.shape, dtype=np.int32), 1)
 
 
-def full_region(img):
-    return extract_regions(full_map(img))[0]
-
-
 def map_from_mask(img, bits):
     rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
     assert rm.region_count == 1
@@ -189,9 +185,9 @@ class TestBlanketAreaTable:
         rm = dense_map(rng.integers(0, 4, (12, 12)) // 2 * rng.integers(1, 3, (12, 12)))
         ids = range(1, rm.region_count + 1)
         table = fit_table(blanket_area_table(img, rm, ids, 6), ids)
-        for region in extract_regions(rm, min_pixels=2):
-            alone = fit_dimension(*blanket_areas(img, rm, region.id, 6))
-            assert blanket_dimension(table, region) == alone
+        for rid in extract_regions(rm, min_pixels=2):
+            alone = fit_dimension(*blanket_areas(img, rm, rid, 6))
+            assert blanket_dimension(table, rid) == alone
 
     def test_validation(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
@@ -212,7 +208,22 @@ class TestBlanketAreaTable:
         rm = map_from_mask(img, bits)
         table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
         with pytest.raises(RegionTooSmall):
-            blanket_dimension(table, extract_regions(rm)[0])
+            blanket_dimension(table, 1)
+        with pytest.raises(ValueError):  # an unfitted row, before its size
+            blanket_dimension(fit_table(table.areas, []), 1)
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=labeled_images(), r_max=st.integers(2, 6))
+    def test_first_area_bounds_pixel_count(self, case, r_max):
+        """A(1) >= the region's pixel count, and A(1) == 1 exactly for one pixel.
+
+        ``blanket_dimension`` and ``blanket_areas`` read a region's size from A(1).
+        """
+        img, rm, _ = case
+        table = blanket_area_table(img, rm, range(1, rm.region_count + 1), r_max)
+        sizes = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)[1:]
+        assert (table[1:, 0] >= sizes).all()
+        assert np.array_equal(table[1:, 0] == 1.0, sizes == 1)
 
 
 class TestFitTable:
@@ -222,17 +233,16 @@ class TestFitTable:
     @given(case=labeled_images(), r_max=st.integers(2, 16))
     def test_matches_per_row_fit(self, case, r_max):
         img, rm, rng = case
-        regions = [r for r in extract_regions(rm, min_pixels=2) if rng.random() < 0.7]
-        ids = [r.id for r in regions]
+        ids = [rid for rid in extract_regions(rm, min_pixels=2) if rng.random() < 0.7]
         areas = blanket_area_table(img, rm, ids, r_max)
         table = fit_table(areas, ids)
         scales = list(range(1, r_max + 1))
-        for region in regions:
-            row = areas[region.id].tolist()
+        for rid in ids:
+            row = areas[rid].tolist()
             dimension, intercept, residual = line_fit(scales, row)
             expected = BlanketFit(scales, row, dimension, intercept, residual)
-            assert blanket_dimension(table, region) == expected
-            assert fit_dimension(*blanket_areas(img, rm, region.id, r_max)) == expected
+            assert blanket_dimension(table, rid) == expected
+            assert fit_dimension(*blanket_areas(img, rm, rid, r_max)) == expected
             assert fit_dimension(scales, row) == expected
         unfitted = np.ones(rm.region_count + 1, dtype=bool)
         unfitted[ids] = False
@@ -258,9 +268,9 @@ class TestFitTable:
         img = GrayImage(np.zeros((3, 3), np.uint8))
         rm = RegionMap(np.ones((3, 3), np.int32), 1)
         table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
-        assert blanket_dimension(table, full_region(img)).scales == [1, 2, 3, 4]
+        assert blanket_dimension(table, 1).scales == [1, 2, 3, 4]
         with pytest.raises(ValueError):
-            blanket_dimension(fit_table(table.areas, []), full_region(img))
+            blanket_dimension(fit_table(table.areas, []), 1)
 
 
 class TestFitDimension:
@@ -296,22 +306,37 @@ class TestFitDimension:
 class TestBoxCount:
     def test_flat_block(self):
         img = GrayImage(np.full((64, 64), 90, np.uint8))
-        assert abs(box_count_dimension(img, full_region(img)) - 2.0) <= 0.05
+        assert abs(box_count_dimension(img, full_map(img), 1) - 2.0) <= 0.05
 
     def test_uniform_noise_is_rough(self):
         rng = np.random.default_rng(2)
         img = GrayImage(rng.integers(0, 256, (64, 64)).astype(np.uint8))
-        d = box_count_dimension(img, full_region(img))
+        d = box_count_dimension(img, full_map(img), 1)
         assert 2.3 < d < 3.0
 
     def test_smooth_ramp_is_smooth(self):
         img = GrayImage(np.tile(np.arange(64, dtype=np.uint8) * 3, (64, 1)))
-        assert box_count_dimension(img, full_region(img)) < 2.2
+        assert box_count_dimension(img, full_map(img), 1) < 2.2
 
     def test_small_bbox_rejected(self):
         img = GrayImage(np.zeros((6, 6), np.uint8))
         with pytest.raises(RegionTooSmall):
-            box_count_dimension(img, full_region(img))
+            box_count_dimension(img, full_map(img), 1)
+
+    def test_region_is_its_bounding_box(self):
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 256, (40, 50)).astype(np.uint8)
+        labels = np.ones((40, 50), np.int32)
+        labels[3:35, 9:25] = 2  # the 32x16 box of region 2, with a hole
+        labels[10, 12] = 1
+        img, rm = GrayImage(pixels), RegionMap(labels, 2)
+        crop = GrayImage(pixels[3:35, 9:25].copy())
+        assert box_count_dimension(img, rm, 2) == box_count_dimension(crop, full_map(crop), 1)
+        for bad in (0, 3):
+            with pytest.raises(ValueError, match=r"1\.\.2"):
+                box_count_dimension(img, rm, bad)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            box_count_dimension(crop, rm, 2)
 
 
 class TestOracleAgreement:
@@ -336,7 +361,7 @@ class TestOracleAgreement:
             ("midpoint", mpd),
         ]:
             d_blanket = fit_dimension(*blanket_areas(img, full_map(img), 1)).dimension
-            d_box = box_count_dimension(img, full_region(img))
+            d_box = box_count_dimension(img, full_map(img), 1)
             assert abs(d_blanket - d_box) <= 0.3, name
             dims[name] = d_blanket
         assert dims["flat"] < dims["ramp_noise"] < dims["noise"]

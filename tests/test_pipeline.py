@@ -1,7 +1,7 @@
 import json
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from mammocad.pipeline import (
     run_pipeline,
 )
 
-from oracles import report_to_dict
+from oracles import oracle_pipeline, report_to_dict
 
 REPORT_KEYS = [
     "source",
@@ -385,6 +385,17 @@ class TestCli:
         assert (out_dir / "tumor_1_report.json").exists()
         assert (out_dir / "tumor_1_features.csv").exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_phantom_out_on_a_file_exits_one(self, tmp_path, capsys, under):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if under else afile
+        args = ["phantom", "--kind", "tumor", "--size", "64", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create {out}: ")
+        assert err.count("\n") == 1
+
     def test_detect_flags_override(self, tmp_path):
         img, _ = generate_phantom("blank", 1, 128)
         src = tmp_path / "b.pgm"
@@ -676,3 +687,81 @@ def test_batch_sweep_over_extreme_inputs(images, **config):
                     assert (tmp / "out" / f"{path.stem}_{name}.{suffix}").is_file(), name
             else:
                 assert isinstance(result, BatchError)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random image and a valid config whose pyramid divides the image."""
+    levels = draw(st.integers(0, 2))
+    step = 1 << levels
+    width = step * draw(st.integers(1, 24 // step))
+    height = step * draw(st.integers(1, 24 // step))
+    spread = draw(st.sampled_from([1, 4, 16, 64, 256]))
+    base = draw(st.integers(0, 256 - spread))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
+    # Overrides valid on this image: min_area within the max_area in force.
+    overrides = {}
+    if draw(st.booleans()):
+        overrides["max_area"] = draw(st.integers(1, 300))
+    cap = overrides.get("max_area", max((width >> levels) * (height >> levels) // 4, 50))
+    if cap < 50 or draw(st.booleans()):
+        overrides["min_area"] = draw(st.integers(0, cap))
+    for key, values in (
+        ("min_compactness", st.floats(0.0, 1.0)),
+        ("min_boundary_gradient", st.floats(0.0, 40.0)),
+        ("min_intensity_diff", st.floats(-60.0, 60.0)),
+    ):
+        if draw(st.booleans()):
+            overrides[key] = draw(values)
+    d_min, d_max = draw(st.sampled_from([(2.4, 2.75), (1.5, 3.5)]))
+    cfg = PipelineConfig(
+        dwt_levels=levels,
+        dwt_first=draw(st.booleans()),
+        threshold=draw(st.one_of(st.just("auto"), st.integers(0, 255))),
+        tau_split=draw(st.integers(0, 255)),
+        tau_merge=draw(st.integers(0, 255)),
+        min_block=draw(st.integers(1, 4)),
+        r_max=draw(st.integers(2, 12)),
+        d_min=d_min,
+        d_max=d_max,
+        min_region_pixels=draw(st.integers(2, 10)),
+        rule_overrides=overrides,
+        emit=EMIT_CHOICES,
+    )
+    return GrayImage(pixels), cfg
+
+
+def read_label_map(path):
+    """The label PGM's ids, from one- or two-byte samples."""
+    _, dims, maxval, raster = path.read_bytes().split(b"\n", 3)
+    width, height = map(int, dims.split())
+    dtype = np.uint8 if int(maxval) < 256 else ">u2"
+    return np.frombuffer(raster, dtype=dtype).reshape(height, width)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=oracle_cases())
+def test_pipeline_matches_oracle(case):
+    """PGM pixels to artifact bytes: the package equals the stage oracles composed."""
+    img, cfg = case
+    report, csv, labels, overlay = oracle_pipeline(img, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        run_pipeline(img, replace(cfg, output_dir=out))
+        text = (out / "image_report.json").read_text(encoding="utf-8")
+        timings = json.loads(text)["timings"]
+        assert text == json.dumps({**report, "timings": timings}, indent=2) + "\n"
+        assert (out / "image_features.csv").read_text(encoding="utf-8") == csv
+        assert np.array_equal(read_label_map(out / "image_labels.pgm"), labels)
+        assert np.array_equal(read_pgm(out / "image_overlay.pgm").pixels, overlay)
+
+
+def test_package_exports():
+    import mammocad
+
+    for name in mammocad.__all__:
+        assert getattr(mammocad, name, None) is not None, name
+    namespace = {}
+    exec("from mammocad import *", namespace)
+    assert set(mammocad.__all__) <= namespace.keys()
