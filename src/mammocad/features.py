@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateRegion
 from .image import GrayImage
-from .segment import RegionMap, boundary_mask, wanted_rows
+from .segment import RegionMap, boundary_mask, check_id, wanted_rows
 
 
 @dataclass
@@ -180,6 +180,7 @@ def feature_table(
 
 def compute_features(table: np.ndarray, region_id: int) -> FeatureVector:
     """The feature vector of region ``region_id``: its row of a :func:`feature_table`."""
+    check_id(region_id, len(table))
     row = table[region_id]
     if not row[0]:
         raise ValueError(f"table has no row for region {region_id}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateFit, RegionTooSmall
 from .image import GrayImage
-from .segment import RegionMap, wanted_rows
+from .segment import RegionMap, check_id, checked_ids, wanted_rows
 
 
 @dataclass
@@ -151,9 +151,7 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
 
 def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
     """Fit the rows ``ids`` of a :func:`blanket_area_table` at r = 1..r_max at once."""
-    ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size and not (1 <= ids.min() and ids.max() < len(areas)):
-        raise ValueError(f"region ids must lie in 1..{len(areas) - 1}")
+    ids = checked_ids(ids, len(areas))
     fits = np.full((3, len(areas)), np.nan)
     fits[:, ids] = _fit_lines(range(1, areas.shape[1] + 1), areas[ids])
     return BlanketTable(areas, *fits)
@@ -161,6 +159,7 @@ def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
 
 def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
     """The blanket fit of region ``region_id``: its row of a :func:`fit_table`."""
+    check_id(region_id, len(table.areas))
     if math.isnan(table.dimension[region_id]):
         raise ValueError(f"table has no fit for region {region_id}")
     _check_size(table.areas[region_id], region_id)

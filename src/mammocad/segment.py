@@ -6,7 +6,9 @@ whose mean gray values differ by at most ``tau_merge`` until nothing changes.
 One scan by ascending region id reaches that fixpoint: a region's mean
 changes only during its own visit, two regions become adjacent only during a
 visit by one of them, and each visit ends with no neighbour within
-``tau_merge`` (see :func:`merge`).
+``tau_merge`` (see :func:`merge`). The scan skips every seed with no
+higher-id neighbour within ``tau_merge`` at the seed means: such a visit
+would absorb nothing.
 Background pixels never join a region. Regions are 8-connected internally;
 adjacency between regions (for merging and boundaries) is 4-connected, which
 avoids checkerboard fusion.
@@ -76,12 +78,28 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
     if region_map.labels.shape != img.pixels.shape:
         raise ValueError("image and region map dimensions differ")
     rows = region_map.region_count + 1
-    ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size and not (1 <= ids.min() and ids.max() < rows):
-        raise ValueError(f"region ids must lie in 1..{rows - 1}")
     wanted = np.zeros(rows, dtype=bool)
-    wanted[ids] = True
+    wanted[checked_ids(ids, rows)] = True
     return wanted
+
+
+def check_id(region_id: int, rows: int) -> None:
+    """``ValueError`` unless ``region_id`` lies in 1..rows - 1.
+
+    ``rows`` is the row count of a per-region table, whose row 0 is the
+    background, so a negative id never reads a row from the end.
+    """
+    if not 1 <= region_id < rows:
+        raise ValueError(f"region ids must lie in 1..{rows - 1}")
+
+
+def checked_ids(ids: Iterable[int], rows: int) -> np.ndarray:
+    """``ids`` as an int64 array, each checked by :func:`check_id`."""
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size:
+        check_id(ids.min(), rows)
+        check_id(ids.max(), rows)
+    return ids
 
 
 class _Level(NamedTuple):
@@ -292,6 +310,23 @@ def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return targets, offsets
 
 
+def _merge_visits(
+    means: np.ndarray, targets: np.ndarray, offsets: np.ndarray, tau_merge: int
+) -> list[int]:
+    """The seeds with a higher-id neighbour within ``tau_merge`` at the seed means.
+
+    ``means`` holds each seed's mean by id and (targets, offsets) is the
+    graph of :func:`_adjacency`. Only these seeds can absorb anything in
+    :func:`merge`'s scan; the ids come back ascending, as Python ints.
+    """
+    tau = min(tau_merge, 255)  # means differ by at most 255; a huge int would not fit a float
+    rows = np.repeat(np.arange(len(means), dtype=np.int32), np.diff(offsets))
+    near = (targets > rows) & (np.abs(means[rows] - means[targets]) <= tau)
+    visit = np.zeros(len(means), dtype=bool)
+    visit[rows[near]] = True
+    return np.flatnonzero(visit).tolist()
+
+
 def merge(
     img: GrayImage, mask: BinaryMask, blocks: np.ndarray | list[Block], tau_merge: int = 10
 ) -> RegionMap:
@@ -320,6 +355,19 @@ def merge(
     pass, the later of their two visits ended with them adjacent, both
     means final and the means more than ``tau_merge`` apart, and a second
     pass would merge nothing.
+
+    The same argument lets the scan skip seeds (:func:`_merge_visits`).
+    When an unabsorbed seed's visit comes, its mean is still the seed's.
+    Each lower-id region next to it either ended its own visit with this
+    seed listed and more than ``tau_merge`` away, and has not changed since,
+    or is a skipped seed, which by the test below is more than ``tau_merge``
+    from every higher-id neighbour. Each higher-id neighbour is still a
+    seed. So a seed with no higher-id neighbour within ``tau_merge`` at the
+    seed means would absorb nothing, and it is not visited. It keeps the
+    graph's neighbour ids, read through ``absorbed_by`` like those of any
+    region that has absorbed nothing.
+    Within a visit, one loop over the neighbour list finds the smallest-id
+    neighbour within ``tau_merge``.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
@@ -331,23 +379,28 @@ def merge(
     sizes = np.bincount(flat, minlength=count + 1)
     # The float sums are exact integers, so one correctly rounded array
     # division gives the bits of Python's int / int; a row of no pixels is 0.0.
-    means = (sums / np.maximum(sizes, 1)).tolist()
+    mean_of = sums / np.maximum(sizes, 1)
+    means = mean_of.tolist()
     sums = sums.astype(np.int64).tolist()
     sizes = sizes.tolist()
+    targets, offsets = _adjacency(seeds, count)
+    visits = _merge_visits(mean_of, targets, offsets, tau_merge)
     # Memoryviews read the graph as Python ints without a copy of it.
-    targets, offsets = map(memoryview, _adjacency(seeds, count))
+    targets, offsets = memoryview(targets), memoryview(offsets)
     # A region's neighbour ids, stored when its visit ends; before that it
     # has absorbed nothing and its ids are the graph's. Either may name
     # regions absorbed since, so ids are read through ``absorbed_by``.
     neighbours: list[list[int] | None] = [None] * (count + 1)
     absorbed_by = [0] * (count + 1)  # 0 while the region is its own
     seen_in = [0] * (count + 1)  # the visit that last listed the region
+    none_close = count + 1  # above every id
 
-    for rid in range(1, count + 1):
+    for rid in visits:
         if absorbed_by[rid]:
             continue
         own = []  # rid's current neighbours, each once
         seen_in[rid] = rid
+        total, size, mean = sums[rid], sizes[rid], means[rid]
         target = rid
         while True:
             links = neighbours[target]
@@ -360,16 +413,18 @@ def merge(
                 if seen_in[other] != rid:
                     seen_in[other] = rid
                     own.append(other)
-            mean = means[rid]
-            close = [other for other in own if -tau_merge <= mean - means[other] <= tau_merge]
-            if not close:
+            target = none_close
+            for other in own:
+                if other < target and -tau_merge <= mean - means[other] <= tau_merge:
+                    target = other
+            if target == none_close:
                 break
-            target = min(close)
             own.remove(target)
             absorbed_by[target] = rid
-            sums[rid] += sums[target]
-            sizes[rid] += sizes[target]
-            means[rid] = sums[rid] / sizes[rid]
+            total += sums[target]
+            size += sizes[target]
+            mean = total / size
+        sums[rid], sizes[rid], means[rid] = total, size, mean
         neighbours[rid] = own
 
     # Each seed's final region, then each region's first pixel: the first

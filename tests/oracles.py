@@ -356,8 +356,8 @@ def flood_merge(pixels, bits, blocks, tau_merge):
     return flood_merge_passes(pixels, bits, blocks, tau_merge)[0]
 
 
-def flood_merge_passes(pixels, bits, blocks, tau_merge):
-    """:func:`flood_merge`'s label array and the number of merges in each pass."""
+def flood_seeds(bits, blocks):
+    """:func:`flood_merge`'s seeds by flood fill: the label array and each id's (x, y) pixels."""
     height, width = bits.shape
     labels = np.zeros((height, width), dtype=np.int64)
     members = {}
@@ -385,6 +385,13 @@ def flood_merge_passes(pixels, bits, blocks, tau_merge):
                         ):
                             labels[ny, nx] = rid
                             stack.append((nx, ny))
+    return labels, members
+
+
+def flood_merge_passes(pixels, bits, blocks, tau_merge):
+    """:func:`flood_merge`'s label array and the number of merges in each pass."""
+    height, width = bits.shape
+    labels, members = flood_seeds(bits, blocks)
     total = {rid: sum(int(pixels[y, x]) for x, y in pts) for rid, pts in members.items()}
 
     def neighbours(rid):

@@ -86,4 +86,6 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
     # The pipeline builds its regions in extract_regions, so their time is
     # the extract layer's and not pipeline.self_ms.
     assert row["segment.extract_ms"] > 0
+    # The merge scan runs inside segment.merge, the function the tracer times.
+    assert row["segment.merge_ms"] > 0
     assert abs(row["unaccounted_ms"]) <= 1e-6 * max(1.0, row["total_ms"])

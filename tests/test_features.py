@@ -344,3 +344,12 @@ class TestFeatureTable:
         dot[1, 1] = 1
         with pytest.raises(DegenerateRegion):
             feature_table(img, RegionMap(dot, 1), [1])
+
+    @pytest.mark.parametrize("rid", [-1, 0, 3])
+    def test_row_rejects_ids_outside_the_map(self, rid):
+        """A negative id must not read the last row: ids are 1..region_count."""
+        img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
+        rm = RegionMap(np.repeat([[1, 1, 2, 2]], 4, axis=0), 2)
+        table = feature_table(img, rm, [1, 2])
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            compute_features(table, rid)

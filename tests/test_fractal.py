@@ -272,6 +272,15 @@ class TestFitTable:
         with pytest.raises(ValueError):
             blanket_dimension(fit_table(table.areas, []), 1)
 
+    @pytest.mark.parametrize("rid", [-1, 0, 3])
+    def test_dimension_rejects_ids_outside_the_map(self, rid):
+        """A negative id must not read the last row: ids are 1..region_count."""
+        img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
+        rm = RegionMap(np.repeat([[1, 1, 2, 2]], 4, axis=0), 2)
+        table = fit_table(blanket_area_table(img, rm, [1, 2], 4), [1, 2])
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            blanket_dimension(table, rid)
+
 
 class TestFitDimension:
     def test_flat_surface_is_exactly_two(self):

@@ -92,6 +92,15 @@ CASES = {
         "4eff5cbede603747a22c16e9e3d60c59802cdedcf5e480f088f1078af5361cf9",
         "04dd8a59d5ce2bc4d5c96c52f9212c9a801a159f00b923c6c457c96e59b2e0e3",
     ),
+    # Dense full resolution: the root block is the only leaf, 982 regions.
+    "blank_256_l0": (
+        lambda: generate_phantom("blank", 1, 256)[0],
+        {"dwt_levels": 0},
+        "2ab4b7d50df7388f70ff379f6b536880fbe89d905fbd900ff0915695f931873e",
+        "b81114af881ae6460958a2c28095edca671e74cda029318bb48d8e8f02e97ace",
+        "6edae4b181937d0f64b7cc7d5b9125e8de6d47cce533c87360539dfc802b80ed",
+        "b9379ce56ed04d9dd37f5785edbaa2ac84d39bcaa2f69b8b5684cfea3c028481",
+    ),
     # Full resolution at 512 px: the working image is the phantom itself.
     "tumor_512_l0": (
         lambda: generate_phantom("tumor", 1, 512)[0],

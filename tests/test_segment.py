@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mammocad import segment as segment_module
 from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
@@ -20,6 +23,7 @@ from oracles import (
     connected_components_8,
     flood_merge,
     flood_merge_passes,
+    flood_seeds,
     quadtree_split,
     region_geometry,
 )
@@ -419,3 +423,99 @@ class TestOracleEquivalence:
         assert np.array_equal(
             merge(img, mask, blocks, 255).labels, np.where(bits, 1, 0)
         )
+
+
+def pixel_leaves(height, width):
+    """Every pixel its own leaf block, so every pixel is a seed."""
+    return [(x, y, 1, 1) for y in range(height) for x in range(width)]
+
+
+def seed_visits(pixels, bits, blocks, tau_merge):
+    """The seeds with a higher-id 4-neighbour seed within ``tau_merge`` at the seed means."""
+    labels, members = flood_seeds(bits, blocks)
+    means = {
+        rid: sum(int(pixels[y, x]) for x, y in pts) / len(pts) for rid, pts in members.items()
+    }
+    height, width = labels.shape
+    visits = set()
+    for y in range(height):
+        for x in range(width):
+            for nx, ny in ((x + 1, y), (x, y + 1)):
+                if nx < width and ny < height and labels[y, x] and labels[ny, nx]:
+                    low, high = sorted((int(labels[y, x]), int(labels[ny, nx])))
+                    if low != high and abs(means[low] - means[high]) <= tau_merge:
+                        visits.add(low)
+    return sorted(visits)
+
+
+class TestMergeVisits:
+    """``merge`` visits only the seeds that can absorb, with the labels unchanged."""
+
+    @pytest.mark.parametrize("tau", [0, 7, 10, 200])
+    @pytest.mark.parametrize("apart,merged", [(0, True), (1, False)])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_means_exactly_tau_apart_merge(self, tau, apart, merged, shape, rising):
+        """Two one-pixel leaves merge at a gap of exactly ``tau_merge``, not one more."""
+        values = [40, 40 + tau + apart]
+        if not rising:
+            values.reverse()
+        pixels = np.array(values, dtype=np.uint8).reshape(shape)
+        bits = np.ones(shape, dtype=bool)
+        blocks = pixel_leaves(*shape)
+        rm = merge(GrayImage(pixels), BinaryMask(bits, 0), blocks, tau)
+        assert np.array_equal(rm.labels, flood_merge(pixels, bits, blocks, tau))
+        assert rm.region_count == (1 if merged else 2)
+
+    def test_huge_tau_merges_like_255(self):
+        """No mean gap exceeds 255, and a tau beyond any float still works."""
+        rng = np.random.default_rng(3)
+        img, mask = random_pair(rng)
+        blocks = split(img, mask, 0)
+        assert np.array_equal(
+            merge(img, mask, blocks, 10**400).labels, merge(img, mask, blocks, 255).labels
+        )
+
+    def test_skipped_seed_absorbed_by_a_higher_id(self):
+        """Seed 1 is never visited, and seed 5 absorbs it (found by a random search).
+
+        Seeds 1..6 are the pixels in raster order. Seed 1 (9) has no higher
+        neighbour within 3 (15 and 0), so it is skipped. Seed 2 (15) absorbs
+        seed 4 (12), whose visit then never comes; seed 5 (12) absorbs seed 6
+        (9), then region 2 at 13.5, then seed 1 at the region's new mean 12.
+        """
+        pixels = np.array([[9, 15], [0, 12], [12, 9]], dtype=np.uint8)
+        bits = np.ones(pixels.shape, dtype=bool)
+        blocks = pixel_leaves(*pixels.shape)
+        assert seed_visits(pixels, bits, blocks, 3) == [2, 4, 5]
+        rm = merge(GrayImage(pixels), BinaryMask(bits, 0), blocks, 3)
+        expected = flood_merge(pixels, bits, blocks, 3)
+        assert np.array_equal(rm.labels, expected)
+        # Seed 1 is the lowest id of a five-seed region, so a higher id absorbed it.
+        assert np.array_equal(expected, [[1, 1], [2, 1], [1, 1]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair=image_and_mask(max_side=24),
+        tau_split=st.sampled_from(TAUS),
+        tau_merge=st.sampled_from(TAUS),
+        min_block=st.integers(1, 5),
+    )
+    def test_visits_are_the_seeds_with_a_close_higher_neighbour(
+        self, pair, tau_split, tau_merge, min_block
+    ):
+        img, mask = pair
+        blocks = split(img, mask, tau_split, min_block)
+        visited = []
+
+        def recorded(*args):
+            visited.append(visits(*args))
+            return visited[-1]
+
+        visits = segment_module._merge_visits
+        with mock.patch.object(segment_module, "_merge_visits", recorded):
+            rm = merge(img, mask, blocks, tau_merge)
+        expected = seed_visits(img.pixels, mask.bits, leaves(blocks), tau_merge)
+        assert visited == [expected]
+        assert all(type(rid) is int for rid in expected)
+        assert np.array_equal(rm.labels, flood_merge(img.pixels, mask.bits, blocks, tau_merge))
