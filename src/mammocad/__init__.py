@@ -17,7 +17,6 @@ from .fractal import (
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
-    fit_table,
     roughness_gate,
 )
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
@@ -59,7 +58,6 @@ __all__ = [
     "extract_regions",
     "feature_table",
     "fit_dimension",
-    "fit_table",
     "generate_phantom",
     "gradient_map",
     "haar_downsample",

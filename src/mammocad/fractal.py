@@ -10,10 +10,10 @@ box-counting estimator over the region's bounding box serves as an
 independent cross-check.
 
 The blankets of all fitted regions grow in one pass over the label map,
-where a neighbor counts only if it carries the same label
-(:func:`blanket_area_table`), and their log-log lines are fitted in one
-pass over the table's rows (:func:`fit_table`). A region is a label id:
-one region alone is a table of that one id (:func:`blanket_areas`).
+where a neighbor counts only if it carries the same label, and their
+log-log lines are fitted in one pass over the table's rows
+(:func:`blanket_area_table`). A region is a label id: one region alone is
+a table of that one id (:func:`blanket_areas`).
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateFit, RegionTooSmall
 from .image import GrayImage
-from .segment import RegionMap, check_id, checked_ids, wanted_rows
+from .segment import RegionMap, check_id, wanted_rows
 
 
 @dataclass
@@ -41,7 +41,7 @@ class BlanketFit:
 class BlanketTable(NamedTuple):
     """Blanket areas and log-log fits of many regions, row i for region i."""
 
-    areas: np.ndarray  # (rows, r_max) from blanket_area_table
+    areas: np.ndarray  # (rows, r_max); 0 in rows that were not fitted
     dimension: np.ndarray  # (rows,); NaN in rows that were not fitted
     intercept: np.ndarray
     residual: np.ndarray
@@ -49,12 +49,13 @@ class BlanketTable(NamedTuple):
 
 def blanket_area_table(
     img: GrayImage, region_map: RegionMap, ids: Iterable[int], r_max: int = 8
-) -> np.ndarray:
-    """Surface-area estimates A(1..r_max) of the regions ``ids`` in one pass.
+) -> BlanketTable:
+    """Surface-area estimates A(1..r_max) of the regions ``ids``, fitted in one pass.
 
-    Returns an array of shape (region_count + 1, r_max) whose row i holds
-    A(1..r_max) of region i; rows of regions not in ``ids`` are 0. The
-    blanket grows over the pixels of all those regions together, where a
+    Returns a :class:`BlanketTable` of region_count + 1 rows: row i holds
+    A(1..r_max) of region i and its :func:`fit_dimension` line. Rows of
+    regions not in ``ids`` have areas 0 and NaN fits. The blanket grows
+    over the pixels of all those regions together, where a
     4-neighbor counts only if it has the same label, so every region's
     blanket is exactly the one it would grow alone. Every pixel gets the
     compact indices of its 4 neighbors; a neighbor off the image or in
@@ -85,12 +86,14 @@ def blanket_area_table(
 
     upper = np.pad(img.pixels, 1).ravel()[at].astype(np.int32)
     lower = upper.copy()
-    table = np.zeros((rows, r_max), dtype=np.float64)
+    areas = np.zeros((rows, r_max), dtype=np.float64)
     for r in range(1, r_max + 1):
         upper = np.maximum(upper[neighbors].max(0), upper + 1)
         lower = np.minimum(lower[neighbors].min(0), lower - 1)
-        table[:, r - 1] = np.bincount(group, weights=upper - lower, minlength=rows) / (2 * r)
-    return table
+        areas[:, r - 1] = np.bincount(group, weights=upper - lower, minlength=rows) / (2 * r)
+    fits = np.full((3, rows), np.nan)
+    fits[:, wanted] = _fit_lines(range(1, r_max + 1), areas[wanted])
+    return BlanketTable(areas, *fits)
 
 
 def blanket_areas(
@@ -105,7 +108,7 @@ def blanket_areas(
     This is row ``region_id`` of :func:`blanket_area_table` of that one id;
     a region of fewer than 2 pixels raises :class:`RegionTooSmall`.
     """
-    areas = blanket_area_table(img, region_map, [region_id], r_max)[region_id]
+    areas = blanket_area_table(img, region_map, [region_id], r_max).areas[region_id]
     _check_size(areas, region_id)
     return list(range(1, r_max + 1)), areas.tolist()
 
@@ -149,16 +152,8 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
     return BlanketFit(list(scales), [float(a) for a in areas], *map(float, fitted))
 
 
-def fit_table(areas: np.ndarray, ids: Iterable[int]) -> BlanketTable:
-    """Fit the rows ``ids`` of a :func:`blanket_area_table` at r = 1..r_max at once."""
-    ids = checked_ids(ids, len(areas))
-    fits = np.full((3, len(areas)), np.nan)
-    fits[:, ids] = _fit_lines(range(1, areas.shape[1] + 1), areas[ids])
-    return BlanketTable(areas, *fits)
-
-
 def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
-    """The blanket fit of region ``region_id``: its row of a :func:`fit_table`."""
+    """The blanket fit of region ``region_id``: its row of a :func:`blanket_area_table`."""
     check_id(region_id, len(table.areas))
     if math.isnan(table.dimension[region_id]):
         raise ValueError(f"table has no fit for region {region_id}")

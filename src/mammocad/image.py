@@ -44,9 +44,14 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
+        pixels = np.asarray(self.pixels)
+        if pixels.ndim != 2 or pixels.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
+        # The cast below would wrap values outside 0..255 and drop fractions.
+        if pixels.dtype != np.uint8:
+            if pixels.dtype.kind not in "iu" or pixels.min() < 0 or pixels.max() > 255:
+                raise ValueError("pixels must be integers in 0..255")
+        self.pixels = pixels.astype(np.uint8, copy=False)
 
     @property
     def width(self) -> int:
@@ -194,8 +199,13 @@ def write_pgm(img: GrayImage, path, mode: str = "binary") -> None:
             " ".join(str(v) for v in flat[i : i + 17]) for i in range(0, len(flat), 17)
         ]
         payload = (header + "\n".join(lines) + "\n").encode("ascii")
+    write_bytes(path, payload)
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path``; an ``OSError`` becomes :class:`IoFailure`."""
     try:
-        Path(path).write_bytes(payload)
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

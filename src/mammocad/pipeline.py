@@ -9,6 +9,7 @@ timing values embedded in the JSON report.
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from numbers import Integral, Real
@@ -17,8 +18,8 @@ from pathlib import Path
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
 from .features import FeatureVector, compute_features, feature_table, gradient_map
-from .fractal import blanket_area_table, blanket_dimension, fit_table, roughness_gate
-from .image import GrayImage, haar_downsample, negate, read_pgm, write_pgm
+from .fractal import blanket_area_table, blanket_dimension, roughness_gate
+from .image import GrayImage, haar_downsample, negate, read_pgm, write_bytes, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
 
@@ -132,64 +133,51 @@ def resolve_rules(cfg: PipelineConfig, working_pixels: int) -> RuleSet:
     return rules
 
 
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Time the block into ``timings[name]``; its MammoCadError becomes a PipelineStageError."""
+    start = time.perf_counter()
+    try:
+        yield
+    except MammoCadError as exc:
+        raise PipelineStageError(name, exc) from exc
+    timings[name] = (time.perf_counter() - start) * 1000.0
+
+
 def run_pipeline(
     img: GrayImage, cfg: PipelineConfig, source: str = "<memory>"
 ) -> DetectionReport:
     """Run all stages on one image, emitting artifacts per cfg.emit."""
     cfg.validate()
     timings: dict[str, float] = {}
-
-    def stage(name, fn):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except MammoCadError as exc:
-            raise PipelineStageError(name, exc) from exc
-        timings[name] = (time.perf_counter() - start) * 1000.0
-        return result
-
     working = img
     if cfg.dwt_first and cfg.dwt_levels:
-        working = stage("downsample", lambda: haar_downsample(img, cfg.dwt_levels))
-    inverted = stage("negate", lambda: negate(working))
+        with _stage(timings, "downsample"):
+            working = haar_downsample(img, cfg.dwt_levels)
+    with _stage(timings, "negate"):
+        inverted = negate(working)
     if not cfg.dwt_first and cfg.dwt_levels:
-        inverted = stage("downsample", lambda: haar_downsample(inverted, cfg.dwt_levels))
-
-    def _threshold():
-        t = (
-            otsu_threshold(histogram(inverted))
-            if cfg.threshold == "auto"
-            else int(cfg.threshold)
-        )
-        return apply_threshold(inverted, t)
-
-    mask = stage("threshold", _threshold)
-    region_map = stage(
-        "segment",
-        lambda: segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block),
-    )
-    ids = stage("regions", lambda: extract_regions(region_map, cfg.min_region_pixels))
-
-    def _fractal():
-        table = fit_table(blanket_area_table(inverted, region_map, ids, cfg.r_max), ids)
-        return {rid: blanket_dimension(table, rid) for rid in ids}
-
-    fits = stage("fractal", _fractal)
+        with _stage(timings, "downsample"):
+            inverted = haar_downsample(inverted, cfg.dwt_levels)
+    with _stage(timings, "threshold"):
+        t = otsu_threshold(histogram(inverted)) if cfg.threshold == "auto" else int(cfg.threshold)
+        mask = apply_threshold(inverted, t)
+    with _stage(timings, "segment"):
+        region_map = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block)
+    with _stage(timings, "regions"):
+        ids = extract_regions(region_map, cfg.min_region_pixels)
+    with _stage(timings, "fractal"):
+        blankets = blanket_area_table(inverted, region_map, ids, cfg.r_max)
+        fits = {rid: blanket_dimension(blankets, rid) for rid in ids}
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
-
-    def _features():
-        if not gated_ids:
-            return {}
-        table = feature_table(inverted, region_map, gated_ids, gradient_map(inverted))
-        return {rid: compute_features(table, rid) for rid in gated_ids}
-
-    vectors = stage("features", _features)
-
-    def _classify():
+    with _stage(timings, "features"):
+        vectors = {}
+        if gated_ids:
+            table = feature_table(inverted, region_map, gated_ids, gradient_map(inverted))
+            vectors = {rid: compute_features(table, rid) for rid in gated_ids}
+    with _stage(timings, "classify"):
         rules = resolve_rules(cfg, inverted.width * inverted.height)
-        return [classify(rid, vectors[rid], fits[rid], rules) for rid in gated_ids]
-
-    detections = stage("classify", _classify)
+        detections = [classify(rid, vectors[rid], fits[rid], rules) for rid in gated_ids]
 
     report = DetectionReport(
         source=source,
@@ -222,17 +210,10 @@ def run_pipeline(
                 out / f"{stem}_overlay.pgm",
             )
         if "features" in cfg.emit:
-            _write_text(out / f"{stem}_features.csv", features_csv(report))
+            write_bytes(out / f"{stem}_features.csv", features_csv(report).encode("utf-8"))
         if "report" in cfg.emit:
-            _write_text(out / f"{stem}_report.json", report_json(report))
+            write_bytes(out / f"{stem}_report.json", report_json(report).encode("utf-8"))
     return report
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:

@@ -22,13 +22,12 @@ merge they replace.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import IoFailure, TooManyRegions
-from .image import GrayImage
+from .errors import TooManyRegions
+from .image import GrayImage, write_bytes
 from .threshold import BinaryMask
 
 Block = tuple[int, int, int, int]  # (x, y, width, height)
@@ -44,7 +43,11 @@ class RegionMap:
     region_count: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
+        labels = np.asarray(self.labels)
+        # The cast below would drop fractions.
+        if labels.dtype.kind not in "iu":
+            raise ValueError("labels must be integers")
+        self.labels = labels.astype(np.int32, copy=False)
         if self.labels.ndim != 2:
             raise ValueError("labels must be 2-D")
         # Dense ids in O(n): no label below 0 or above region_count, and a
@@ -78,8 +81,12 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
     if region_map.labels.shape != img.pixels.shape:
         raise ValueError("image and region map dimensions differ")
     rows = region_map.region_count + 1
+    ids = np.fromiter(ids, dtype=np.int64)
+    if ids.size:
+        check_id(ids.min(), rows)
+        check_id(ids.max(), rows)
     wanted = np.zeros(rows, dtype=bool)
-    wanted[checked_ids(ids, rows)] = True
+    wanted[ids] = True
     return wanted
 
 
@@ -91,15 +98,6 @@ def check_id(region_id: int, rows: int) -> None:
     """
     if not 1 <= region_id < rows:
         raise ValueError(f"region ids must lie in 1..{rows - 1}")
-
-
-def checked_ids(ids: Iterable[int], rows: int) -> np.ndarray:
-    """``ids`` as an int64 array, each checked by :func:`check_id`."""
-    ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size:
-        check_id(ids.min(), rows)
-        check_id(ids.max(), rows)
-    return ids
 
 
 class _Level(NamedTuple):
@@ -491,10 +489,7 @@ def write_region_map_pgm(region_map: RegionMap, path) -> None:
         raster = region_map.labels.astype(np.uint8).tobytes()
     else:
         raster = region_map.labels.astype(">u2").tobytes()
-    try:
-        Path(path).write_bytes(header + raster)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header + raster)
 
 
 def overlay_boundaries(img: GrayImage, region_map: RegionMap) -> GrayImage:

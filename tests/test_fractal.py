@@ -13,7 +13,6 @@ from mammocad.fractal import (
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
-    fit_table,
     roughness_gate,
 )
 from mammocad.image import GrayImage
@@ -151,7 +150,7 @@ class TestBlanketAreaTable:
 
     @staticmethod
     def assert_matches_oracle(img, rm, ids, r_max):
-        table = blanket_area_table(img, rm, ids, r_max)
+        table = blanket_area_table(img, rm, ids, r_max).areas
         assert table.shape == (rm.region_count + 1, r_max)
         records = {r.id: r for r in region_geometry(rm.labels)}
         for rid in range(rm.region_count + 1):
@@ -184,7 +183,7 @@ class TestBlanketAreaTable:
         img = GrayImage(rng.integers(0, 256, (12, 12)).astype(np.uint8))
         rm = dense_map(rng.integers(0, 4, (12, 12)) // 2 * rng.integers(1, 3, (12, 12)))
         ids = range(1, rm.region_count + 1)
-        table = fit_table(blanket_area_table(img, rm, ids, 6), ids)
+        table = blanket_area_table(img, rm, ids, 6)
         for rid in extract_regions(rm, min_pixels=2):
             alone = fit_dimension(*blanket_areas(img, rm, rid, 6))
             assert blanket_dimension(table, rid) == alone
@@ -199,18 +198,16 @@ class TestBlanketAreaTable:
                 blanket_area_table(img, rm, ids, 4)
         with pytest.raises(ValueError):
             blanket_area_table(GrayImage(np.zeros((3, 4), np.uint8)), rm, [1], 4)
-        assert not blanket_area_table(img, rm, [], 4).any()
+        assert not blanket_area_table(img, rm, [], 4).areas.any()
 
     def test_dimension_with_table_rejects_one_pixel_region(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
-        bits = np.zeros((3, 3), dtype=bool)
-        bits[1, 1] = True
-        rm = map_from_mask(img, bits)
-        table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
+        rm = RegionMap(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 2]]), 2)
+        table = blanket_area_table(img, rm, [1], 4)
         with pytest.raises(RegionTooSmall):
             blanket_dimension(table, 1)
-        with pytest.raises(ValueError):  # an unfitted row, before its size
-            blanket_dimension(fit_table(table.areas, []), 1)
+        with pytest.raises(ValueError, match="no fit"):  # an unfitted row, before its size
+            blanket_dimension(table, 2)
 
     @settings(deadline=None, max_examples=80)
     @given(case=labeled_images(), r_max=st.integers(2, 6))
@@ -220,7 +217,7 @@ class TestBlanketAreaTable:
         ``blanket_dimension`` and ``blanket_areas`` read a region's size from A(1).
         """
         img, rm, _ = case
-        table = blanket_area_table(img, rm, range(1, rm.region_count + 1), r_max)
+        table = blanket_area_table(img, rm, range(1, rm.region_count + 1), r_max).areas
         sizes = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)[1:]
         assert (table[1:, 0] >= sizes).all()
         assert np.array_equal(table[1:, 0] == 1.0, sizes == 1)
@@ -234,8 +231,8 @@ class TestFitTable:
     def test_matches_per_row_fit(self, case, r_max):
         img, rm, rng = case
         ids = [rid for rid in extract_regions(rm, min_pixels=2) if rng.random() < 0.7]
-        areas = blanket_area_table(img, rm, ids, r_max)
-        table = fit_table(areas, ids)
+        table = blanket_area_table(img, rm, ids, r_max)
+        areas = table.areas
         scales = list(range(1, r_max + 1))
         for rid in ids:
             row = areas[rid].tolist()
@@ -250,34 +247,33 @@ class TestFitTable:
 
     @pytest.mark.parametrize("r_max", [2, 5, 8, 9, 16, 33])
     def test_many_rows(self, r_max):
+        """Hundreds of regions of one to a dozen pixels, every other one fitted."""
         rng = np.random.default_rng(r_max)
-        areas = rng.random((300, r_max)) * 10.0 ** rng.integers(0, 6, (300, 1)) + 1.0
-        ids = list(range(1, 300, 2))
-        table = fit_table(areas, ids)
+        rm = dense_map(rng.integers(0, 300, (40, 40)))
+        img = GrayImage(rng.integers(0, 256, (40, 40)).astype(np.uint8))
+        ids = list(range(1, rm.region_count + 1, 2))
+        table = blanket_area_table(img, rm, ids, r_max)
         scales = list(range(1, r_max + 1))
         for rid in ids:
+            fit = fit_dimension(scales, table.areas[rid].tolist())
             fitted = (table.dimension[rid], table.intercept[rid], table.residual[rid])
-            assert fitted == line_fit(scales, areas[rid].tolist())
+            assert fitted == (fit.dimension, fit.intercept, fit.residual)
 
     def test_validation(self):
-        areas = np.ones((3, 4))
-        for ids in ([0], [3], [-1]):
-            with pytest.raises(ValueError):
-                fit_table(areas, ids)
-        assert np.isnan(fit_table(areas, []).dimension).all()
         img = GrayImage(np.zeros((3, 3), np.uint8))
-        rm = RegionMap(np.ones((3, 3), np.int32), 1)
-        table = fit_table(blanket_area_table(img, rm, [1], 4), [1])
+        rm = RegionMap(np.repeat([[1, 1, 2]], 3, axis=0), 2)
+        assert np.isnan(blanket_area_table(img, rm, [], 4).dimension).all()
+        table = blanket_area_table(img, rm, [1], 4)
         assert blanket_dimension(table, 1).scales == [1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            blanket_dimension(fit_table(table.areas, []), 1)
+        with pytest.raises(ValueError, match="no fit"):
+            blanket_dimension(table, 2)
 
     @pytest.mark.parametrize("rid", [-1, 0, 3])
     def test_dimension_rejects_ids_outside_the_map(self, rid):
         """A negative id must not read the last row: ids are 1..region_count."""
         img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         rm = RegionMap(np.repeat([[1, 1, 2, 2]], 4, axis=0), 2)
-        table = fit_table(blanket_area_table(img, rm, [1, 2], 4), [1, 2])
+        table = blanket_area_table(img, rm, [1, 2], 4)
         with pytest.raises(ValueError, match=r"1\.\.2"):
             blanket_dimension(table, rid)
 

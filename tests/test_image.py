@@ -149,6 +149,8 @@ class TestReadPgm:
             # A bad byte among those present comes before too few bytes.
             (b"P5\n3 1\n15\n\x01\x11", InvalidPixelValue, "sample 17 outside [0, 15]"),
             (b"P5\n3 1\n15\n\x0f\x00", TruncatedData, "expected 3 bytes, found 2"),
+            (b"P5\n1 1\n255#c\n\x00", MalformedHeader, "missing whitespace after maxval"),
+            (b"P5\n1 1\n255", MalformedHeader, "missing whitespace after maxval"),
         ],
     )
     def test_p5_first_fault_reported(self, data, error, message, tmp_path):
@@ -281,6 +283,32 @@ class TestWritePgm:
         path = tmp_path_factory.mktemp("pgm") / "rt.pgm"
         write_pgm(img, path, mode=mode)
         assert read_pgm(path) == img
+
+
+class TestGrayImage:
+    @pytest.mark.parametrize(
+        "pixels, message",
+        [
+            # Values a cast to uint8 would change.
+            (np.array([[300, -1]]), "integers in 0..255"),
+            (np.array([[256]]), "integers in 0..255"),
+            (np.array([[-1]]), "integers in 0..255"),
+            (np.array([[1.7]]), "integers in 0..255"),
+            (np.array([[1.0]]), "integers in 0..255"),
+            (np.array([[True]]), "integers in 0..255"),
+            (np.zeros((0, 3), np.uint8), "non-empty 2-D"),
+            (np.zeros(3, np.uint8), "non-empty 2-D"),
+        ],
+    )
+    def test_rejected(self, pixels, message):
+        with pytest.raises(ValueError, match=message):
+            GrayImage(pixels)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
+    def test_integers_in_range_kept(self, dtype):
+        img = GrayImage(np.array([[0, 7], [100, 127]], dtype=dtype))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[0, 7], [100, 127]]
 
 
 class TestNegate:

@@ -436,6 +436,21 @@ class TestCli:
         code = main(["detect", str(src), "--config", str(cfg_file)])
         assert code == 2
 
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        code = main(["detect", "x.pgm", "--config", str(tmp_path / "missing.cfg")])
+        assert code == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_bad_config_value_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("dwt_first = maybe\n")
+        assert main(["detect", "x.pgm", "--config", str(cfg_file)]) == 2
+        assert "bad value" in capsys.readouterr().err
+
+    def test_phantom_too_small_exits_two(self, tmp_path, capsys):
+        assert main(["phantom", "--kind", "tumor", "--size", "10", "--out", str(tmp_path)]) == 2
+        assert "error: size must be >= 64" in capsys.readouterr().err
+
     def test_bad_flag_value_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["detect", "x.pgm", "--threshold", "warm"])
@@ -538,6 +553,25 @@ class TestBatchContract:
             cfg.validate()
         with pytest.raises(ConfigError):
             run_batch([tmp_path / "never_read.pgm"], cfg)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"dwt_levels": -1},
+            {"threshold": 256},
+            {"threshold": -1},
+            {"tau_split": -1},
+            {"tau_merge": -1},
+            {"min_block": 0},
+            {"r_max": 1},
+            {"min_region_pixels": 1},
+            {"rule_overrides": {"no_such_rule": 1}},
+        ],
+    )
+    def test_out_of_range_fields_rejected_before_reading(self, field, tmp_path):
+        # The path does not exist: reading it would give a BatchError entry.
+        with pytest.raises(ConfigError):
+            run_batch([tmp_path / "never_read.pgm"], PipelineConfig(**field, output_dir=None))
 
     def test_fields_of_any_number_type_accepted(self):
         PipelineConfig(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mammocad import segment as segment_module
+from mammocad.errors import IoFailure
 from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
@@ -289,6 +290,10 @@ class TestExports:
         raster = np.frombuffer(data[len(header) :], dtype=">u2").reshape(15, 20)
         assert (raster == labels).all()
 
+    def test_region_map_pgm_unwritable_path(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot write"):
+            write_region_map_pgm(RegionMap([[1]], 1), tmp_path / "no" / "dir" / "labels.pgm")
+
     def test_overlay_paints_boundary(self):
         img = GrayImage(np.full((3, 3), 50, np.uint8))
         rm = segment_image(img, full_mask(3, 3))
@@ -299,6 +304,16 @@ class TestExports:
     def test_region_map_validation(self):
         with pytest.raises(ValueError):
             RegionMap(np.array([[0, 2]], dtype=np.int32), 1)  # id 1 missing
+
+    @pytest.mark.parametrize("labels", [np.array([[1.9, 0]]), np.array([[1.0]]), np.array([[True]])])
+    def test_region_map_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            RegionMap(labels, 1)
+
+    def test_region_map_casts_integer_labels(self):
+        rm = RegionMap(np.array([[2, 0, 1]], dtype=np.int64), 2)
+        assert rm.labels.dtype == np.int32
+        assert rm.labels.tolist() == [[2, 0, 1]]
 
     @pytest.mark.parametrize(
         "labels,count",
