@@ -13,7 +13,6 @@ from .fractal import (
     BlanketFit,
     BlanketTable,
     blanket_area_table,
-    blanket_areas,
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
@@ -49,7 +48,6 @@ __all__ = [
     "RuleSet",
     "apply_threshold",
     "blanket_area_table",
-    "blanket_areas",
     "blanket_dimension",
     "box_count_dimension",
     "classify",

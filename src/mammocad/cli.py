@@ -84,10 +84,6 @@ def build_config(file_values: dict, cli_values: dict) -> PipelineConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     rule_overrides = {k: merged.pop(k) for k in list(merged) if k in RULE_KEYS}
-    known = {f.name for f in fields(PipelineConfig)}
-    for key in merged:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
     cfg = PipelineConfig(rule_overrides=rule_overrides, **merged)
     cfg.validate()
     return cfg

@@ -59,8 +59,3 @@ class ConfigError(MammoCadError):
 
 class PipelineStageError(MammoCadError):
     """A pipeline stage failed; message carries the stage name."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
-        self.cause = cause

@@ -12,8 +12,9 @@ independent cross-check.
 The blankets of all fitted regions grow in one pass over the label map,
 where a neighbor counts only if it carries the same label, and their
 log-log lines are fitted in one pass over the table's rows
-(:func:`blanket_area_table`). A region is a label id: one region alone is
-a table of that one id (:func:`blanket_areas`).
+(:func:`blanket_area_table`). A region is a label id, and one region alone
+is a table of that one id:
+``blanket_dimension(blanket_area_table(img, region_map, [rid], r_max), rid)``.
 """
 
 import math
@@ -96,33 +97,6 @@ def blanket_area_table(
     return BlanketTable(areas, *fits)
 
 
-def blanket_areas(
-    img: GrayImage, region_map: RegionMap, region_id: int, r_max: int = 8
-) -> tuple[list[int], list[float]]:
-    """Surface-area estimates A(r) for r = 1..r_max over one region.
-
-    u and b start at the pixel values; each step sets
-    u_r = max(u_{r-1} + 1, 4-neighbor max of u_{r-1}) and b_r symmetrically
-    with min and -1. Neighbors outside the region (or image) are ignored, so
-    the blanket is intrinsic to the region and background cannot bias it.
-    This is row ``region_id`` of :func:`blanket_area_table` of that one id;
-    a region of fewer than 2 pixels raises :class:`RegionTooSmall`.
-    """
-    areas = blanket_area_table(img, region_map, [region_id], r_max).areas[region_id]
-    _check_size(areas, region_id)
-    return list(range(1, r_max + 1)), areas.tolist()
-
-
-def _check_size(areas: np.ndarray, region_id: int) -> None:
-    """Raise :class:`RegionTooSmall` for a one-pixel region, from its A(1..r_max) row.
-
-    Every pixel adds (u_1 - b_1) / 2 >= 1 to A(1), and a lone pixel exactly
-    1, so A(1) < 2 exactly when the region has fewer than 2 pixels.
-    """
-    if areas[0] < 2:
-        raise RegionTooSmall(f"region {region_id} has 1 pixel")
-
-
 def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D, intercept and residual of log A(r) on log r for each row of ``areas``.
 
@@ -157,7 +131,10 @@ def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
     check_id(region_id, len(table.areas))
     if math.isnan(table.dimension[region_id]):
         raise ValueError(f"table has no fit for region {region_id}")
-    _check_size(table.areas[region_id], region_id)
+    # Every pixel adds (u_1 - b_1) / 2 >= 1 to A(1), and a lone pixel exactly
+    # 1, so A(1) < 2 exactly when the region has fewer than 2 pixels.
+    if table.areas[region_id, 0] < 2:
+        raise RegionTooSmall(f"region {region_id} has 1 pixel")
     return BlanketFit(
         list(range(1, table.areas.shape[1] + 1)),
         table.areas[region_id].tolist(),
@@ -184,22 +161,16 @@ def box_count_dimension(img: GrayImage, region_map: RegionMap, region_id: int) -
         raise RegionTooSmall(f"bounding box {w}x{h} below 8x8")
     window = img.pixels[y0 : y0 + h, x0 : x0 + w].astype(np.float64)
 
-    sizes = []
-    s = 2
-    while s <= short // 2:
-        sizes.append(s)
-        s *= 2
+    sizes = [1 << k for k in range(1, int(short // 2).bit_length())]
     counts = []
     for s in sizes:
+        # Cells start every s rows and columns; reduceat clips the last ones
+        # at the window's edge.
+        rows, cols = np.arange(0, h, s), np.arange(0, w, s)
+        top = np.maximum.reduceat(np.maximum.reduceat(window, rows, 0), cols, 1)
+        bottom = np.minimum.reduceat(np.minimum.reduceat(window, rows, 0), cols, 1)
         box_h = s * 256.0 / short
-        total = 0
-        for cy in range(0, h, s):
-            for cx in range(0, w, s):
-                cell = window[cy : cy + s, cx : cx + s]
-                total += int(
-                    math.ceil(cell.max() / box_h) - math.floor(cell.min() / box_h) + 1
-                )
-        counts.append(total)
+        counts.append((np.ceil(top / box_h) - np.floor(bottom / box_h) + 1).sum())
     x = np.log(1.0 / np.asarray(sizes, dtype=np.float64))
     y = np.log(np.asarray(counts, dtype=np.float64))
     x_mean = x.mean()

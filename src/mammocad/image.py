@@ -229,7 +229,7 @@ def haar_downsample(img: GrayImage, levels: int) -> GrayImage:
         raise NotDivisible(
             f"{img.width}x{img.height} not divisible by 2^{levels}"
         )
-    a = img.pixels.astype(np.uint32)
+    a = img.pixels.astype(np.uint16)  # four samples plus 2 sum to at most 1022
     for _ in range(levels):
         s = a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]
         a = (s + 2) >> 2

@@ -140,7 +140,7 @@ def _stage(timings: dict[str, float], name: str):
     try:
         yield
     except MammoCadError as exc:
-        raise PipelineStageError(name, exc) from exc
+        raise PipelineStageError(f"{name}: {exc}") from exc
     timings[name] = (time.perf_counter() - start) * 1000.0
 
 

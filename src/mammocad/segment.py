@@ -47,19 +47,18 @@ class RegionMap:
         # The cast below would drop fractions.
         if labels.dtype.kind not in "iu":
             raise ValueError("labels must be integers")
-        self.labels = labels.astype(np.int32, copy=False)
-        if self.labels.ndim != 2:
+        if labels.ndim != 2:
             raise ValueError("labels must be 2-D")
-        # Dense ids in O(n): no label below 0 or above region_count, and a
-        # pixel for every id 1..region_count.
-        flat = self.labels.ravel()
-        dense = 0 <= self.region_count <= flat.size
-        if dense and flat.size:
-            dense = (
-                flat.min() >= 0
-                and flat.max() <= self.region_count
-                and np.bincount(flat, minlength=self.region_count + 1)[1:].all()
-            )
+        # Dense ids in O(n): no label below 0 or above region_count, checked on
+        # the labels as given since the int32 cast wraps wider ones; then, on
+        # the cast labels (numpy refuses a uint64 bincount), a pixel for every
+        # id 1..region_count.
+        dense = 0 <= self.region_count <= labels.size and (
+            not labels.size or (labels.min() >= 0 and labels.max() <= self.region_count)
+        )
+        self.labels = labels.astype(np.int32, copy=False)
+        if dense:
+            dense = np.bincount(self.labels.ravel(), minlength=self.region_count + 1)[1:].all()
         if not dense:
             raise ValueError("region ids must be dense 1..region_count")
 

@@ -17,6 +17,7 @@ from mammocad.errors import (
     DegenerateRegion,
     InvalidPixelValue,
     MalformedHeader,
+    RegionTooSmall,
     TruncatedData,
     UnsupportedMaxval,
 )
@@ -112,6 +113,38 @@ def padded_blanket_areas(img, region, r_max):
         scales.append(r)
         areas.append(volume / (2 * r))
     return scales, areas
+
+
+def box_count(img, region):
+    """Differential box counting over the region's bounding box, cell by cell.
+
+    For each grid side s (powers of two up to half the short bbox side) the
+    box height is h = s * 256 / M with M the short side; every s x s cell,
+    clipped at the box's right and bottom edges, adds
+    ceil(max/h) - floor(min/h) + 1 boxes. D is the slope of log N(s) on
+    log(1/s). The loop form the package used before its array reductions.
+    """
+    x0, y0, w, h = region.bbox
+    short = min(w, h)
+    if short < 8:
+        raise RegionTooSmall(f"bounding box {w}x{h} below 8x8")
+    window = img.pixels[y0 : y0 + h, x0 : x0 + w].astype(np.float64)
+    sizes, counts = [], []
+    s = 2
+    while s <= short // 2:
+        box_h = s * 256.0 / short
+        total = 0
+        for cy in range(0, h, s):
+            for cx in range(0, w, s):
+                cell = window[cy : cy + s, cx : cx + s]
+                total += math.ceil(cell.max() / box_h) - math.floor(cell.min() / box_h) + 1
+        sizes.append(s)
+        counts.append(total)
+        s *= 2
+    x = np.log(1.0 / np.asarray(sizes, dtype=np.float64))
+    y = np.log(np.asarray(counts, dtype=np.float64))
+    x_mean = x.mean()
+    return float(((x - x_mean) * (y - y.mean())).sum() / ((x - x_mean) ** 2).sum())
 
 
 def sobel_magnitude(pixels):

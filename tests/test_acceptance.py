@@ -11,7 +11,12 @@ import time
 import numpy as np
 
 from mammocad.features import gradient_map
-from mammocad.fractal import blanket_areas, box_count_dimension, fit_dimension
+from mammocad.fractal import (
+    blanket_area_table,
+    blanket_dimension,
+    box_count_dimension,
+    fit_dimension,
+)
 from mammocad.image import GrayImage, haar_downsample, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 from mammocad.pipeline import PipelineConfig, run_batch, run_pipeline
@@ -57,7 +62,7 @@ def test_criterion_1_pyramid_size_law():
 
 def test_criterion_2_flat_surface_and_exact_fit():
     img = GrayImage(np.full((16, 16), 123, np.uint8))
-    fit = fit_dimension(*blanket_areas(img, full_map(img), 1))
+    fit = blanket_dimension(blanket_area_table(img, full_map(img), [1]), 1)
     assert abs(fit.dimension - 2.0) <= 1e-9
     for d0 in (2.4, 2.75):
         scales = list(range(1, 9))
@@ -90,7 +95,7 @@ def test_criterion_3_fractal_oracle_agreement():
         ("midpoint", midpoint),
     ]:
         rm = full_map(img)
-        d_blanket = fit_dimension(*blanket_areas(img, rm, 1)).dimension
+        d_blanket = blanket_dimension(blanket_area_table(img, rm, [1]), 1).dimension
         d_box = box_count_dimension(img, rm, 1)
         gap = abs(d_blanket - d_box)
         assert gap <= 0.3, (name, d_blanket, d_box)
@@ -257,7 +262,8 @@ def test_criterion_7_end_to_end_phantoms(tmp_path):
     assert smooth_id > 0
     detected_ids = {d.region_id for d in multi_report.detections}
     assert smooth_id not in detected_ids  # dropped by the roughness gate
-    assert fit_dimension(*blanket_areas(inverted, region_map, smooth_id)).dimension < 2.4
+    smooth = blanket_area_table(inverted, region_map, [smooth_id])
+    assert blanket_dimension(smooth, smooth_id).dimension < 2.4
     elapsed = time.perf_counter() - start
     _pass(
         7,

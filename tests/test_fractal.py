@@ -9,7 +9,6 @@ from mammocad.errors import DegenerateFit, RegionTooSmall
 from mammocad.fractal import (
     BlanketFit,
     blanket_area_table,
-    blanket_areas,
     blanket_dimension,
     box_count_dimension,
     fit_dimension,
@@ -21,6 +20,7 @@ from mammocad.threshold import BinaryMask
 
 from oracles import (
     blanket_recursion,
+    box_count,
     diamond_square,
     line_fit,
     padded_blanket_areas,
@@ -39,12 +39,17 @@ def map_from_mask(img, bits):
     return rm
 
 
+def alone(img, rm, rid, r_max=8):
+    """The blanket fit of region ``rid`` from a table of that one id."""
+    return blanket_dimension(blanket_area_table(img, rm, [rid], r_max), rid)
+
+
 class TestBlanketAreas:
     def test_constant_region_area_is_pixel_count(self):
         img = GrayImage(np.full((6, 6), 77, np.uint8))
-        scales, areas = blanket_areas(img, full_map(img), 1, r_max=8)
-        assert scales == list(range(1, 9))
-        assert areas == [36.0] * 8
+        fit = alone(img, full_map(img), 1, r_max=8)
+        assert fit.scales == list(range(1, 9))
+        assert fit.areas == [36.0] * 8
 
     def test_two_pixel_hand_unroll(self):
         pix = np.zeros((3, 3), np.uint8)
@@ -52,9 +57,8 @@ class TestBlanketAreas:
         pix[0, 0], pix[1, 0] = 10, 12
         bits[0, 0] = bits[1, 0] = True
         img = GrayImage(pix)
-        scales, areas = blanket_areas(img, map_from_mask(img, bits), 1, r_max=2)
-        assert scales == [1, 2]
-        assert areas == [3.0, 2.5]
+        areas = blanket_area_table(img, map_from_mask(img, bits), [1], r_max=2).areas[1]
+        assert areas.tolist() == [3.0, 2.5]
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(11)
@@ -63,16 +67,14 @@ class TestBlanketAreas:
             bits = rng.random((9, 9)) < 0.6
             rm = segment_image(img, BinaryMask(bits, 0), tau_split=255, tau_merge=255)
             for record in region_geometry(rm.labels):
-                if len(record.pixels) < 2:
-                    continue
-                got = blanket_areas(img, rm, record.id, r_max=5)
-                assert got == blanket_recursion(img, record, 5)
+                got = blanket_area_table(img, rm, [record.id], r_max=5).areas[record.id]
+                assert got.tolist() == blanket_recursion(img, record, 5)[1]
 
     def test_volume_strictly_increasing(self):
         rng = np.random.default_rng(4)
         img = GrayImage(rng.integers(0, 256, (8, 8)).astype(np.uint8))
-        scales, areas = blanket_areas(img, full_map(img), 1, r_max=8)
-        volumes = [a * 2 * r for r, a in zip(scales, areas)]
+        areas = blanket_area_table(img, full_map(img), [1], r_max=8).areas[1].tolist()
+        volumes = [a * 2 * r for r, a in enumerate(areas, start=1)]
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
         assert all(a > 0 for a in areas)
 
@@ -80,21 +82,9 @@ class TestBlanketAreas:
         rng = np.random.default_rng(9)
         base = rng.integers(0, 200, (7, 7)).astype(np.uint8)
         rm = full_map(GrayImage(base))
-        _, areas1 = blanket_areas(GrayImage(base), rm, 1, r_max=6)
-        _, areas2 = blanket_areas(GrayImage(base + 30), rm, 1, r_max=6)
-        assert areas1 == areas2
-
-    def test_region_too_small(self):
-        img = GrayImage(np.zeros((3, 3), np.uint8))
-        bits = np.zeros((3, 3), dtype=bool)
-        bits[1, 1] = True
-        with pytest.raises(RegionTooSmall):
-            blanket_areas(img, map_from_mask(img, bits), 1, r_max=4)
-
-    def test_r_max_validation(self):
-        img = GrayImage(np.zeros((4, 4), np.uint8))
-        with pytest.raises(ValueError):
-            blanket_areas(img, full_map(img), 1, r_max=1)
+        areas1 = blanket_area_table(GrayImage(base), rm, [1], r_max=6).areas[1]
+        areas2 = blanket_area_table(GrayImage(base + 30), rm, [1], r_max=6).areas[1]
+        assert areas1.tolist() == areas2.tolist()
 
 
 def dense_map(raw):
@@ -159,9 +149,8 @@ class TestBlanketAreaTable:
             else:
                 assert not table[rid].any()
         for record in records.values():
-            if len(record.pixels) >= 2:
-                expected = padded_blanket_areas(img, record, r_max)
-                assert blanket_areas(img, rm, record.id, r_max) == expected
+            got = blanket_area_table(img, rm, [record.id], r_max).areas[record.id]
+            assert got.tolist() == padded_blanket_areas(img, record, r_max)[1]
 
     @settings(deadline=None, max_examples=80)
     @given(case=labeled_images(), r_max=st.integers(2, 10))
@@ -185,8 +174,7 @@ class TestBlanketAreaTable:
         ids = range(1, rm.region_count + 1)
         table = blanket_area_table(img, rm, ids, 6)
         for rid in extract_regions(rm, min_pixels=2):
-            alone = fit_dimension(*blanket_areas(img, rm, rid, 6))
-            assert blanket_dimension(table, rid) == alone
+            assert blanket_dimension(table, rid) == alone(img, rm, rid, 6)
 
     def test_validation(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
@@ -214,7 +202,7 @@ class TestBlanketAreaTable:
     def test_first_area_bounds_pixel_count(self, case, r_max):
         """A(1) >= the region's pixel count, and A(1) == 1 exactly for one pixel.
 
-        ``blanket_dimension`` and ``blanket_areas`` read a region's size from A(1).
+        ``blanket_dimension`` reads a region's size from A(1).
         """
         img, rm, _ = case
         table = blanket_area_table(img, rm, range(1, rm.region_count + 1), r_max).areas
@@ -239,7 +227,7 @@ class TestFitTable:
             dimension, intercept, residual = line_fit(scales, row)
             expected = BlanketFit(scales, row, dimension, intercept, residual)
             assert blanket_dimension(table, rid) == expected
-            assert fit_dimension(*blanket_areas(img, rm, rid, r_max)) == expected
+            assert alone(img, rm, rid, r_max) == expected
             assert fit_dimension(scales, row) == expected
         unfitted = np.ones(rm.region_count + 1, dtype=bool)
         unfitted[ids] = False
@@ -344,6 +332,38 @@ class TestBoxCount:
             box_count_dimension(crop, rm, 2)
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        width=st.integers(6, 10) | st.integers(1, 80),
+        height=st.integers(6, 10) | st.integers(1, 80),
+        texture=st.sampled_from(["noise", "ramp", "extremes"]),
+        kinds=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cell_loop(self, width, height, texture, kinds, seed):
+        """Equal to the cell-by-cell oracle bit for bit, ``RegionTooSmall`` included."""
+        rng = np.random.default_rng(seed)
+        if texture == "noise":
+            pixels = rng.integers(0, 256, (height, width))
+        elif texture == "ramp":
+            pixels = np.add.outer(np.arange(height), np.arange(width)) * rng.integers(1, 9) % 256
+        else:
+            pixels = rng.choice([0, 255], (height, width))
+        img = GrayImage(pixels.astype(np.uint8))
+        raw = rng.integers(1, kinds + 1, (height, width)) * (rng.random((height, width)) < 0.7)
+        rm = dense_map(raw)
+
+        def outcome(measure, *args):
+            try:
+                return measure(*args)
+            except RegionTooSmall as exc:
+                return str(exc)
+
+        for record in region_geometry(rm.labels):
+            expected = outcome(box_count, img, record)
+            assert outcome(box_count_dimension, img, rm, record.id) == expected
+
+
 class TestOracleAgreement:
     def test_blanket_vs_box_count_on_textures(self):
         rng = np.random.default_rng(7)
@@ -365,7 +385,7 @@ class TestOracleAgreement:
             ("noise", noise),
             ("midpoint", mpd),
         ]:
-            d_blanket = fit_dimension(*blanket_areas(img, full_map(img), 1)).dimension
+            d_blanket = alone(img, full_map(img), 1).dimension
             d_box = box_count_dimension(img, full_map(img), 1)
             assert abs(d_blanket - d_box) <= 0.3, name
             dims[name] = d_blanket

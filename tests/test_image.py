@@ -126,10 +126,18 @@ class TestReadPgm:
         with pytest.raises(MalformedHeader):
             read_pgm(path)
 
-    def test_bad_dimensions(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("P2\n0 2\n255\n\n", "width must be >= 1"),
+            ("P2\nab 2\n255\n\n", "non-numeric width: b'ab'"),
+            ("P2\n2 ab\n255\n\n", "non-numeric height: b'ab'"),
+        ],
+    )
+    def test_bad_dimensions(self, tmp_path, header, message):
         path = tmp_path / "a.pgm"
-        path.write_text("P2\n0 2\n255\n\n")
-        with pytest.raises(MalformedHeader):
+        path.write_text(header)
+        with pytest.raises(MalformedHeader, match=message):
             read_pgm(path)
 
     def test_missing_file(self, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mammocad.classify import Detection, RuleSet
 from mammocad.cli import CONFIG_PARSERS, build_config, main, parse_config_file
-from mammocad.errors import ConfigError, PipelineStageError
+from mammocad.errors import ConfigError, NotDivisible, PipelineStageError
 from mammocad.features import FeatureVector
 from mammocad.fractal import BlanketFit
 from mammocad.image import GrayImage, read_pgm, write_pgm
@@ -95,8 +95,10 @@ class TestRunPipeline:
 
     def test_stage_error_carries_stage_name(self):
         img = GrayImage(np.zeros((100, 100), np.uint8))  # not divisible by 8
-        with pytest.raises(PipelineStageError, match="downsample"):
+        message = r"^downsample: 100x100 not divisible by 2\^3$"
+        with pytest.raises(PipelineStageError, match=message) as info:
             run_pipeline(img, PipelineConfig(output_dir=None))
+        assert isinstance(info.value.__cause__, NotDivisible)
 
     def test_invalid_config_rejected(self):
         img = GrayImage(np.zeros((8, 8), np.uint8))

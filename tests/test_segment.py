@@ -107,6 +107,10 @@ class TestSplit:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             split(img_of([[1, 2]]), full_mask(3, 3))
+        with pytest.raises(ValueError, match="tau_split must be >= 0"):
+            split(img_of([[1, 2]]), full_mask(2, 1), tau_split=-1)
+        with pytest.raises(ValueError, match="min_block must be >= 1"):
+            split(img_of([[1, 2]]), full_mask(2, 1), min_block=0)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), tau=st.sampled_from([0, 5, 30]))
@@ -170,6 +174,8 @@ class TestMerge:
         img = GrayImage(np.zeros((4, 4), np.uint8))
         with pytest.raises(ValueError):
             merge(img, full_mask(4, 4), [(0, 0, 4, 2)], 10)
+        with pytest.raises(ValueError, match="image and mask dimensions differ"):
+            merge(img, full_mask(4, 3), [(0, 0, 4, 4)], 10)
 
     @pytest.mark.parametrize(
         "blocks,message",
@@ -300,18 +306,23 @@ class TestExports:
         overlay = overlay_boundaries(img, rm)
         assert overlay.pixels[0, 0] == 255
         assert overlay.pixels[1, 1] == 50
+        with pytest.raises(ValueError, match="image and region map dimensions differ"):
+            overlay_boundaries(GrayImage(np.zeros((3, 4), np.uint8)), rm)
 
     def test_region_map_validation(self):
         with pytest.raises(ValueError):
             RegionMap(np.array([[0, 2]], dtype=np.int32), 1)  # id 1 missing
+        with pytest.raises(ValueError, match="labels must be 2-D"):
+            RegionMap(np.ones((2, 2, 2), dtype=np.int32), 1)
 
     @pytest.mark.parametrize("labels", [np.array([[1.9, 0]]), np.array([[1.0]]), np.array([[True]])])
     def test_region_map_rejects_non_integer_labels(self, labels):
         with pytest.raises(ValueError, match="labels must be integers"):
             RegionMap(labels, 1)
 
-    def test_region_map_casts_integer_labels(self):
-        rm = RegionMap(np.array([[2, 0, 1]], dtype=np.int64), 2)
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
+    def test_region_map_casts_integer_labels(self, dtype):
+        rm = RegionMap(np.array([[2, 0, 1]], dtype=dtype), 2)
         assert rm.labels.dtype == np.int32
         assert rm.labels.tolist() == [[2, 0, 1]]
 
@@ -331,6 +342,18 @@ class TestExports:
     def test_region_map_rejects_sparse_ids(self, labels, count):
         with pytest.raises(ValueError):
             RegionMap(np.array(labels, dtype=np.int32), count)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([[2**32 + 1, 0]], dtype=np.int64),  # int32 would wrap it to 1
+            np.array([[1, 2**32 + 2]], dtype=np.uint64),
+            np.array([[1, 2**64 - 1]], dtype=np.uint64),
+        ],
+    )
+    def test_region_map_rejects_labels_wider_than_int32(self, labels):
+        with pytest.raises(ValueError, match="dense"):
+            RegionMap(labels, 1)
 
     @pytest.mark.parametrize(
         "labels,count", [([[0, 0]], 0), ([[2, 0, 1, 1]], 2), (np.zeros((0, 0)), 0)]

@@ -50,6 +50,8 @@ class TestHistogram:
     def test_invalid_total_rejected(self):
         with pytest.raises(ValueError):
             Histogram(np.zeros(256, np.int64), 5)
+        with pytest.raises(ValueError, match="256 bins"):
+            Histogram(np.zeros(255, np.int64), 0)
 
 
 class TestOtsu:
@@ -132,3 +134,5 @@ class TestApplyThreshold:
     def test_mask_to_image(self):
         mask = BinaryMask(np.array([[True, False]]), 9)
         assert mask_to_image(mask).pixels.tolist() == [[255, 0]]
+        with pytest.raises(ValueError, match="2-D"):
+            BinaryMask(np.array([True, False]), 9)
