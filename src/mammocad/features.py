@@ -14,7 +14,9 @@ definitions, so every value has the same bits:
 - gray sums are exact integers, and so are bounding-box sums taken from an
   integral image;
 - ``gray_std`` and the edge-distance means use numpy's pairwise sum on each
-  region's own slice, as ``ndarray.mean`` does on the region's values;
+  region's own slice, as ``ndarray.mean`` does on the region's values: the
+  slices of one length are summed by one last-axis reduce, which sums each
+  row as it sums that row alone;
 - distances to the centroid come from ``math.hypot``, which can differ from
   ``np.hypot`` in the last bit.
 
@@ -24,7 +26,7 @@ region alone is a table of that one id.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -68,11 +70,30 @@ def gradient_map(img: GrayImage) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def _slice_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``mean()`` of each consecutive slice of ``values``, slice i ``lengths[i]`` long."""
-    ends = np.cumsum(lengths).tolist()
-    sums = [np.add.reduce(values[a:b]) for a, b in zip([0, *ends], ends)]
-    return np.array(sums) / lengths
+def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of ``values``: ``mean()`` of each consecutive slice, slice i ``lengths[i]`` long.
+
+    The slices of one length are gathered into a ``(k, length)`` array and
+    summed by one last-axis ``np.add.reduce``, which sums each row as it
+    sums that row alone. The grouping is made once, for every array of
+    values split by the same lengths. ``np.add.reduceat`` would not do: it
+    does not follow the order ``reduce`` sums in.
+    """
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    groups = [
+        (which, starts[which, None] + np.arange(lengths[which[0]]))
+        for which in np.split(order, cuts)
+    ]
+
+    def means(values: np.ndarray) -> np.ndarray:
+        sums = np.empty(len(lengths))
+        for which, index in groups:
+            sums[which] = np.add.reduce(values[index], axis=-1)
+        return sums / lengths
+
+    return means
 
 
 def _feature_rows(
@@ -112,8 +133,9 @@ def _feature_rows(
     box_area = (col_end - col_min) * (row_end - row_min)
 
     values = gray.ravel()[at].astype(np.float64)
-    gray_mean = _slice_means(values, area)
-    gray_std = np.sqrt(_slice_means((values - gray_mean[group]) ** 2, area))
+    region_means = _slice_means(area)
+    gray_mean = region_means(values)
+    gray_std = np.sqrt(region_means((values - gray_mean[group]) ** 2))
 
     x0, y0 = origin
     cx = np.bincount(group, weights=xs + x0) / area
@@ -121,10 +143,11 @@ def _feature_rows(
     dx = (xs[edge] + x0 - cx[edge_group]).tolist()
     dy = (ys[edge] + y0 - cy[edge_group]).tolist()
     dists = np.array(list(map(math.hypot, dx, dy)))
-    d_mean = _slice_means(dists, edge_count)
+    edge_means = _slice_means(edge_count)
+    d_mean = edge_means(dists)
     if not d_mean.all():
         raise DegenerateRegion("all boundary pixels coincide with the centroid")
-    d_var = _slice_means((dists - d_mean[edge_group]) ** 2, edge_count)
+    d_var = edge_means((dists - d_mean[edge_group]) ** 2)
 
     integral = np.zeros((gray.shape[0] + 1, gray.shape[1] + 1), dtype=np.int64)
     integral[1:, 1:] = gray.cumsum(0, dtype=np.int64).cumsum(1)

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from numbers import Integral, Real
 from pathlib import Path
@@ -209,10 +210,14 @@ def run_pipeline(
                 overlay_boundaries(negate(inverted), region_map),
                 out / f"{stem}_overlay.pgm",
             )
+        if "features" in cfg.emit or "report" in cfg.emit:
+            tokens = _number_tokens(report)  # both writers format the same numbers
         if "features" in cfg.emit:
-            write_bytes(out / f"{stem}_features.csv", features_csv(report).encode("utf-8"))
+            write_bytes(
+                out / f"{stem}_features.csv", features_csv(report, tokens).encode("utf-8")
+            )
         if "report" in cfg.emit:
-            write_bytes(out / f"{stem}_report.json", report_json(report).encode("utf-8"))
+            write_bytes(out / f"{stem}_report.json", report_json(report, tokens).encode("utf-8"))
     return report
 
 
@@ -241,43 +246,20 @@ def _json_list(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-# One detection as json.dumps(indent=2) writes it inside the report's list;
-# each %s takes an encoded value, in the order of the dataclass fields.
-_FEATURE_COUNT = len(fields(FeatureVector))
-_DETECTION = """\
-    {
-      "region_id": %s,
-      "features": {
-FEATURES
-      },
-      "dimension": %s,
-      "label": %s,
-      "failed_rules": %s,
-      "fit": {
-        "scales": %s,
-        "areas": %s,
-        "dimension": %s,
-        "intercept": %s,
-        "residual": %s
-      }
-    }""".replace("FEATURES", ",\n".join(f'        "{f.name}": %s' for f in fields(FeatureVector)))
+# The detections sorted by region id, and the JSON tokens of their numbers.
+_Tokens = tuple[list[Detection], list[str]]
 
 
-def report_json(report: DetectionReport) -> str:
-    """The report exactly as ``json.dumps(report_dict, indent=2)`` writes it, plus a newline.
+def _number_tokens(report: DetectionReport) -> _Tokens:
+    """The detections sorted by region id, and the JSON token of each of their numbers.
 
-    ``report_dict`` holds ``vars()`` of the dataclasses, detections sorted by
-    region id. An indented dump runs the pure-Python encoder over every
-    token, so only the small head goes through it. One C-encoder dump of a
-    flat list formats every detection number, split on ``", "`` into the
-    tokens that dump would write (``NaN`` and ``Infinity`` included). One
-    ``%`` pass over a fixed per-detection template lays them out with the
-    strings encoded as that dump encodes them, and builds no string per
-    detection. The number fields must hold numbers, as annotated.
+    A detection's numbers are its region id, its features, its dimension,
+    its fit's scales and areas, then the fit's dimension, intercept and
+    residual; the detections' numbers follow one another. One C-encoder
+    dump of that flat list formats them all, split on ``", "`` into the
+    tokens ``json.dumps`` writes for them (``NaN`` and ``Infinity``
+    included). The number fields must hold numbers, as annotated.
     """
-    head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
-    if not report.detections:
-        return head
     detections = sorted(report.detections, key=lambda d: d.region_id)
     numbers = []
     for det in detections:
@@ -288,33 +270,92 @@ def report_json(report: DetectionReport) -> str:
         numbers += fit.scales
         numbers += fit.areas
         numbers += (fit.dimension, fit.intercept, fit.residual)
-    tokens = json.dumps(numbers)[1:-1].split(", ")
+    return detections, json.dumps(numbers)[1:-1].split(", ")
+
+
+# A detection's region id, features and dimension: its first tokens, and
+# the number columns of its CSV row.
+_HEAD_NUMBERS = len(fields(FeatureVector)) + 2
+_FIT_TAIL = 3  # the fit's dimension, intercept and residual
+
+
+@cache
+def _detection_template(scales: int, areas: int) -> str:
+    """One detection as json.dumps(indent=2) writes it inside the report's list.
+
+    Each %s takes an encoded value, in the order of the dataclass fields;
+    the fit's lists hold ``scales`` and ``areas`` values.
+    """
+    features = ",\n".join(f'        "{f.name}": %s' for f in fields(FeatureVector))
+    return f"""\
+    {{
+      "region_id": %s,
+      "features": {{
+{features}
+      }},
+      "dimension": %s,
+      "label": %s,
+      "failed_rules": %s,
+      "fit": {{
+        "scales": {_json_list(["%s"] * scales, 8)},
+        "areas": {_json_list(["%s"] * areas, 8)},
+        "dimension": %s,
+        "intercept": %s,
+        "residual": %s
+      }}
+    }}"""
+
+
+def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
+    """The report exactly as ``json.dumps(report_dict, indent=2)`` writes it, plus a newline.
+
+    ``report_dict`` holds ``vars()`` of the dataclasses, detections sorted by
+    region id. An indented dump runs the pure-Python encoder over every
+    token, so only the small head goes through it. The detection numbers
+    come formatted from one token pass, ``tokens`` (the report's
+    :func:`_number_tokens`, made here when not given). One ``%`` pass over
+    fixed per-detection templates lays them out with the strings encoded as
+    that dump encodes them, and builds no string per detection.
+    """
+    head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
+    if not report.detections:
+        return head
+    detections, numbers = _number_tokens(report) if tokens is None else tokens
     values = []
+    layout = []
+    rules_of = {}  # failed_rules tuple -> its encoded list
     at = 0
     for det in detections:
-        scales = at + _FEATURE_COUNT + 2  # after region_id, features, dimension
-        areas = scales + len(det.fit.scales)
-        end = areas + len(det.fit.areas)
-        values += tokens[at:scales]
-        values += (
-            encode_basestring_ascii(det.label),
-            _json_list([encode_basestring_ascii(r) for r in det.failed_rules], 6),
-            _json_list(tokens[scales:areas], 8),
-            _json_list(tokens[areas:end], 8),
-        )
-        values += tokens[end : end + 3]
-        at = end + 3
+        scales, areas = len(det.fit.scales), len(det.fit.areas)
+        rules = tuple(det.failed_rules)
+        if rules not in rules_of:
+            rules_of[rules] = _json_list([encode_basestring_ascii(r) for r in rules], 6)
+        end = at + _HEAD_NUMBERS + scales + areas + _FIT_TAIL
+        values += numbers[at : at + _HEAD_NUMBERS]
+        values += (encode_basestring_ascii(det.label), rules_of[rules])
+        values += numbers[at + _HEAD_NUMBERS : end]
+        layout.append(_detection_template(scales, areas))
+        at = end
     # The head's strings escape every quote and newline, so its first
     # '\n  "detections": []' is the key itself.
     before, _, after = head.partition('\n  "detections": []')
-    layout = ",\n".join([_DETECTION] * len(detections))
+    layout = ",\n".join(layout)
     return f'%s\n  "detections": [\n{layout}\n  ]%s' % (before, *values, after)
 
 
-def features_csv(report: DetectionReport) -> str:
-    """Feature table, one row per detection, sorted by region id."""
+def features_csv(report: DetectionReport, tokens: _Tokens | None = None) -> str:
+    """Feature table, one row per detection, sorted by region id.
+
+    The numbers are the report's JSON tokens, ``tokens`` (the report's
+    :func:`_number_tokens`, made here when not given), with ``NaN`` and
+    ``Infinity`` written ``nan`` and ``inf``: for ints and floats, their
+    ``repr``.
+    """
+    detections, numbers = _number_tokens(report) if tokens is None else tokens
     lines = [CSV_HEADER]
-    for det in sorted(report.detections, key=lambda d: d.region_id):
-        numbers = [det.region_id, *vars(det.features).values(), det.dimension]
-        lines.append(",".join([*map(repr, numbers), det.label]))
+    at = 0
+    for det in detections:
+        row = ",".join(numbers[at : at + _HEAD_NUMBERS])
+        lines.append(f"{row.replace('NaN', 'nan').replace('Infinity', 'inf')},{det.label}")
+        at += _HEAD_NUMBERS + len(det.fit.scales) + len(det.fit.areas) + _FIT_TAIL
     return "\n".join(lines) + "\n"

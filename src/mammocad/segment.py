@@ -219,7 +219,9 @@ def _block_ranks(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
     if bad.any():
         raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))].tolist())} outside image")
     ranks = np.empty(len(blocks), dtype=np.int32)
-    ranks[np.lexsort((x, y))] = np.arange(1, len(blocks) + 1, dtype=np.int32)
+    # One key orders the corners in raster order: x < width, so distinct
+    # corners have distinct keys.
+    ranks[np.argsort(y * width + x)] = np.arange(1, len(blocks) + 1, dtype=np.int32)
     stride = width + 1
     corners = np.concatenate(
         (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
@@ -288,23 +290,23 @@ def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
 
     Returns (targets, offsets): the neighbours of id r are
-    ``targets[offsets[r]:offsets[r + 1]]``.
+    ``targets[offsets[r]:offsets[r + 1]]``, ascending and each once. Every
+    touching pair is coded in both directions as ``src * (count + 1) + dst``,
+    so one sort of the codes orders them by row, then by target.
     """
     codes = []
     for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
         touching = (a != b) & (a > 0) & (b > 0)
-        a, b = a[touching], b[touching]
-        codes.append(np.minimum(a, b).astype(np.int64) * (count + 1) + np.maximum(a, b))
+        a, b = a[touching].astype(np.int64), b[touching].astype(np.int64)
+        codes += (a * (count + 1) + b, b * (count + 1) + a)
     codes = np.concatenate(codes)
     codes.sort()
     distinct = np.ones(len(codes), dtype=bool)
     distinct[1:] = codes[1:] != codes[:-1]
-    pairs = np.divmod(codes[distinct], count + 1)
-    src = np.concatenate(pairs).astype(np.int32)
-    targets = np.concatenate(pairs[::-1]).astype(np.int32)[np.argsort(src, kind="stable")]
+    src, targets = np.divmod(codes[distinct], count + 1)
     offsets = np.zeros(count + 2, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=count + 1), out=offsets[1:])
-    return targets, offsets
+    return targets.astype(np.int32), offsets
 
 
 def _merge_visits(
@@ -343,7 +345,10 @@ def merge(
     absorbs its smallest-id neighbour within ``tau_merge``, takes over that
     neighbour's neighbours, recomputes its mean as sum / count and looks
     again. Neighbour lists are not rewritten on an absorb: ids are read
-    through ``absorbed_by`` to the region that holds them now.
+    through ``absorbed_by`` to the region that holds them now. The scan
+    reads each neighbour list as a set: ``seen_in`` lists an id once, the
+    close search takes the smallest id and ``own.remove`` meets each id
+    once, so no label depends on the order of a list.
 
     The scan is a single pass, since that pass reaches the fixpoint. A
     region's mean changes only during its own visit, and two regions become

@@ -306,6 +306,31 @@ def connected_components_8(pixels):
     return count
 
 
+def touching_pairs(labels):
+    """Every ordered pair (a, b) of distinct nonzero labels on 4-adjacent pixels."""
+    pairs = set()
+    height, width = labels.shape
+    for y in range(height):
+        for x in range(width):
+            for nx, ny in ((x + 1, y), (x, y + 1)):
+                if nx < width and ny < height:
+                    a, b = int(labels[y, x]), int(labels[ny, nx])
+                    if a and b and a != b:
+                        pairs.add((a, b))
+                        pairs.add((b, a))
+    return pairs
+
+
+def slice_means(values, lengths):
+    """Each consecutive slice's ``np.add.reduce`` over its length, one slice at a time."""
+    means = []
+    at = 0
+    for n in lengths:
+        means.append(np.add.reduce(values[at : at + n]) / n)
+        at += n
+    return np.array(means, dtype=np.float64)
+
+
 def diamond_square(n_exp, roughness, rng):
     """Classic midpoint-displacement surface on a (2^n + 1) grid, as uint8."""
     size = (1 << n_exp) + 1
@@ -588,6 +613,20 @@ def report_to_dict(report):
             for det in sorted(report.detections, key=lambda d: d.region_id)
         ],
     }
+
+
+def reference_csv(report):
+    """The feature CSV of a report: a row per detection by region id, numbers as their repr.
+
+    Ints read as ``int.__repr__`` and floats (``np.float64`` too) as
+    ``float.__repr__``.
+    """
+    lines = ["id,area,cmp,mwg,mg,var,edv,diff,D,label"]
+    for det in sorted(report.detections, key=lambda d: d.region_id):
+        numbers = [det.region_id, *vars(det.features).values(), det.dimension]
+        text = [int.__repr__(v) if isinstance(v, int) else float.__repr__(v) for v in numbers]
+        lines.append(",".join([*text, det.label]))
+    return "\n".join(lines) + "\n"
 
 
 def haar_pyramid(pixels, levels):

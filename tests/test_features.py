@@ -3,11 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mammocad.errors import DegenerateRegion
-from mammocad.features import FeatureVector, compute_features, feature_table, gradient_map
+from mammocad.features import (
+    FeatureVector,
+    _slice_means,
+    compute_features,
+    feature_table,
+    gradient_map,
+)
 from mammocad.image import GrayImage, negate
 from mammocad.segment import RegionMap, segment_image
 from mammocad.threshold import BinaryMask
@@ -23,6 +29,7 @@ from oracles import (
     naive_features,
     region_features,
     region_geometry,
+    slice_means,
     sobel_magnitude,
 )
 from test_fractal import checkerboard, cross_and_ring, dense_map, labeled_images
@@ -353,3 +360,35 @@ class TestFeatureTable:
         table = feature_table(img, rm, [1, 2])
         with pytest.raises(ValueError, match=r"1\.\.2"):
             compute_features(table, rid)
+
+
+@st.composite
+def slices(draw):
+    """Random values cut into slices of lengths 1-300, with lengths repeating."""
+    pool = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e5, 1e-3]))
+    return rng.random(sum(lengths)) * scale, np.array(lengths)
+
+
+def cut(lengths, scale=1e5):
+    """Seeded values cut into slices of ``lengths``."""
+    values = np.random.default_rng(len(lengths)).random(sum(lengths)) * scale
+    return values, np.array(lengths)
+
+
+class TestSliceMeans:
+    """Grouped slice sums have the bits of one reduce per slice."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=slices())
+    @example(case=cut([1]))
+    @example(case=cut([300]))
+    @example(case=cut([9] * 50, 1e-3))
+    @example(case=cut([7, 300, 7, 1, 300, 1]))
+    def test_matches_per_slice_reduce(self, case):
+        values, lengths = case
+        means = _slice_means(lengths)
+        for v in (values, values**2):  # one grouping serves every array of values
+            assert means(v).tobytes() == slice_means(v, lengths.tolist()).tobytes()

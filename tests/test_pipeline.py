@@ -22,13 +22,14 @@ from mammocad.pipeline import (
     BatchError,
     DetectionReport,
     PipelineConfig,
+    _number_tokens,
     features_csv,
     report_json,
     run_batch,
     run_pipeline,
 )
 
-from oracles import oracle_pipeline, report_to_dict
+from oracles import oracle_pipeline, reference_csv, report_to_dict
 
 REPORT_KEYS = [
     "source",
@@ -209,6 +210,14 @@ reports = st.builds(
 )
 
 
+def hand_built_report(compactness, region_id=3, dimension=2.4):
+    """A report of one detection with the given ``region_id``, compactness and D."""
+    fit = BlanketFit([1, 2], [4.0, 3.5], 2.4, 1.0, 0.0)
+    features = FeatureVector(9, compactness, 1.0, 2.0, 3.0, 0.1, 12.0)
+    det = Detection(region_id, features, dimension, "normal", [], fit)
+    return DetectionReport("x.pgm", [8, 8], 120, 5, 1, [det], {})
+
+
 class TestReportJson:
     @settings(deadline=None, max_examples=100)
     @given(reports)
@@ -216,14 +225,33 @@ class TestReportJson:
         assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
     def test_numpy_integer_raises_the_dumps_type_error(self):
-        fit = BlanketFit([1, 2], [4.0, 3.5], 2.4, 1.0, 0.0)
-        features = FeatureVector(9, 0.5, 1.0, 2.0, 3.0, 0.1, 12.0)
-        det = Detection(np.int64(3), features, 2.4, "normal", [], fit)
-        report = DetectionReport("x.pgm", [8, 8], 120, 5, 1, [det], {})
+        report = hand_built_report(0.5, region_id=np.int64(3))
         with pytest.raises(TypeError) as expected:
             json.dumps(report_to_dict(report), indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             report_json(report)
+
+
+class TestFeaturesCsv:
+    @settings(deadline=None, max_examples=100)
+    @given(reports)
+    def test_matches_reference(self, report):
+        expected = reference_csv(report)
+        assert features_csv(report) == expected
+        assert features_csv(report, _number_tokens(report)) == expected
+
+    def test_numpy_floats_read_as_their_values(self):
+        report = hand_built_report(np.float64(0.5), dimension=np.float64(2.4))
+        expected = "3,9,0.5,1.0,2.0,3.0,0.1,12.0,2.4,normal"
+        assert features_csv(report).split("\n")[1] == expected
+        assert '"compactness": 0.5,' in report_json(report)
+
+    def test_numpy_integer_raises_the_report_type_error(self):
+        report = hand_built_report(0.5, region_id=np.int64(3))
+        with pytest.raises(TypeError) as expected:
+            report_json(report)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            features_csv(report)
 
 
 class TestRunBatch:

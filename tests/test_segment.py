@@ -10,6 +10,7 @@ from mammocad.errors import IoFailure
 from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
+    _adjacency,
     boundary_mask,
     extract_regions,
     merge,
@@ -27,6 +28,7 @@ from oracles import (
     flood_seeds,
     quadtree_split,
     region_geometry,
+    touching_pairs,
 )
 
 
@@ -66,24 +68,6 @@ def region_means(img, region_map):
                 sums[rid] = sums.get(rid, 0) + int(img.pixels[y, x])
                 counts[rid] = counts.get(rid, 0) + 1
     return {rid: sums[rid] / counts[rid] for rid in sums}
-
-
-def adjacent_pairs(region_map):
-    labels = region_map.labels
-    pairs = set()
-    h, w = labels.shape
-    for y in range(h):
-        for x in range(w):
-            a = int(labels[y, x])
-            if not a:
-                continue
-            for dx, dy in ((1, 0), (0, 1)):
-                nx, ny = x + dx, y + dy
-                if nx < w and ny < h:
-                    b = int(labels[ny, nx])
-                    if b and b != a:
-                        pairs.add((min(a, b), max(a, b)))
-    return pairs
 
 
 class TestSplit:
@@ -215,7 +199,7 @@ class TestMerge:
         rm = segment_image(img, mask)
         assert ((rm.labels > 0) == mask.bits).all()
         means = region_means(img, rm)
-        for a, b in adjacent_pairs(rm):
+        for a, b in touching_pairs(rm.labels):
             assert abs(means[a] - means[b]) > 10
 
     @settings(deadline=None, max_examples=10)
@@ -557,3 +541,31 @@ class TestMergeVisits:
         assert visited == [expected]
         assert all(type(rid) is int for rid in expected)
         assert np.array_equal(rm.labels, flood_merge(img.pixels, mask.bits, blocks, tau_merge))
+
+
+class TestAdjacency:
+    """The region graph holds every touching pair once per direction, rows ascending."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        labels=st.integers(1, 9),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_touching_pairs(self, shape, labels, extra, seed):
+        grid = np.random.default_rng(seed).integers(0, labels + 1, shape).astype(np.int32)
+        count = labels + extra  # ids above the largest label have empty rows
+        targets, offsets = _adjacency(grid, count)
+        assert offsets.shape == (count + 2,)
+        assert offsets[0] == 0 and offsets[-1] == len(targets)
+        assert (np.diff(offsets) >= 0).all()
+        rows = [targets[offsets[r] : offsets[r + 1]].tolist() for r in range(count + 1)]
+        assert not rows[0]
+        pairs = set()
+        for r, row in enumerate(rows):
+            assert all(a < b for a, b in zip(row, row[1:]))  # ascending, each once
+            assert r not in row
+            pairs.update((r, t) for t in row)
+        assert pairs == {(b, a) for a, b in pairs}
+        assert pairs == touching_pairs(grid)
