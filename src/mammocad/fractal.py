@@ -92,13 +92,14 @@ def blanket_area_table(
         upper = np.maximum(upper[neighbors].max(0), upper + 1)
         lower = np.minimum(lower[neighbors].min(0), lower - 1)
         areas[:, r - 1] = np.bincount(group, weights=upper - lower, minlength=rows) / (2 * r)
+    slope, intercept, residual = _fit_lines(range(1, r_max + 1), areas[wanted])
     fits = np.full((3, rows), np.nan)
-    fits[:, wanted] = _fit_lines(range(1, r_max + 1), areas[wanted])
+    fits[:, wanted] = 2.0 - slope, intercept, residual
     return BlanketTable(areas, *fits)
 
 
-def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D, intercept and residual of log A(r) on log r for each row of ``areas``.
+def _fit_lines(scales, areas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope, intercept and residual of log A(r) on log r for each row of ``areas``.
 
     Every sum reduces along the last axis, which numpy runs as the same
     pairwise sum on each row of a 2-D array as on a 1-D row, so a row
@@ -111,7 +112,7 @@ def _fit_lines(scales, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     slope = ((x - x_mean) * (y - y_mean)).sum(axis=-1, keepdims=True) / ((x - x_mean) ** 2).sum()
     intercept = y_mean - slope * x_mean
     residual = ((y - (slope * x + intercept)) ** 2).sum(axis=-1)
-    return 2.0 - slope[..., 0], intercept[..., 0], residual
+    return slope[..., 0], intercept[..., 0], residual
 
 
 def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
@@ -122,8 +123,8 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
         raise ValueError("areas must be positive")
     if len(set(scales)) == 1:
         raise DegenerateFit("all scales equal")
-    fitted = _fit_lines(scales, np.asarray(areas, dtype=np.float64))
-    return BlanketFit(list(scales), [float(a) for a in areas], *map(float, fitted))
+    slope, intercept, residual = map(float, _fit_lines(scales, np.asarray(areas, float)))
+    return BlanketFit(list(scales), [float(a) for a in areas], 2.0 - slope, intercept, residual)
 
 
 def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
@@ -171,11 +172,7 @@ def box_count_dimension(img: GrayImage, region_map: RegionMap, region_id: int) -
         bottom = np.minimum.reduceat(np.minimum.reduceat(window, rows, 0), cols, 1)
         box_h = s * 256.0 / short
         counts.append((np.ceil(top / box_h) - np.floor(bottom / box_h) + 1).sum())
-    x = np.log(1.0 / np.asarray(sizes, dtype=np.float64))
-    y = np.log(np.asarray(counts, dtype=np.float64))
-    x_mean = x.mean()
-    slope = ((x - x_mean) * (y - y.mean())).sum() / ((x - x_mean) ** 2).sum()
-    return float(slope)
+    return float(_fit_lines(1.0 / np.asarray(sizes, dtype=np.float64), counts)[0])
 
 
 def roughness_gate(

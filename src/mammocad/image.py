@@ -189,17 +189,25 @@ def write_pgm(img: GrayImage, path, mode: str = "binary") -> None:
     """
     if mode not in ("ascii", "binary"):
         raise ValueError(f"mode must be 'ascii' or 'binary', got {mode!r}")
-    header = f"{'P2' if mode == 'ascii' else 'P5'}\n{img.width} {img.height}\n255\n"
     if mode == "binary":
-        payload = header.encode("ascii") + img.pixels.tobytes()
-    else:
-        flat = img.pixels.ravel()
-        # PNM convention: keep text lines short.
-        lines = [
-            " ".join(str(v) for v in flat[i : i + 17]) for i in range(0, len(flat), 17)
-        ]
-        payload = (header + "\n".join(lines) + "\n").encode("ascii")
-    write_bytes(path, payload)
+        write_bytes(path, p5_bytes(img.pixels, 255))
+        return
+    flat = img.pixels.ravel()
+    # PNM convention: keep text lines short.
+    lines = [" ".join(str(v) for v in flat[i : i + 17]) for i in range(0, len(flat), 17)]
+    header = f"P2\n{img.width} {img.height}\n255\n"
+    write_bytes(path, (header + "\n".join(lines) + "\n").encode("ascii"))
+
+
+def p5_bytes(samples: np.ndarray, maxval: int) -> bytes:
+    """The 2-D ``samples`` as a P5 file with ``maxval``.
+
+    Samples are one byte each up to maxval 255 and two big-endian bytes
+    above it; the caller keeps them within [0, maxval].
+    """
+    height, width = samples.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    return header + samples.astype(np.uint8 if maxval < 256 else ">u2", copy=False).tobytes()
 
 
 def write_bytes(path, data: bytes) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
 from .features import FeatureVector, compute_features, feature_table, gradient_map
-from .fractal import blanket_area_table, blanket_dimension, roughness_gate
+from .fractal import BlanketFit, blanket_area_table, blanket_dimension, roughness_gate
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_bytes, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
@@ -197,12 +197,14 @@ def run_pipeline(
         except OSError as exc:
             raise IoFailure(f"cannot create {out}: {exc}") from exc
         stem = Path(source).stem if source != "<memory>" else "image"
+        # The label map is the one artifact its own data can refuse (more
+        # regions than a PGM holds), so it goes first: such a file writes none.
+        if "labels" in cfg.emit:
+            write_region_map_pgm(region_map, out / f"{stem}_labels.pgm")
         if "inverted" in cfg.emit:
             write_pgm(inverted, out / f"{stem}_inverted.pgm")
         if "mask" in cfg.emit:
             write_pgm(mask_to_image(mask), out / f"{stem}_mask.pgm")
-        if "labels" in cfg.emit:
-            write_region_map_pgm(region_map, out / f"{stem}_labels.pgm")
         if "overlay" in cfg.emit:
             # Boundaries read best on the working source image, i.e. the
             # inverted image negated back.
@@ -236,14 +238,6 @@ def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
         except MammoCadError as exc:
             results.append(BatchError(str(path), str(exc)))
     return results
-
-
-def _json_list(items: list[str], indent: int) -> str:
-    """Encoded ``items`` as a list that ``json.dumps(indent=2)`` writes at ``indent``."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 # The detections sorted by region id, and the JSON tokens of their numbers.
@@ -283,27 +277,17 @@ _FIT_TAIL = 3  # the fit's dimension, intercept and residual
 def _detection_template(scales: int, areas: int) -> str:
     """One detection as json.dumps(indent=2) writes it inside the report's list.
 
-    Each %s takes an encoded value, in the order of the dataclass fields;
-    the fit's lists hold ``scales`` and ``areas`` values.
+    The layout is json.dumps's own, of a detection whose every value is a
+    %s slot: each takes an encoded value, in the order of the dataclass
+    fields, and the fit's lists hold ``scales`` and ``areas`` of them.
     """
-    features = ",\n".join(f'        "{f.name}": %s' for f in fields(FeatureVector))
-    return f"""\
-    {{
-      "region_id": %s,
-      "features": {{
-{features}
-      }},
-      "dimension": %s,
-      "label": %s,
-      "failed_rules": %s,
-      "fit": {{
-        "scales": {_json_list(["%s"] * scales, 8)},
-        "areas": {_json_list(["%s"] * areas, 8)},
-        "dimension": %s,
-        "intercept": %s,
-        "residual": %s
-      }}
-    }}"""
+    detection = dict.fromkeys(f.name for f in fields(Detection))
+    detection["features"] = dict.fromkeys(f.name for f in fields(FeatureVector))
+    detection["fit"] = dict.fromkeys(f.name for f in fields(BlanketFit))
+    detection["fit"].update(scales=[None] * scales, areas=[None] * areas)
+    # None dumps as null; no field name holds "null" or a "%".
+    text = json.dumps(detection, indent=2).replace("null", "%s")
+    return "    " + text.replace("\n", "\n    ")
 
 
 def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
@@ -314,8 +298,9 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
     token, so only the small head goes through it. The detection numbers
     come formatted from one token pass, ``tokens`` (the report's
     :func:`_number_tokens`, made here when not given). One ``%`` pass over
-    fixed per-detection templates lays them out with the strings encoded as
-    that dump encodes them, and builds no string per detection.
+    per-detection templates, each the dump's own layout of a detection
+    (:func:`_detection_template`), lays them out with the strings encoded
+    as that dump encodes them, and builds no string per detection.
     """
     head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
     if not report.detections:
@@ -329,7 +314,7 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
         scales, areas = len(det.fit.scales), len(det.fit.areas)
         rules = tuple(det.failed_rules)
         if rules not in rules_of:
-            rules_of[rules] = _json_list([encode_basestring_ascii(r) for r in rules], 6)
+            rules_of[rules] = json.dumps(rules, indent=2).replace("\n", "\n      ")
         end = at + _HEAD_NUMBERS + scales + areas + _FIT_TAIL
         values += numbers[at : at + _HEAD_NUMBERS]
         values += (encode_basestring_ascii(det.label), rules_of[rules])

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import TooManyRegions
-from .image import GrayImage, write_bytes
+from .image import GrayImage, p5_bytes, write_bytes
 from .threshold import BinaryMask
 
 Block = tuple[int, int, int, int]  # (x, y, width, height)
@@ -488,12 +488,7 @@ def write_region_map_pgm(region_map: RegionMap, path) -> None:
         raise TooManyRegions(
             f"{region_map.region_count} regions exceed the {PGM_MAX_REGIONS} a PGM label map holds"
         )
-    header = f"P5\n{region_map.width} {region_map.height}\n{maxval}\n".encode("ascii")
-    if maxval < 256:
-        raster = region_map.labels.astype(np.uint8).tobytes()
-    else:
-        raster = region_map.labels.astype(">u2").tobytes()
-    write_bytes(path, header + raster)
+    write_bytes(path, p5_bytes(region_map.labels, maxval))
 
 
 def overlay_boundaries(img: GrayImage, region_map: RegionMap) -> GrayImage:

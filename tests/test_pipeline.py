@@ -522,11 +522,14 @@ class TestBatchContract:
         dots = isolated_dots(tmp_path / "dots.pgm")
         ok = tmp_path / "ok.pgm"
         write_pgm(generate_phantom("tumor", 1, 64)[0], ok)
-        cfg = PipelineConfig(dwt_levels=0, emit=("labels",), output_dir=tmp_path / "out")
+        out = tmp_path / "out"
+        cfg = PipelineConfig(dwt_levels=0, emit=EMIT_CHOICES, output_dir=out)
         results = run_batch([dots, ok], cfg)
         assert [type(r) for r in results] == [BatchError, DetectionReport]
         assert "65536 regions" in results[0].error
-        assert (tmp_path / "out" / "ok_labels.pgm").exists()
+        # The refused file writes none of its artifacts; the next writes all six.
+        assert list(out.glob("dots_*")) == []
+        assert len(list(out.glob("ok_*"))) == len(EMIT_CHOICES)
 
     def test_too_many_regions_cli_exits_one(self, tmp_path, capsys):
         dots = isolated_dots(tmp_path / "dots.pgm")

@@ -269,15 +269,22 @@ class TestExports:
         data = path.read_bytes()
         assert data == b"P5\n2 2\n2\n" + bytes([0, 1, 2, 2])
 
-    def test_region_map_pgm_wide_ids(self, tmp_path):
-        labels = np.arange(300, dtype=np.int32).reshape(15, 20) + 1
-        # Dense ids 1..300, one pixel each.
+    @pytest.mark.parametrize(
+        "regions, sample",
+        [(255, np.uint8), (256, ">u2"), (300, ">u2")],
+        ids=["255-one-byte", "256-two-byte", "300-two-byte"],
+    )
+    def test_region_map_pgm_wide_ids(self, tmp_path, regions, sample):
+        # Dense ids 1..regions, one pixel each: maxval is the region count,
+        # and samples switch from one byte to two big-endian bytes past 255.
+        labels = np.arange(1, regions + 1, dtype=np.int32).reshape(1, regions)
         path = tmp_path / "labels.pgm"
-        write_region_map_pgm(RegionMap(labels, 300), path)
+        write_region_map_pgm(RegionMap(labels, regions), path)
         data = path.read_bytes()
-        header = b"P5\n20 15\n300\n"
+        header = f"P5\n{regions} 1\n{regions}\n".encode("ascii")
         assert data.startswith(header)
-        raster = np.frombuffer(data[len(header) :], dtype=">u2").reshape(15, 20)
+        assert len(data) == len(header) + regions * np.dtype(sample).itemsize
+        raster = np.frombuffer(data[len(header) :], dtype=sample).reshape(1, regions)
         assert (raster == labels).all()
 
     def test_region_map_pgm_unwritable_path(self, tmp_path):
