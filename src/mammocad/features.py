@@ -96,24 +96,37 @@ def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return means
 
 
-def _feature_rows(
-    labels: np.ndarray,
-    gray: np.ndarray,
-    grad: np.ndarray,
-    ids: np.ndarray,
-    origin: tuple[int, int],
+def feature_table(
+    img: GrayImage, region_map: RegionMap, ids: Iterable[int], grad: np.ndarray | None = None
 ) -> np.ndarray:
-    """Descriptor rows of the regions ``ids`` (ascending) of a label window.
+    """Descriptors of the regions ``ids`` in one pass over the label map.
 
-    ``origin`` is the window's top-left corner in the image, so centroids
-    and distances are taken in image coordinates.
+    Returns an array of shape (region_count + 1, 7) whose row i holds the
+    :class:`FeatureVector` fields of region i in field order; rows of
+    regions not in ``ids`` are 0. ``grad`` defaults to :func:`gradient_map`.
+    The order of ``ids`` and repeats in it do not matter.
     """
-    slot = np.full(labels.max(initial=0) + 1, len(ids))
-    slot[ids] = np.arange(len(ids))
-    flat = labels.ravel()
-    at = np.flatnonzero(slot[flat] < len(ids))
-    at = at[np.argsort(slot[flat[at]], kind="stable")]  # by region, raster order within
-    group = slot[flat[at]]
+    wanted = wanted_rows(img, region_map, ids)
+    if grad is None:
+        grad = gradient_map(img)
+    elif grad.shape != region_map.labels.shape:
+        raise ValueError("gradient and region map dimensions differ")
+    table = np.zeros((len(wanted), 7), dtype=np.float64)
+    if not wanted.any():
+        return table
+    # The pass runs on the bounding box of those regions: the outer
+    # neighbour of a region pixel on its edge is not in the region, so
+    # every boundary stays as it is on the whole map.
+    covered = wanted[region_map.labels]
+    rows = np.flatnonzero(covered.any(axis=1))
+    cols = np.flatnonzero(covered.any(axis=0))
+    y0, x0 = rows[0], cols[0]
+    box = np.s_[y0 : rows[-1] + 1, x0 : cols[-1] + 1]
+    labels, gray = region_map.labels[box], img.pixels[box]
+    at = np.flatnonzero(covered[box])
+    group = (np.cumsum(wanted) - 1)[labels.ravel()[at]]  # a row per wanted id
+    order = np.argsort(group, kind="stable")  # by region, raster order within
+    at, group = at[order], group[order]
     ys, xs = np.divmod(at, labels.shape[1])
     area = np.bincount(group)
     ends = np.cumsum(area)
@@ -121,7 +134,7 @@ def _feature_rows(
     edge_group = group[edge]
     edge_count = np.bincount(edge_group)
 
-    grads = grad.ravel()[at]
+    grads = grad[box].ravel()[at]
     mean_gradient = np.bincount(group, weights=grads) / area
     boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count
 
@@ -137,8 +150,7 @@ def _feature_rows(
     gray_mean = region_means(values)
     gray_std = np.sqrt(region_means((values - gray_mean[group]) ** 2))
 
-    x0, y0 = origin
-    cx = np.bincount(group, weights=xs + x0) / area
+    cx = np.bincount(group, weights=xs + x0) / area  # in image coordinates
     cy = np.bincount(group, weights=ys + y0) / area
     dx = (xs[edge] + x0 - cx[edge_group]).tolist()
     dy = (ys[edge] + y0 - cy[edge_group]).tolist()
@@ -169,35 +181,7 @@ def _feature_rows(
         d_var / d_mean,
         inside / area - outside_mean,
     ]
-    return np.array(columns, dtype=np.float64).T
-
-
-def feature_table(
-    img: GrayImage, region_map: RegionMap, ids: Iterable[int], grad: np.ndarray | None = None
-) -> np.ndarray:
-    """Descriptors of the regions ``ids`` in one pass over the label map.
-
-    Returns an array of shape (region_count + 1, 7) whose row i holds the
-    :class:`FeatureVector` fields of region i in field order; rows of
-    regions not in ``ids`` are 0. ``grad`` defaults to :func:`gradient_map`.
-    """
-    wanted = wanted_rows(img, region_map, ids)
-    labels = region_map.labels
-    ids = np.flatnonzero(wanted)
-    if grad is None:
-        grad = gradient_map(img)
-    elif grad.shape != labels.shape:
-        raise ValueError("gradient and region map dimensions differ")
-    table = np.zeros((len(wanted), 7), dtype=np.float64)
-    if ids.size:
-        # The pass runs on the bounding box of those regions: the outer
-        # neighbour of a region pixel on its edge is not in the region, so
-        # every boundary stays as it is on the whole map.
-        covered = wanted[labels]
-        ys = np.flatnonzero(covered.any(axis=1))
-        xs = np.flatnonzero(covered.any(axis=0))
-        box = np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
-        table[ids] = _feature_rows(labels[box], img.pixels[box], grad[box], ids, (xs[0], ys[0]))
+    table[wanted] = np.array(columns, dtype=np.float64).T
     return table
 
 

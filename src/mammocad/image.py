@@ -181,22 +181,13 @@ def decode_pgm(data: bytes) -> GrayImage:
     return GrayImage(flat.reshape(height, width))
 
 
-def write_pgm(img: GrayImage, path, mode: str = "binary") -> None:
-    """Write ``img`` as PGM; ``mode`` is "ascii" (P2) or "binary" (P5).
+def write_pgm(img: GrayImage, path) -> None:
+    """Write ``img`` as a binary (P5) PGM with maxval 255.
 
-    Written files carry maxval 255 and round-trip bit-exactly through
-    :func:`read_pgm`.
+    The file round-trips bit-exactly through :func:`read_pgm`. P2 is an
+    input format only.
     """
-    if mode not in ("ascii", "binary"):
-        raise ValueError(f"mode must be 'ascii' or 'binary', got {mode!r}")
-    if mode == "binary":
-        write_bytes(path, p5_bytes(img.pixels, 255))
-        return
-    flat = img.pixels.ravel()
-    # PNM convention: keep text lines short.
-    lines = [" ".join(str(v) for v in flat[i : i + 17]) for i in range(0, len(flat), 17)]
-    header = f"P2\n{img.width} {img.height}\n255\n"
-    write_bytes(path, (header + "\n".join(lines) + "\n").encode("ascii"))
+    write_bytes(path, p5_bytes(img.pixels, 255))
 
 
 def p5_bytes(samples: np.ndarray, maxval: int) -> bytes:

@@ -7,6 +7,7 @@ timing values embedded in the JSON report.
 """
 
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -15,6 +16,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from numbers import Integral, Real
 from pathlib import Path
+
+import numpy as np
 
 from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
@@ -49,11 +52,11 @@ class PipelineConfig:
 
     def validate(self) -> None:
         for name, kind in _FIELD_TYPES.items():
-            _check_number(name, getattr(self, name), kind)
+            _check_type(name, getattr(self, name), kind)
         if self.dwt_levels < 0:
             raise ConfigError("dwt_levels must be >= 0")
         if self.threshold != "auto":
-            _check_number("threshold", self.threshold, Integral)
+            _check_type("threshold", self.threshold, _KINDS[int])
             if not 0 <= self.threshold <= 255:
                 raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
         if self.tau_split < 0 or self.tau_merge < 0:
@@ -67,13 +70,13 @@ class PipelineConfig:
         if self.min_region_pixels < 2:
             raise ConfigError("min_region_pixels must be >= 2")
         for name in self.emit:
-            if name not in EMIT_CHOICES:
+            if not isinstance(name, str) or name not in EMIT_CHOICES:
                 raise ConfigError(f"unknown emit artifact {name!r}")
         for key, value in self.rule_overrides.items():
             kind = _RULE_TYPES.get(key)
             if kind is None:
                 raise ConfigError(f"unknown rule {key!r}")
-            _check_number(f"rule {key}", value, kind)
+            _check_type(f"rule {key}", value, kind)
         # The scaled default max_area is known only per image, so here it is
         # unbounded; min_area alone meets it in resolve_rules.
         try:
@@ -82,21 +85,26 @@ class PipelineConfig:
             raise ConfigError(f"rule {exc}") from exc
 
 
-# The numbers an int or float annotation admits. Bools are numbers too, but
-# no numeric field's (dwt_first is annotated bool, not int).
-_NUMBERS = {int: Integral, float: Real}
-# The numeric PipelineConfig fields; threshold (int | str) has its own check.
-_FIELD_TYPES = {
-    f.name: _NUMBERS[f.type] for f in fields(PipelineConfig) if f.type in _NUMBERS
+# The types each field annotation admits, and how to name them; numpy's
+# numbers and bools count. threshold (int | str) has its own check.
+_KINDS = {
+    int: ((Integral,), "an integer"),
+    float: ((Real,), "a real number"),
+    bool: ((bool, np.bool_), "a bool"),
+    dict: ((dict,), "a dict"),
+    Path | None: ((type(None), str, os.PathLike), "None, a str or a path"),
+    tuple[str, ...]: ((tuple, list), "a tuple or list of str"),
 }
+_FIELD_TYPES = {f.name: _KINDS[f.type] for f in fields(PipelineConfig) if f.type in _KINDS}
 # Rule thresholds settable by name: every RuleSet field.
-_RULE_TYPES = {f.name: _NUMBERS[f.type] for f in fields(RuleSet)}
+_RULE_TYPES = {f.name: _KINDS[f.type] for f in fields(RuleSet)}
 RULE_KEYS = tuple(_RULE_TYPES)
 
 
-def _check_number(name: str, value, kind: type) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is Integral else "a real number"
+def _check_type(name: str, value, kind: tuple[tuple[type, ...], str]) -> None:
+    kinds, noun = kind
+    # Bools are integers too, but only a bool field takes one.
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
@@ -226,10 +234,17 @@ def run_pipeline(
 def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
     """Run the pipeline over many files; per-file errors become entries.
 
-    The config is validated first, so a :class:`ConfigError` it raises
-    comes before any file is read.
+    The config and, when artifacts are written, the files' stems are
+    checked first: a :class:`ConfigError` comes before any file is read.
     """
     cfg.validate()
+    paths = list(paths)
+    if cfg.output_dir is not None and cfg.emit:
+        first_of = {}
+        for path in paths:
+            first = first_of.setdefault(Path(path).stem, path)
+            if str(first) != str(path):
+                raise ConfigError(f"{first} and {path} would write the same artifacts")
     results: list[DetectionReport | BatchError] = []
     for path in paths:
         try:

@@ -4,7 +4,9 @@
 from their calls (one ``blanket_dimension`` call per fitted region, one
 ``compute_features`` call per detection). A refactor that renames a hooked
 function or stops calling it per region would silently break those
-metrics; these tests run the tracer, unchanged, around ``run_batch``.
+metrics; these tests run the tracer, unchanged, around ``run_batch``. The
+bench's own modules must import and its workload configs validate, or every
+bench run fails.
 """
 
 import importlib.util
@@ -89,3 +91,15 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
     # The merge scan runs inside segment.merge, the function the tracer times.
     assert row["segment.merge_ms"] > 0
     assert abs(row["unaccounted_ms"]) <= 1e-6 * max(1.0, row["total_ms"])
+
+
+def test_bench_imports_and_workload_configs_validate(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import record_golden  # noqa: F401
+    import run  # noqa: F401
+    import worker  # noqa: F401
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        # As bench/worker.py builds it.
+        PipelineConfig(output_dir=tmp_path, **workload.config).validate()

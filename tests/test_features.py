@@ -322,6 +322,8 @@ class TestFeatureTable:
         grad = rng.random(img.pixels.shape) * scale
         areas = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
         ids = [rid for rid, n in enumerate(areas) if rid and n >= 2 and rng.random() < 0.7]
+        # Shuffled, with some ids twice: the table must not depend on their order.
+        ids = rng.permutation(ids + ids[: len(ids) // 2]).astype(int).tolist()
         self.assert_matches_oracle(img, rm, grad, ids)
 
     @pytest.mark.parametrize("make", [checkerboard, cross_and_ring, solid_blocks])

@@ -157,6 +157,8 @@ class TestBlanketAreaTable:
     def test_matches_oracle(self, case, r_max):
         img, rm, rng = case
         ids = [rid for rid in range(1, rm.region_count + 1) if rng.random() < 0.7]
+        # Shuffled, with some ids twice: the table must not depend on their order.
+        ids = rng.permutation(ids + ids[: len(ids) // 2]).astype(int).tolist()
         self.assert_matches_oracle(img, rm, ids, r_max)
 
     @pytest.mark.parametrize("make", [checkerboard, cross_and_ring])

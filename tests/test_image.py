@@ -239,7 +239,12 @@ class TestReadPgm:
     def test_p2_read_memory_bounded(self, tmp_path):
         # Arrays with one entry per file byte stay uint8 or bool.
         path = tmp_path / "phantom.pgm"
-        write_pgm(generate_phantom("tumor", 1, 1024)[0], path, mode="ascii")
+        flat = generate_phantom("tumor", 1, 1024)[0].pixels.ravel().tolist()
+        tokens = [b"%d" % v for v in range(256)]
+        lines = [
+            b" ".join([tokens[v] for v in flat[i : i + 17]]) for i in range(0, len(flat), 17)
+        ]
+        path.write_bytes(b"P2\n1024 1024\n255\n" + b"\n".join(lines) + b"\n")
         tracemalloc.start()
         try:
             img = read_pgm(path)
@@ -265,31 +270,26 @@ class TestWritePgm:
     def test_binary_header_layout(self, tmp_path):
         img = img_of([[1, 2, 3], [4, 5, 6]])
         path = tmp_path / "a.pgm"
-        write_pgm(img, path, mode="binary")
+        write_pgm(img, path)
         data = path.read_bytes()
         assert data.startswith(b"P5\n3 2\n255\n")
         assert data[len(b"P5\n3 2\n255\n") :] == bytes([1, 2, 3, 4, 5, 6])
 
     def test_single_pixel_round_trip(self, tmp_path):
         img = img_of([[0]])
-        for mode in ("ascii", "binary"):
-            path = tmp_path / f"one_{mode}.pgm"
-            write_pgm(img, path, mode=mode)
-            assert read_pgm(path) == img
-
-    def test_bad_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pgm(img_of([[0]]), tmp_path / "a.pgm", mode="text")
+        path = tmp_path / "one.pgm"
+        write_pgm(img, path)
+        assert read_pgm(path) == img
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoFailure):
             write_pgm(img_of([[0]]), tmp_path / "no" / "dir" / "a.pgm")
 
     @settings(deadline=None, max_examples=40)
-    @given(img=gray_images(), mode=st.sampled_from(["ascii", "binary"]))
-    def test_round_trip_identity(self, img, mode, tmp_path_factory):
+    @given(img=gray_images())
+    def test_round_trip_identity(self, img, tmp_path_factory):
         path = tmp_path_factory.mktemp("pgm") / "rt.pgm"
-        write_pgm(img, path, mode=mode)
+        write_pgm(img, path)
         assert read_pgm(path) == img
 
 

@@ -577,11 +577,19 @@ class TestBatchContract:
             {"threshold": True},
             {"threshold": 120.0},
             {"threshold": "120"},
+            {"dwt_first": "no"},
+            {"dwt_first": 1},
+            {"rule_overrides": None},
+            {"rule_overrides": [("min_area", 10)]},
+            {"emit": None},
+            {"emit": "report"},
+            {"emit": ("report", 3)},
+            {"output_dir": 5},
         ],
     )
     def test_mistyped_fields_rejected_before_reading(self, field, tmp_path):
-        # Numeric fields take the numbers their annotations admit.
-        cfg = PipelineConfig(**field, output_dir=None)
+        # Every field takes the values its annotation admits.
+        cfg = PipelineConfig(**{"output_dir": None, **field})
         with pytest.raises(ConfigError):
             cfg.validate()
         with pytest.raises(ConfigError):
@@ -611,6 +619,7 @@ class TestBatchContract:
             dwt_levels=np.int64(2), r_max=np.int32(4), d_min=2, d_max=np.float32(2.8),
             dwt_first=False,
         ).validate()
+        PipelineConfig(dwt_first=np.False_, emit=["report"], output_dir="out").validate()
 
     def test_overrides_of_any_number_type_accepted(self):
         overrides = {
@@ -633,6 +642,19 @@ class TestBatchContract:
 
         assert report_bytes(np.int64(120)) == report_bytes(120)
         assert '"threshold_used": 120,' in report_bytes(np.uint8(120))
+
+    def test_shared_stem_rejected_before_reading(self, tmp_path, capsys):
+        # Neither path exists: reading one would give a BatchError entry.
+        paths = [tmp_path / "a" / "tumor_1.pgm", tmp_path / "b" / "tumor_1.pgm"]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="tumor_1"):
+            run_batch(paths, PipelineConfig(output_dir=out))
+        assert main(["detect", *map(str, paths), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        # With no artifacts written, nothing is overwritten.
+        for cfg in (PipelineConfig(output_dir=None), PipelineConfig(output_dir=out, emit=())):
+            assert [type(r) for r in run_batch(paths, cfg)] == [BatchError, BatchError]
 
     def test_artifact_write_failure_is_a_per_file_error(self, tmp_path, capsys):
         first = tmp_path / "a.pgm"
