@@ -28,7 +28,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .segment import RegionMap, extract_regions, merge, segment_image, split
-from .threshold import BinaryMask, Histogram, apply_threshold, histogram, otsu_threshold
+from .threshold import BinaryMask, apply_threshold, histogram, otsu_threshold
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "DetectionReport",
     "FeatureVector",
     "GrayImage",
-    "Histogram",
     "MammoCadError",
     "PipelineConfig",
     "RegionMap",

@@ -9,11 +9,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .classify import RuleSet
 from .errors import ConfigError, IoFailure, MammoCadError
-from .image import GrayImage, write_pgm
+from .image import write_pgm
 from .phantom import KINDS, generate_phantom
 from .pipeline import (
     EMIT_CHOICES,
@@ -22,6 +20,7 @@ from .pipeline import (
     PipelineConfig,
     run_batch,
 )
+from .threshold import mask_to_image
 
 
 def boolean(value: str) -> bool:
@@ -164,7 +163,7 @@ def _cmd_phantom(args) -> int:
     image_path = args.out / f"{stem}.pgm"
     truth_path = args.out / f"{stem}_truth.pgm"
     write_pgm(img, image_path)
-    write_pgm(GrayImage(np.where(truth, 255, 0).astype(np.uint8)), truth_path)
+    write_pgm(mask_to_image(truth), truth_path)
     print(f"{image_path}\n{truth_path}")
     return 0
 

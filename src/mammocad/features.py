@@ -11,8 +11,9 @@ definitions, so every value has the same bits:
 - the gradient means are sequential sums: a weighted ``np.bincount`` adds
   in raster order, as Python's left-to-right ``sum`` over a region's pixels
   does;
-- gray sums are exact integers, and so are bounding-box sums taken from an
-  integral image;
+- gray sums are exact integers in any order, so each gray mean is its
+  region's sum over its area; bounding-box sums taken from an integral
+  image are exact too;
 - ``gray_std`` and the edge-distance means use numpy's pairwise sum on each
   region's own slice, as ``ndarray.mean`` does on the region's values: the
   slices of one length are summed by one last-axis reduce, which sums each
@@ -146,9 +147,9 @@ def feature_table(
     box_area = (col_end - col_min) * (row_end - row_min)
 
     values = gray.ravel()[at].astype(np.float64)
-    region_means = _slice_means(area)
-    gray_mean = region_means(values)
-    gray_std = np.sqrt(region_means((values - gray_mean[group]) ** 2))
+    inside = np.bincount(group, weights=values)  # exact, as a pairwise sum is
+    gray_mean = inside / area
+    gray_std = np.sqrt(_slice_means(area)((values - gray_mean[group]) ** 2))
 
     cx = np.bincount(group, weights=xs + x0) / area  # in image coordinates
     cy = np.bincount(group, weights=ys + y0) / area
@@ -169,7 +170,6 @@ def feature_table(
         - integral[row_end, col_min]
         + integral[row_min, col_min]
     )
-    inside = np.bincount(group, weights=values)
     # With no outside pixel, box_sum - inside is 0 and the inside mean stays.
     outside_mean = (box_sum - inside) / np.maximum(box_area - area, 1)
     columns = [

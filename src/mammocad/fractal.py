@@ -18,6 +18,7 @@ is a table of that one id:
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -64,6 +65,7 @@ def blanket_area_table(
     u + 1 beats u and b - 1 beats b. The volumes are sums of integers, read
     per region with one weighted ``bincount`` per radius, so they are exact.
     """
+    r_max = operator.index(r_max)  # a numpy integer's r_max + 1 would wrap
     if r_max < 2:
         raise ValueError("r_max must be >= 2")
     wanted = wanted_rows(img, region_map, ids)

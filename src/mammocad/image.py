@@ -4,6 +4,7 @@ Pixel coordinates are (x, y) with x the column and y the row; arrays are
 stored row-major, so ``pixels[y, x]``.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,6 +222,7 @@ def haar_downsample(img: GrayImage, levels: int) -> GrayImage:
     half rounded up; this is the low-pass pyramid apex, so a 1024x1024 input
     at levels=3 comes out 128x128. levels=0 returns the image unchanged.
     """
+    levels = operator.index(levels)  # a numpy integer's shift would wrap
     if levels < 0:
         raise ValueError("levels must be >= 0")
     factor = 1 << levels

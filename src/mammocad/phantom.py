@@ -76,17 +76,18 @@ def _texture_field(size: int, rng: np.random.Generator) -> np.ndarray:
 
     Phantoms of 512 pixels and up are meant for the default 3-level
     pyramid, so the texture is synthesized on the 8x-coarser working grid
-    and upsampled blockwise; block averaging then hands it to the pipeline
-    unchanged. Smaller phantoms (meant for dwt_levels=0 runs) get it at
-    full resolution. The hard bound matters: adjacent working pixels can
-    never differ by more than twice the bound, so the merge step cannot
-    crack the blob apart under its default tolerance.
+    (rounded up, so any size is covered), upsampled blockwise and cropped to
+    ``size``; block averaging then hands it to the pipeline unchanged.
+    Smaller phantoms (meant for dwt_levels=0 runs) get it at full
+    resolution. The hard bound matters: adjacent working pixels can never
+    differ by more than twice the bound, so the merge step cannot crack the
+    blob apart under its default tolerance.
     """
     upsample = 8 if size >= 512 else 1
-    grid = size // upsample
+    grid = -(-size // upsample)
     raw = _fbm_field(grid, _TEXTURE_HURST, rng)
     bounded = _TEXTURE_AMP * np.tanh(_TEXTURE_GAIN * raw)
-    return np.repeat(np.repeat(bounded, upsample, axis=0), upsample, axis=1)
+    return np.repeat(np.repeat(bounded, upsample, axis=0), upsample, axis=1)[:size, :size]
 
 
 def _fbm_field(size: int, hurst: float, rng: np.random.Generator) -> np.ndarray:

@@ -212,7 +212,7 @@ def run_pipeline(
         if "inverted" in cfg.emit:
             write_pgm(inverted, out / f"{stem}_inverted.pgm")
         if "mask" in cfg.emit:
-            write_pgm(mask_to_image(mask), out / f"{stem}_mask.pgm")
+            write_pgm(mask_to_image(mask.bits), out / f"{stem}_mask.pgm")
         if "overlay" in cfg.emit:
             # Boundaries read best on the working source image, i.e. the
             # inverted image negated back.

@@ -286,13 +286,14 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     return ids[parent].reshape(height, width), roots
 
 
-def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
 
-    Returns (targets, offsets): the neighbours of id r are
+    Returns (sources, targets, offsets): edge i runs from ``sources[i]`` to
+    ``targets[i]``, and the neighbours of id r are
     ``targets[offsets[r]:offsets[r + 1]]``, ascending and each once. Every
     touching pair is coded in both directions as ``src * (count + 1) + dst``,
-    so one sort of the codes orders them by row, then by target.
+    so one sort of the codes orders them by source, then by target.
     """
     codes = []
     for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
@@ -306,23 +307,22 @@ def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     src, targets = np.divmod(codes[distinct], count + 1)
     offsets = np.zeros(count + 2, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=count + 1), out=offsets[1:])
-    return targets.astype(np.int32), offsets
+    return src, targets.astype(np.int32), offsets
 
 
 def _merge_visits(
-    means: np.ndarray, targets: np.ndarray, offsets: np.ndarray, tau_merge: int
+    means: np.ndarray, sources: np.ndarray, targets: np.ndarray, tau: float
 ) -> list[int]:
-    """The seeds with a higher-id neighbour within ``tau_merge`` at the seed means.
+    """The seeds with a higher-id neighbour within ``tau`` at the seed means.
 
-    ``means`` holds each seed's mean by id and (targets, offsets) is the
-    graph of :func:`_adjacency`. Only these seeds can absorb anything in
-    :func:`merge`'s scan; the ids come back ascending, as Python ints.
+    ``means`` holds each seed's mean by id, (sources, targets) are the edges
+    of :func:`_adjacency` and ``tau`` is :func:`merge`'s tolerance. Only
+    these seeds can absorb anything in :func:`merge`'s scan; the ids come
+    back ascending, as Python ints.
     """
-    tau = min(tau_merge, 255)  # means differ by at most 255; a huge int would not fit a float
-    rows = np.repeat(np.arange(len(means), dtype=np.int32), np.diff(offsets))
-    near = (targets > rows) & (np.abs(means[rows] - means[targets]) <= tau)
+    near = (targets > sources) & (np.abs(means[sources] - means[targets]) <= tau)
     visit = np.zeros(len(means), dtype=bool)
-    visit[rows[near]] = True
+    visit[sources[near]] = True
     return np.flatnonzero(visit).tolist()
 
 
@@ -373,6 +373,7 @@ def merge(
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
+    tau = float(min(tau_merge, 255))  # means differ by <= 255; a float negates without wrapping
     block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height)
     seeds, first_pixel = _seed_labels(mask.bits, block_of)
     count = len(first_pixel)
@@ -385,8 +386,8 @@ def merge(
     means = mean_of.tolist()
     sums = sums.astype(np.int64).tolist()
     sizes = sizes.tolist()
-    targets, offsets = _adjacency(seeds, count)
-    visits = _merge_visits(mean_of, targets, offsets, tau_merge)
+    sources, targets, offsets = _adjacency(seeds, count)
+    visits = _merge_visits(mean_of, sources, targets, tau)
     # Memoryviews read the graph as Python ints without a copy of it.
     targets, offsets = memoryview(targets), memoryview(offsets)
     # A region's neighbour ids, stored when its visit ends; before that it
@@ -417,7 +418,7 @@ def merge(
                     own.append(other)
             target = none_close
             for other in own:
-                if other < target and -tau_merge <= mean - means[other] <= tau_merge:
+                if other < target and -tau <= mean - means[other] <= tau:
                     target = other
             if target == none_close:
                 break

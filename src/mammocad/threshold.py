@@ -11,21 +11,6 @@ BINS = 256
 
 
 @dataclass
-class Histogram:
-    """Per-gray-level pixel counts; ``counts`` has one bin per level."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (BINS,):
-            raise ValueError(f"counts must have {BINS} bins")
-        if int(self.counts.sum()) != self.total:
-            raise ValueError("total does not match sum of counts")
-
-
-@dataclass
 class BinaryMask:
     """Foreground/background partition; foreground is strictly > threshold."""
 
@@ -50,14 +35,13 @@ class BinaryMask:
         return int(self.bits.sum())
 
 
-def histogram(img: GrayImage) -> Histogram:
-    """Count pixels per gray level."""
-    counts = np.bincount(img.pixels.ravel(), minlength=BINS)
-    return Histogram(counts, int(counts.sum()))
+def histogram(img: GrayImage) -> np.ndarray:
+    """Count pixels per gray level: an array of 256 counts."""
+    return np.bincount(img.pixels.ravel(), minlength=BINS)
 
 
-def otsu_threshold(hist: Histogram) -> int:
-    """Pick the threshold maximizing between-class variance.
+def otsu_threshold(counts: np.ndarray) -> int:
+    """Pick the threshold maximizing between-class variance of 256 ``counts``.
 
     Returns the smallest t in [0, 254] maximizing
     sigma_B^2(t) = w0 * w1 * (mu0 - mu1)^2, where class 0 holds pixels <= t.
@@ -65,10 +49,13 @@ def otsu_threshold(hist: Histogram) -> int:
     in exact integer arithmetic, so ties and near-ties are unambiguous:
     dropping the constant 1/total^2, sigma_B^2(t) is proportional to
     (S0*c1 - S1*c0)^2 / (c0*c1) with c the class counts and S the class
-    gray-value sums.
+    gray-value sums. ``counts`` must have 256 bins, as :func:`histogram`
+    returns, and at least one pixel.
     """
-    counts = [int(c) for c in hist.counts]
-    total = hist.total
+    if np.shape(counts) != (BINS,):
+        raise ValueError(f"counts must have {BINS} bins")
+    counts = [int(c) for c in counts]
+    total = sum(counts)
     if total == 0:
         raise EmptyHistogram("histogram has no pixels")
 
@@ -102,6 +89,6 @@ def apply_threshold(img: GrayImage, t: int) -> BinaryMask:
     return BinaryMask(img.pixels > t, t)
 
 
-def mask_to_image(mask: BinaryMask) -> GrayImage:
-    """Render a mask as an image: foreground 255, background 0."""
-    return GrayImage(np.where(mask.bits, 255, 0).astype(np.uint8))
+def mask_to_image(bits: np.ndarray) -> GrayImage:
+    """Render a 2-D bool array as an image: True 255, False 0."""
+    return GrayImage(np.where(bits, 255, 0).astype(np.uint8))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,25 @@ from mammocad.phantom import generate_phantom
 from oracles import connected_components_8
 
 
+# sha256 of pixels then truth, one byte a sample: the phantoms the benchmark's
+# screen and ingest-p2 workloads generate at its seed 5.
+PINNED = {
+    ("blank", 500, 512): "8b6066370dbf55e771f88a2674697b9f26da39e570ea2e458121451bbe8947a5",
+    ("tumor", 501, 512): "e1888cab74f162c17e655f5d060cc71406762b0526f4c4c2e438e63d54f07272",
+    ("multi", 502, 512): "5572896982c931a502e2e60052d6dfd9f6d40496b73d6ebc3282f5c80a8fadc8",
+    ("blank", 500, 1024): "2eb224d22fb402c8d162314b34e2f0926c1c17d492f47994ba0efb31ce2c9247",
+    ("tumor", 501, 1024): "6f5591edd5af1ab9d8abaf93f7c28bd59b694c3f5fd3c7bb05b98390b6f09806",
+    ("multi", 502, 1024): "2243b8602533ccea2e1e750ffe9967d643b5ecca6baa88c5e0ad03bc393a42d7",
+}
+
+
 class TestGeneratePhantom:
+    @pytest.mark.parametrize("key", list(PINNED), ids=lambda key: "%s_%d_%d" % key)
+    def test_benchmark_phantoms_pinned(self, key):
+        img, truth = generate_phantom(*key)
+        digest = hashlib.sha256(img.pixels.tobytes() + truth.tobytes()).hexdigest()
+        assert digest == PINNED[key]
+
     def test_deterministic_per_seed(self):
         img1, truth1 = generate_phantom("tumor", 5, 256)
         img2, truth2 = generate_phantom("tumor", 5, 256)
@@ -23,15 +43,18 @@ class TestGeneratePhantom:
         assert not truth.any()
         assert (img.width, img.height) == (128, 128)
 
-    def test_tumor_truth_one_blob(self):
-        _, truth = generate_phantom("tumor", 1, 256)
+    @pytest.mark.parametrize("size", [256, 513, 700])
+    def test_tumor_truth_one_blob(self, size):
+        img, truth = generate_phantom("tumor", 1, size)
+        assert img.pixels.shape == truth.shape == (size, size)
         pixels = [(int(x), int(y)) for y, x in np.argwhere(truth)]
         assert pixels
         assert connected_components_8(pixels) == 1
 
-    def test_multi_truth_marks_textured_blob_only(self):
-        size = 256
-        _, truth = generate_phantom("multi", 1, size)
+    @pytest.mark.parametrize("size", [256, 513, 700])
+    def test_multi_truth_marks_textured_blob_only(self, size):
+        img, truth = generate_phantom("multi", 1, size)
+        assert img.pixels.shape == truth.shape == (size, size)
         pixels = [(int(x), int(y)) for y, x in np.argwhere(truth)]
         assert connected_components_8(pixels) == 1
         xs = [x for x, _ in pixels]

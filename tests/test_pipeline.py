@@ -614,12 +614,38 @@ class TestBatchContract:
         with pytest.raises(ConfigError):
             run_batch([tmp_path / "never_read.pgm"], PipelineConfig(**field, output_dir=None))
 
-    def test_fields_of_any_number_type_accepted(self):
+    def test_fields_of_any_number_type_accepted(self, tmp_path):
         PipelineConfig(
             dwt_levels=np.int64(2), r_max=np.int32(4), d_min=2, d_max=np.float32(2.8),
             dwt_first=False,
         ).validate()
         PipelineConfig(dwt_first=np.False_, emit=["report"], output_dir="out").validate()
+        # A numpy integer runs as its Python twin does: no stage wraps it.
+        path = tmp_path / "t.pgm"
+        write_pgm(generate_phantom("tumor", 1, 128)[0], path)
+
+        def result(name, value):
+            cfg = PipelineConfig(**{"dwt_levels": 0, "output_dir": None, name: value})
+            (out,) = run_batch([path], cfg)
+            if isinstance(out, BatchError):
+                return out
+            out.timings = {}
+            return report_json(out)
+
+        for name, value, numpy_types in (
+            ("tau_merge", 10, (np.uint8, np.uint16, np.int8)),
+            ("tau_split", 10, (np.uint8, np.int8)),
+            ("r_max", 127, (np.int8, np.uint8)),
+            ("min_block", 2, (np.uint8,)),
+            ("min_region_pixels", 8, (np.uint8, np.int16)),
+            ("dwt_levels", 9, (np.uint8, np.int64)),
+            ("dwt_levels", 70, (np.int8, np.int64)),
+        ):
+            expected = result(name, value)
+            for numpy_type in numpy_types:
+                assert result(name, numpy_type(value)) == expected, (name, numpy_type)
+        assert result("dwt_levels", np.uint8(9)).error.endswith("not divisible by 2^9")
+        assert '"label": "tumor"' in result("tau_merge", 10)
 
     def test_overrides_of_any_number_type_accepted(self):
         overrides = {
@@ -778,9 +804,25 @@ def test_batch_sweep_over_extreme_inputs(images, **config):
                 assert isinstance(result, BatchError)
 
 
+NUMPY_INTS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+
+
+def as_any_int(value):
+    """``value`` as a Python int or as a numpy integer type that holds it."""
+    types = [t for t in NUMPY_INTS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return st.sampled_from([int, *types]).map(lambda t: t(value))
+
+
+def any_int(low, high):
+    return st.integers(low, high).flatmap(as_any_int)
+
+
 @st.composite
 def oracle_cases(draw):
-    """A random image and a valid config whose pyramid divides the image."""
+    """A random image and a valid config whose pyramid divides the image.
+
+    Each integer field is a Python int or a numpy integer type that holds it.
+    """
     levels = draw(st.integers(0, 2))
     step = 1 << levels
     width = step * draw(st.integers(1, 24 // step))
@@ -805,16 +847,16 @@ def oracle_cases(draw):
             overrides[key] = draw(values)
     d_min, d_max = draw(st.sampled_from([(2.4, 2.75), (1.5, 3.5)]))
     cfg = PipelineConfig(
-        dwt_levels=levels,
+        dwt_levels=draw(as_any_int(levels)),
         dwt_first=draw(st.booleans()),
-        threshold=draw(st.one_of(st.just("auto"), st.integers(0, 255))),
-        tau_split=draw(st.integers(0, 255)),
-        tau_merge=draw(st.integers(0, 255)),
-        min_block=draw(st.integers(1, 4)),
-        r_max=draw(st.integers(2, 12)),
+        threshold=draw(st.one_of(st.just("auto"), any_int(0, 255))),
+        tau_split=draw(any_int(0, 255)),
+        tau_merge=draw(any_int(0, 255)),
+        min_block=draw(any_int(1, 4)),
+        r_max=draw(any_int(2, 12)),
         d_min=d_min,
         d_max=d_max,
-        min_region_pixels=draw(st.integers(2, 10)),
+        min_region_pixels=draw(any_int(2, 10)),
         rule_overrides=overrides,
         emit=EMIT_CHOICES,
     )

@@ -563,10 +563,11 @@ class TestAdjacency:
     def test_matches_touching_pairs(self, shape, labels, extra, seed):
         grid = np.random.default_rng(seed).integers(0, labels + 1, shape).astype(np.int32)
         count = labels + extra  # ids above the largest label have empty rows
-        targets, offsets = _adjacency(grid, count)
+        sources, targets, offsets = _adjacency(grid, count)
         assert offsets.shape == (count + 2,)
         assert offsets[0] == 0 and offsets[-1] == len(targets)
         assert (np.diff(offsets) >= 0).all()
+        assert sources.tolist() == np.repeat(np.arange(count + 1), np.diff(offsets)).tolist()
         rows = [targets[offsets[r] : offsets[r + 1]].tolist() for r in range(count + 1)]
         assert not rows[0]
         pairs = set()
