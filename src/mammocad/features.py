@@ -104,13 +104,12 @@ def feature_table(
 
     Returns an array of shape (region_count + 1, 7) whose row i holds the
     :class:`FeatureVector` fields of region i in field order; rows of
-    regions not in ``ids`` are 0. ``grad`` defaults to :func:`gradient_map`.
+    regions not in ``ids`` are 0. ``grad`` is the image's :func:`gradient_map`;
+    None computes it on the regions' window only, with the same bits.
     The order of ``ids`` and repeats in it do not matter.
     """
     wanted = wanted_rows(img, region_map, ids)
-    if grad is None:
-        grad = gradient_map(img)
-    elif grad.shape != region_map.labels.shape:
+    if grad is not None and grad.shape != region_map.labels.shape:
         raise ValueError("gradient and region map dimensions differ")
     table = np.zeros((len(wanted), 7), dtype=np.float64)
     if not wanted.any():
@@ -121,8 +120,8 @@ def feature_table(
     covered = wanted[region_map.labels]
     rows = np.flatnonzero(covered.any(axis=1))
     cols = np.flatnonzero(covered.any(axis=0))
-    y0, x0 = rows[0], cols[0]
-    box = np.s_[y0 : rows[-1] + 1, x0 : cols[-1] + 1]
+    y0, x0, y1, x1 = rows[0], cols[0], rows[-1] + 1, cols[-1] + 1
+    box = np.s_[y0:y1, x0:x1]
     labels, gray = region_map.labels[box], img.pixels[box]
     at = np.flatnonzero(covered[box])
     group = (np.cumsum(wanted) - 1)[labels.ravel()[at]]  # a row per wanted id
@@ -135,7 +134,11 @@ def feature_table(
     edge_group = group[edge]
     edge_count = np.bincount(edge_group)
 
-    grads = grad[box].ravel()[at]
+    # The box plus a 1-px halo, so edges replicate only at the image border.
+    top, left = max(y0 - 1, 0), max(x0 - 1, 0)
+    halo = np.s_[top : y1 + 1, left : x1 + 1]
+    grad = gradient_map(GrayImage(img.pixels[halo])) if grad is None else grad[halo]
+    grads = grad[y0 - top : y1 - top, x0 - left : x1 - left].ravel()[at]
     mean_gradient = np.bincount(group, weights=grads) / area
     boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count
 

@@ -222,16 +222,16 @@ def haar_downsample(img: GrayImage, levels: int) -> GrayImage:
     half rounded up; this is the low-pass pyramid apex, so a 1024x1024 input
     at levels=3 comes out 128x128. levels=0 returns the image unchanged.
     """
-    levels = operator.index(levels)  # a numpy integer's shift would wrap
+    levels = operator.index(levels)  # an integer; a numpy one becomes a Python int
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    factor = 1 << levels
-    if img.width % factor or img.height % factor:
-        raise NotDivisible(
-            f"{img.width}x{img.height} not divisible by 2^{levels}"
-        )
-    a = img.pixels.astype(np.uint16)  # four samples plus 2 sum to at most 1022
+    # 1 + each side's trailing zero bits, so a huge ``levels`` builds no 2**levels.
+    if any(levels >= (side & -side).bit_length() for side in img.pixels.shape):
+        raise NotDivisible(f"{img.width}x{img.height} not divisible by 2^{levels}")
+    a = img.pixels
     for _ in range(levels):
-        s = a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]
-        a = (s + 2) >> 2
+        rows = np.add(a[0::2], a[1::2], dtype=np.uint16)  # four samples + 2 <= 1022
+        a = rows[:, 0::2] + rows[:, 1::2]
+        a += 2
+        a >>= 2
     return GrayImage(a.astype(np.uint8))

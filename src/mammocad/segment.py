@@ -15,10 +15,10 @@ avoids checkerboard fusion.
 
 Everything works on whole arrays and one label map. The split decides all
 blocks of one quadtree depth at once from per-interval foreground extremes;
-the merge seeds regions by union-find connected-component labelling and then
-runs its scan on a region adjacency graph. Both give exactly the leaves,
-labels and ids of the plain recursive split, flood fill and pixel-rescanning
-merge they replace.
+the merge seeds regions by union-find over the foreground's row runs, then
+scans a region adjacency graph. Both give exactly the leaves, labels and ids
+of the plain recursive split, flood fill and pixel-rescanning merge they
+replace.
 """
 
 from dataclasses import dataclass
@@ -239,51 +239,62 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     """Label the 8-connected foreground components of every block.
 
     Two pixels connect when both are foreground and in the same block.
-    Components are found by union-find over the edge list of each neighbour
-    direction in turn: each round hooks the larger root of every edge to the
-    smaller with ``np.minimum.at``, then pointer jumping makes every pixel
-    point at its root, so a root is its component's first pixel in raster
-    order. Ids follow blocks in raster order of their top-left corner, then
-    components in raster order of their first pixel.
+    Components are found by union-find over row runs, maximal stretches of
+    foreground in one row and one block (He, Chao and Suzuki, IEEE TIP
+    17(5), 2008). Runs in adjacent rows first touch where one of them
+    starts; one sort deduplicates those edges. Each round hooks the larger
+    root of every edge to the smaller with ``np.minimum.at``, then pointer
+    jumping makes every run point at its root. Runs are numbered in raster
+    order, so a root run starts at its component's first pixel. Ids follow
+    blocks in raster order of their top-left corner, then components in
+    raster order of their first pixel.
 
     Returns the seed label map and the flat index of each seed's first
     pixel, in id order.
     """
-    height, width = bits.shape
-    index = np.arange(height * width, dtype=np.int32).reshape(height, width)
-    parent = index.ravel().copy()  # a root at every pixel between rounds
-    # The components do not depend on the order edges are joined in, so
-    # only one direction's edges need to exist at a time.
+    fg = np.flatnonzero(bits)
+    labels = np.zeros(bits.shape, dtype=np.int32)
+    if not fg.size:  # no runs
+        return labels, fg
+    # A run starts where the left neighbour is background or in another block.
+    starts = bits.copy()
+    starts[:, 1:] &= ~bits[:, :-1] | (block_of[:, :-1] != block_of[:, 1:])
+    opens = starts.ravel()[fg]
+    run_of = np.cumsum(opens, dtype=np.int32) - 1  # each foreground pixel's run
+    runs = int(run_of[-1]) + 1
+    run_map = np.zeros(bits.shape, dtype=np.int32)
+    np.put(run_map, fg, run_of)
+    codes = []  # head * runs + tail of each edge
     for a, b in (
-        (np.s_[:, :-1], np.s_[:, 1:]),
         (np.s_[:-1, :], np.s_[1:, :]),
         (np.s_[:-1, :-1], np.s_[1:, 1:]),
         (np.s_[:-1, 1:], np.s_[1:, :-1]),
     ):
-        joined = bits[a] & bits[b] & (block_of[a] == block_of[b])
-        heads = parent[index[a][joined]]
-        tails = parent[index[b][joined]]
+        joined = (starts[a] | starts[b]) & bits[a] & bits[b] & (block_of[a] == block_of[b])
+        codes.append(run_map[a][joined].astype(np.int64) * runs + run_map[b][joined])
+    codes = np.sort(np.concatenate(codes))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    heads, tails = (part.astype(np.int32) for part in np.divmod(codes, runs))
+    parent = np.arange(runs, dtype=np.int32)
+    while True:
+        crossing = heads != tails
+        heads, tails = heads[crossing], tails[crossing]
+        if not heads.size:
+            break
+        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
         while True:
-            crossing = heads != tails
-            heads = heads[crossing]
-            tails = tails[crossing]
-            if not heads.size:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
                 break
-            np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
-            while True:
-                grand = parent[parent]
-                if np.array_equal(grand, parent):
-                    break
-                parent = grand
-            heads = parent[heads]
-            tails = parent[tails]
-
-    # Background pixels are never joined, so they stay their own roots.
-    roots = np.flatnonzero((parent == index.ravel()) & bits.ravel())
-    roots = roots[np.lexsort((roots, block_of.ravel()[roots]))]
-    ids = np.zeros(height * width, dtype=np.int32)
-    ids[roots] = np.arange(1, len(roots) + 1, dtype=np.int32)
-    return ids[parent].reshape(height, width), roots
+            parent = grand
+        heads, tails = parent[heads], parent[tails]
+    roots = np.flatnonzero(parent == np.arange(runs))
+    first = fg[opens][roots]
+    order = np.lexsort((first, block_of.ravel()[first]))
+    ids = np.zeros(runs, dtype=np.int32)
+    ids[roots[order]] = np.arange(1, len(roots) + 1, dtype=np.int32)
+    np.put(labels, fg, ids[parent][run_of])
+    return labels, first[order]
 
 
 def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,16 +350,16 @@ def merge(
     adjacent pair is within ``tau_merge``. Ids are then relabeled densely in
     raster order of each region's first pixel.
 
-    The seeds come from union-find labelling (:func:`_seed_labels`). The
-    scan runs on a region adjacency graph built once from the seed labels,
-    with integer gray sums and pixel counts per region. A scanned region
-    absorbs its smallest-id neighbour within ``tau_merge``, takes over that
-    neighbour's neighbours, recomputes its mean as sum / count and looks
-    again. Neighbour lists are not rewritten on an absorb: ids are read
-    through ``absorbed_by`` to the region that holds them now. The scan
-    reads each neighbour list as a set: ``seen_in`` lists an id once, the
-    close search takes the smallest id and ``own.remove`` meets each id
-    once, so no label depends on the order of a list.
+    The seeds come from union-find over the foreground's row runs
+    (:func:`_seed_labels`); the scan runs on a region adjacency graph built
+    once from them, with integer gray sums and pixel counts per region. A
+    scanned region absorbs its smallest-id neighbour within ``tau_merge``,
+    takes over that neighbour's neighbours, recomputes its mean as sum /
+    count and looks again. Neighbour lists are not rewritten on an absorb:
+    ids are read through ``absorbed_by`` to the region that holds them now.
+    The scan reads each neighbour list as a set: ``seen_in`` lists an id
+    once, the close search takes the smallest id and ``own.remove`` meets
+    each id once, so no label depends on the order of a list.
 
     The scan is a single pass, since that pass reaches the fixpoint. A
     region's mean changes only during its own visit, and two regions become

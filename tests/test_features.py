@@ -354,6 +354,46 @@ class TestFeatureTable:
         with pytest.raises(DegenerateRegion):
             feature_table(img, RegionMap(dot, 1), [1])
 
+    @staticmethod
+    def assert_window_gradient_exact(img, rm, ids):
+        """With no ``grad``, the table's bits are those of the whole image's gradient map."""
+        own = feature_table(img, rm, ids)
+        assert own.tobytes() == feature_table(img, rm, ids, gradient_map(img)).tobytes()
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=labeled_images(max_side=20), share=st.sampled_from([0.2, 0.6, 1.0]))
+    def test_window_gradient_matches_whole_map(self, case, share):
+        img, rm, rng = case
+        areas = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
+        ids = [rid for rid, n in enumerate(areas) if rid and n >= 2 and rng.random() < share]
+        self.assert_window_gradient_exact(img, rm, ids)
+
+    @pytest.mark.parametrize("window", [
+        np.s_[:, :],  # the window is the whole image
+        np.s_[0, 2:6],  # a region on each border
+        np.s_[-1, 2:6],
+        np.s_[3:7, 0],
+        np.s_[3:7, -1],
+        np.s_[2:5, 4],  # a window 1 px wide, inside the image
+        np.s_[4, 3:8],  # 1 px high
+        np.s_[:, 5],  # 1 px wide, from the top border to the bottom
+        np.s_[0, :],  # 1 px high, from the left border to the right
+        np.s_[:2, -2:],  # a corner
+    ])
+    def test_window_gradient_cases(self, window):
+        rng = np.random.default_rng(5)
+        img = GrayImage(rng.integers(0, 256, (9, 11)).astype(np.uint8))
+        raw = np.zeros((9, 11), np.int64)
+        raw[window] = 1
+        rm = RegionMap(raw, 1)
+        self.assert_window_gradient_exact(img, rm, [1])
+
+    def test_window_gradient_on_a_ring(self):
+        """A ring on all four borders, a cross inside: the window is the whole image."""
+        img = GrayImage(np.random.default_rng(6).integers(0, 256, (9, 9)).astype(np.uint8))
+        ring = dense_map(cross_and_ring(9))
+        self.assert_window_gradient_exact(img, ring, [1, 2])  # 3 is one pixel
+
     @pytest.mark.parametrize("rid", [-1, 0, 3])
     def test_row_rejects_ids_outside_the_map(self, rid):
         """A negative id must not read the last row: ids are 1..region_count."""

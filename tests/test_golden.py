@@ -32,6 +32,11 @@ def corner_tumor():
     return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[58:, 58:].copy())
 
 
+def band_tumor():
+    """The 128 px tumor phantom cropped to 9 rows, so its blob touches the top and bottom."""
+    return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[60:69, 40:90].copy())
+
+
 # name -> (image factory, config overrides, report, labels, features, overlay sha256)
 CASES = {
     "blank_256": (
@@ -119,6 +124,15 @@ CASES = {
         "26bfe37d57bdbcc9013503c6ccf3f53f47ebfe32fe535cdf7db015b165d72c73",
         "e4a7c974da42237b9ca66d02b7ba6d3e72a47a886512cc6c37ea2416e3d9eac9",
     ),
+    # The gated foreground touches two opposite borders: its window spans the image's height.
+    "tumor_band_l0": (
+        band_tumor,
+        {"dwt_levels": 0},
+        "022de87c6714a121fab7d8669cd4f45fb1bb4d721bf275ad9bcf22d421821d1a",
+        "dd9cc2c24b188253873677426ed87ee3a94c6c4e3936ad6353516a7fa72a3a5f",
+        "cf9cf1101a444e588227e6cc8f15b55b3dd5c66da4a1edf8ecfb5a75e56ecb80",
+        "f64fe6ee076192a068d6b07d7b2c475faee33a582480165d4826e714255a2387",
+    ),
 }
 
 
@@ -143,3 +157,15 @@ def fingerprints(name, tmp_path):
 def test_golden_fingerprints(name, tmp_path):
     _, _, *hashes = CASES[name]
     assert fingerprints(name, tmp_path) == tuple(hashes)
+
+
+def test_band_gated_foreground_touches_top_and_bottom(tmp_path):
+    img = band_tumor()
+    cfg = PipelineConfig(dwt_levels=0, output_dir=tmp_path, emit=("labels",))
+    report = run_pipeline(img, cfg, source="band.pgm")
+    assert report.region_count_pre_gate <= 255  # one byte per label
+    raw = (tmp_path / "band_labels.pgm").read_bytes()
+    labels = np.frombuffer(raw[-img.pixels.size :], np.uint8).reshape(img.pixels.shape)
+    gated = np.isin(labels, [det.region_id for det in report.detections])
+    assert [det.label for det in report.detections] == ["tumor"]
+    assert gated[0].any() and gated[-1].any()

@@ -18,7 +18,7 @@ from mammocad.errors import (
 from mammocad.image import GrayImage, decode_pgm, haar_downsample, negate, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
 
-from oracles import read_p2
+from oracles import haar_pyramid, read_p2
 
 
 @st.composite
@@ -359,6 +359,49 @@ class TestHaarDownsample:
     def test_negative_levels(self):
         with pytest.raises(ValueError):
             haar_downsample(img_of([[0]]), -1)
+
+    def test_huge_levels_raise_at_once(self):
+        """A huge ``levels`` is refused from the sides' trailing zero bits, not from 2**levels."""
+        img = GrayImage(np.zeros((8, 8), np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotDivisible, match=r"^8x8 not divisible by 2\^1000000000000$"):
+                haar_downsample(img, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("height,width,levels", [(8, 8, 4), (8, 12, 3), (24, 8, 4), (1, 2, 1)])
+    def test_levels_past_a_side_raise(self, height, width, levels):
+        img = GrayImage(np.zeros((height, width), np.uint8))
+        with pytest.raises(NotDivisible, match=rf"^{width}x{height} not divisible by 2\^{levels}$"):
+            haar_downsample(img, levels)
+        haar_downsample(img, levels - 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        levels=st.integers(0, 4),
+        height=st.integers(1, 5),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1, 2, 256]),
+    )
+    def test_matches_oracle(self, levels, height, width, seed, spread):
+        rng = np.random.default_rng(seed)
+        shape = (height << levels, width << levels)
+        pixels = (255 - rng.integers(0, spread, shape)).astype(np.uint8)
+        out = haar_downsample(GrayImage(pixels), levels).pixels
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, haar_pyramid(pixels, levels))
+
+    @pytest.mark.parametrize("value", [0, 255])  # 255: the largest sum, 4 * 255 + 2
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_constant_extremes_match_oracle(self, value, levels):
+        pixels = np.full((3 << levels, 2 << levels), value, np.uint8)
+        out = haar_downsample(GrayImage(pixels), levels).pixels
+        assert np.array_equal(out, haar_pyramid(pixels, levels))
+        assert (out == value).all()
 
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())

@@ -723,6 +723,14 @@ class TestBatchContract:
         assert "classify" in small_result.error
         assert isinstance(large_result, DetectionReport)
 
+    def test_huge_dwt_levels_is_a_per_file_error(self, tmp_path):
+        """``validate`` takes any dwt_levels >= 0; a huge one fails its file at once."""
+        src = tmp_path / "t.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], src)
+        (result,) = run_batch([src], PipelineConfig(dwt_levels=10**12, output_dir=None))
+        assert isinstance(result, BatchError)
+        assert result.error == "downsample: 64x64 not divisible by 2^1000000000000"
+
     def test_regions_stage_timed(self):
         img, _ = generate_phantom("tumor", 1, 256)
         report = run_pipeline(img, PipelineConfig(output_dir=None))

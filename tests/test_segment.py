@@ -11,6 +11,8 @@ from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
     _adjacency,
+    _block_ranks,
+    _seed_labels,
     boundary_mask,
     extract_regions,
     merge,
@@ -19,7 +21,7 @@ from mammocad.segment import (
     split,
     write_region_map_pgm,
 )
-from mammocad.threshold import BinaryMask
+from mammocad.threshold import BinaryMask, apply_threshold, histogram, otsu_threshold
 
 from oracles import (
     connected_components_8,
@@ -452,6 +454,86 @@ class TestOracleEquivalence:
         assert np.array_equal(
             merge(img, mask, blocks, 255).labels, np.where(bits, 1, 0)
         )
+
+
+def guillotine(rng, x, y, w, h, cut_rate):
+    """A random partition of a block by straight cuts, as (x, y, w, h) tuples."""
+    if w * h == 1 or rng.random() >= cut_rate:
+        return [(x, y, w, h)]
+    if h == 1 or (w > 1 and rng.random() < 0.5):
+        k = int(rng.integers(1, w))
+        return guillotine(rng, x, y, k, h, cut_rate) + guillotine(rng, x + k, y, w - k, h, cut_rate)
+    k = int(rng.integers(1, h))
+    return guillotine(rng, x, y, w, k, cut_rate) + guillotine(rng, x, y + k, w, h - k, cut_rate)
+
+
+@st.composite
+def bits_and_blocks(draw, max_side=40):
+    """Random foreground bits and a random partition of the image into blocks."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    cut_rate = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = guillotine(rng, 0, 0, width, height, cut_rate)
+    return rng.random((height, width)) < density, rng.permutation(blocks).tolist()
+
+
+def assert_seeds_match_oracle(bits, blocks):
+    """``_seed_labels`` gives the flood fill's labels and each seed's first flat pixel."""
+    height, width = bits.shape
+    labels, first = _seed_labels(bits, _block_ranks(np.array(blocks).reshape(-1, 4), width, height))
+    expected, members = flood_seeds(bits, [tuple(b) for b in blocks])
+    assert labels.dtype == np.int32 and labels.shape == bits.shape
+    assert np.array_equal(labels, expected)
+    assert first.tolist() == [min(y * width + x for x, y in members[rid]) for rid in sorted(members)]
+
+
+def row_cut_blocks(height, width, k):
+    """Two blocks split at column ``k``: every row's run is cut at the block edge."""
+    return [(0, 0, k, height), (k, 0, width - k, height)]
+
+
+class TestSeedLabels:
+    """Union-find over row runs gives the flood fill's seeds exactly."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=bits_and_blocks())
+    def test_matches_oracle(self, case):
+        assert_seeds_match_oracle(*case)
+
+    @pytest.mark.parametrize("value", [0, 77, 255])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (40, 40)])
+    def test_constant_image_has_no_seeds(self, value, shape):
+        img = GrayImage(np.full(shape, value, np.uint8))
+        bits = apply_threshold(img, otsu_threshold(histogram(img))).bits
+        assert not bits.any()
+        assert_seeds_match_oracle(bits, [(0, 0, shape[1], shape[0])])
+        labels, first = _seed_labels(bits, np.ones(shape, np.int32))
+        assert not labels.any() and first.size == 0
+
+    @pytest.mark.parametrize("make,blocks", [
+        (lambda: np.zeros((6, 9), bool), [(0, 0, 9, 6)]),  # all background
+        (lambda: np.ones((6, 9), bool), [(0, 0, 9, 6)]),  # one full-foreground leaf
+        (lambda: np.indices((9, 9)).sum(0) % 2 == 0, [(0, 0, 9, 9)]),  # diagonal joins only
+        (lambda: np.indices((9, 9)).sum(0) % 2 == 1, [(0, 0, 9, 9)]),
+        (lambda: serpentine(33), [(0, 0, 33, 33)]),  # long union chains
+        (lambda: serpentine(33), row_cut_blocks(33, 33, 16)),
+        (lambda: np.ones((1, 8), bool), row_cut_blocks(1, 8, 3)),  # a run cut mid-row
+        (lambda: np.ones((5, 8), bool), row_cut_blocks(5, 8, 5)),
+        (lambda: np.indices((6, 8)).sum(0) % 2 == 0, row_cut_blocks(6, 8, 4)),
+        (lambda: np.ones((1, 40), bool), [(0, 0, 40, 1)]),  # single row
+        (lambda: np.arange(40)[None, :] % 3 > 0, [(0, 0, 40, 1)]),
+        (lambda: np.ones((40, 1), bool), [(0, 0, 1, 40)]),  # single column
+        (lambda: np.arange(40)[:, None] % 3 > 0, [(0, 0, 1, 17), (0, 17, 1, 23)]),
+    ])
+    def test_structured_bits(self, make, blocks):
+        assert_seeds_match_oracle(make(), blocks)
+
+    @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (12, 17)])
+    def test_pixel_blocks(self, shape):
+        bits = np.random.default_rng(shape[0]).random(shape) < 0.6
+        assert_seeds_match_oracle(bits, pixel_leaves(*shape))
 
 
 def pixel_leaves(height, width):
