@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DegenerateRegion
 from .image import GrayImage
 from .segment import RegionMap, boundary_mask, check_id, wanted_rows
+from .threshold import bounding_window
 
 
 @dataclass
@@ -100,7 +101,7 @@ def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def feature_table(
     img: GrayImage, region_map: RegionMap, ids: Iterable[int], grad: np.ndarray | None = None
 ) -> np.ndarray:
-    """Descriptors of the regions ``ids`` in one pass over the label map.
+    """Descriptors of the regions ``ids`` in one pass over their box in the map's window.
 
     Returns an array of shape (region_count + 1, 7) whose row i holds the
     :class:`FeatureVector` fields of region i in field order; rows of
@@ -114,16 +115,16 @@ def feature_table(
     table = np.zeros((len(wanted), 7), dtype=np.float64)
     if not wanted.any():
         return table
-    # The pass runs on the bounding box of those regions: the outer
-    # neighbour of a region pixel on its edge is not in the region, so
-    # every boundary stays as it is on the whole map.
-    covered = wanted[region_map.labels]
-    rows = np.flatnonzero(covered.any(axis=1))
-    cols = np.flatnonzero(covered.any(axis=0))
-    y0, x0, y1, x1 = rows[0], cols[0], rows[-1] + 1, cols[-1] + 1
+    # The pass runs on the bounding box of those regions, found inside the
+    # map's window: the outer neighbour of a region pixel on its edge is not
+    # in the region, so every boundary stays as it is on the whole map.
+    window = region_map.window
+    covered = wanted[region_map.labels[window]]
+    inner = bounding_window(covered)
+    (y0, y1), (x0, x1) = ((w.start + i.start, w.start + i.stop) for w, i in zip(window, inner))
     box = np.s_[y0:y1, x0:x1]
     labels, gray = region_map.labels[box], img.pixels[box]
-    at = np.flatnonzero(covered[box])
+    at = np.flatnonzero(covered[inner])
     group = (np.cumsum(wanted) - 1)[labels.ravel()[at]]  # a row per wanted id
     order = np.argsort(group, kind="stable")  # by region, raster order within
     at, group = at[order], group[order]

@@ -57,7 +57,7 @@ def blanket_area_table(
     Returns a :class:`BlanketTable` of region_count + 1 rows: row i holds
     A(1..r_max) of region i and its :func:`fit_dimension` line. Rows of
     regions not in ``ids`` have areas 0 and NaN fits. The blanket grows
-    over the pixels of all those regions together, where a
+    over all those regions together, in the map's window, where a
     4-neighbor counts only if it has the same label, so every region's
     blanket is exactly the one it would grow alone. Every pixel gets the
     compact indices of its 4 neighbors; a neighbor off the image or in
@@ -69,10 +69,10 @@ def blanket_area_table(
     if r_max < 2:
         raise ValueError("r_max must be >= 2")
     wanted = wanted_rows(img, region_map, ids)
-    labels = region_map.labels
+    labels = region_map.labels[region_map.window]
     rows = len(wanted)
-    # A ring of background around the map keeps every neighbor index in
-    # range and never matches a region's label.
+    # A ring of background around the window, where every label is 0 anyway,
+    # keeps every neighbor index in range and never matches a region's label.
     padded = np.pad(labels, 1).ravel()
     stride = labels.shape[1] + 2
     at = np.flatnonzero(wanted[padded])
@@ -87,7 +87,7 @@ def blanket_area_table(
         ]
     )
 
-    upper = np.pad(img.pixels, 1).ravel()[at].astype(np.int32)
+    upper = np.pad(img.pixels[region_map.window], 1).ravel()[at].astype(np.int32)
     lower = upper.copy()
     areas = np.zeros((rows, r_max), dtype=np.float64)
     for r in range(1, r_max + 1):

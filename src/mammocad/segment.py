@@ -13,22 +13,23 @@ Background pixels never join a region. Regions are 8-connected internally;
 adjacency between regions (for merging and boundaries) is 4-connected, which
 avoids checkerboard fusion.
 
-Everything works on whole arrays and one label map. The split decides all
-blocks of one quadtree depth at once from per-interval foreground extremes;
-the merge seeds regions by union-find over the foreground's row runs, then
-scans a region adjacency graph. Both give exactly the leaves, labels and ids
-of the plain recursive split, flood fill and pixel-rescanning merge they
-replace.
+Both passes work on arrays inside the mask's window, the foreground's
+bounding box. The split decides all blocks of one quadtree depth at once from
+per-interval foreground extremes; the merge seeds regions by union-find over
+the foreground's row runs, then scans a region adjacency graph. Both give
+exactly the leaves, labels and ids of the plain recursive split, flood fill
+and pixel-rescanning merge they replace; only the label map is image-sized.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import TooManyRegions
 from .image import GrayImage, p5_bytes, write_bytes
-from .threshold import BinaryMask
+from .threshold import BinaryMask, bounding_window
 
 Block = tuple[int, int, int, int]  # (x, y, width, height)
 
@@ -37,10 +38,11 @@ PGM_MAX_REGIONS = 65535  # largest maxval a PGM header allows
 
 @dataclass
 class RegionMap:
-    """Labeled partition: 0 is background, 1..region_count are regions."""
+    """Labeled partition: 0 is background, 1..region_count are regions, all in ``window``."""
 
     labels: np.ndarray
     region_count: int
+    window: tuple[slice, slice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -49,16 +51,17 @@ class RegionMap:
             raise ValueError("labels must be integers")
         if labels.ndim != 2:
             raise ValueError("labels must be 2-D")
-        # Dense ids in O(n): no label below 0 or above region_count, checked on
-        # the labels as given since the int32 cast wraps wider ones; then, on
-        # the cast labels (numpy refuses a uint64 bincount), a pixel for every
-        # id 1..region_count.
-        dense = 0 <= self.region_count <= labels.size and (
-            not labels.size or (labels.min() >= 0 and labels.max() <= self.region_count)
+        # Dense ids in O(window): no label below 0 or above region_count, checked
+        # before the int32 cast wraps wider ones; then a pixel for every id.
+        self.window = bounding_window(labels)  # the nonzero labels' box, found once
+        box = labels[self.window].ravel()
+        dense = 0 <= self.region_count <= box.size and (
+            not box.size or (box.min() >= 0 and box.max() <= self.region_count)
         )
         self.labels = labels.astype(np.int32, copy=False)
         if dense:
-            dense = np.bincount(self.labels.ravel(), minlength=self.region_count + 1)[1:].all()
+            box = box.astype(np.int32, copy=False)  # numpy refuses a uint64 bincount
+            dense = np.bincount(box, minlength=self.region_count + 1)[1:].all()
         if not dense:
             raise ValueError("region ids must be dense 1..region_count")
 
@@ -108,16 +111,19 @@ class _Level(NamedTuple):
     parent: np.ndarray | None  # interval one depth up; None at depth 0
     first_child: np.ndarray | None  # halves one depth down; None at the last depth
     last_child: np.ndarray | None
+    children: np.ndarray | None  # 1 or 2
 
 
-def _halvings(n: int, depth: int, shift: int) -> list[_Level]:
+@lru_cache(maxsize=8)
+def _halvings(n: int, depth: int, shift: int) -> tuple[_Level, ...]:
     """The ceil/floor halvings of the interval [0, n) at depths 0..depth.
 
     An interval of length 1 halves into itself alone, so its first and last
     child coincide. The path key adds, for each halving taken,
     ``1 << (2 * (depth - d) + shift)`` when the interval is the second half,
     so adding a row key (shift 1) to a column key (shift 0) interleaves them
-    into a key that orders blocks depth-first NW, NE, SW, SE.
+    into a key that orders blocks depth-first NW, NE, SW, SE. Cached, so its
+    arrays are read-only: no caller can alter a later image's tree.
     """
     starts = np.zeros(1, dtype=np.int32)
     lengths = np.array([n], dtype=np.int32)
@@ -128,7 +134,7 @@ def _halvings(n: int, depth: int, shift: int) -> list[_Level]:
         halves = lengths // 2
         counts = 1 + (halves > 0)
         last = np.cumsum(counts) - 1
-        levels.append(_Level(starts, lengths, keys, parent, last - counts + 1, last))
+        levels.append(_Level(starts, lengths, keys, parent, last - counts + 1, last, counts))
         parent = np.repeat(np.arange(len(lengths)), counts)
         second = np.zeros(len(parent), dtype=bool)
         second[last[counts == 2]] = True
@@ -136,8 +142,10 @@ def _halvings(n: int, depth: int, shift: int) -> list[_Level]:
         starts = starts[parent] + np.where(second, first_lengths, 0)
         lengths = np.where(second, halves[parent], first_lengths)
         keys = keys[parent] + (second.astype(np.int64) << (2 * (depth - d) + shift))
-    levels.append(_Level(starts, lengths, keys, parent, None, None))
-    return levels
+    levels.append(_Level(starts, lengths, keys, parent, None, None, None))
+    for array in (array for level in levels for array in level if array is not None):
+        array.setflags(write=False)
+    return tuple(levels)
 
 
 def split(
@@ -154,9 +162,10 @@ def split(
     The quadtree is decided level by level: all blocks of one depth share
     the same row and column intervals, so the foreground extremes of every
     block of a depth come at once from the extremes of its (at most four)
-    children one depth down. Leaves are ordered by their interleaved path
-    key. The root's extremes come first, so an image whose root block is a
-    leaf returns before the pyramid is built.
+    children one depth down. Only blocks meeting the mask's window can
+    split, so both run on the intervals that meet it. Leaves are ordered by
+    their interleaved path key. The root's extremes come first, so an image
+    whose root block is a leaf returns before the pyramid is built.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
@@ -166,73 +175,84 @@ def split(
         raise ValueError("min_block must be >= 1")
     height, width = img.height, img.width
     tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
-    # Foreground max and min of every block at every depth, built up from
-    # single pixels; background reads -1 for the max and 256 for the min.
-    highs = [np.where(mask.bits, img.pixels, np.int16(-1))]
-    lows = [np.where(mask.bits, img.pixels, np.int16(256))]
-    if max(height, width) <= min_block or highs[0].max() - lows[0].min() <= tau:
+    # Foreground max and min of every block meeting the window at every depth,
+    # built up from its pixels; background reads -1 for the max and 256 for the min.
+    window = mask.window
+    highs = [np.where(mask.bits[window], img.pixels[window], np.int16(-1))]
+    lows = [np.where(mask.bits[window], img.pixels[window], np.int16(256))]
+    spread = highs[0].max(initial=-1) - lows[0].min(initial=256)  # -257 with no foreground
+    if max(height, width) <= min_block or spread <= tau:
         return np.array([[0, 0, width, height]], dtype=np.int32)  # the root is a leaf
 
     depth = (max(height, width) - 1).bit_length()
-    rows = _halvings(height, depth, 1)
-    cols = _halvings(width, depth, 0)
-    for r, c in zip(rows[-2::-1], cols[-2::-1]):
+    rows, cols = _halvings(height, depth, 1), _halvings(width, depth, 0)
+    # Per depth, the intervals meeting the window: its pixels, then their parents.
+    spans = [(window[0].start, window[0].stop, window[1].start, window[1].stop)]
+    for d in range(depth - 1, -1, -1):
+        a1, b1, c1, e1 = spans[-1]
+        (r, q), (up_r, up_c) = (rows[d], cols[d]), (rows[d + 1].parent, cols[d + 1].parent)
+        spans.append((up_r[a1], up_r[b1 - 1] + 1, up_c[c1], up_c[e1 - 1] + 1))
+        a, b, c, e = spans[-1]
+        # A child outside the window holds no foreground, so its block reads the other one.
+        fr, lr = np.maximum(r.first_child[a:b], a1) - a1, np.minimum(r.last_child[a:b], b1 - 1) - a1
+        fc, lc = np.maximum(q.first_child[c:e], c1) - c1, np.minimum(q.last_child[c:e], e1 - 1) - c1
         for extremes, pick in ((highs, np.maximum), (lows, np.minimum)):
-            e = extremes[-1]
-            e = pick(e[r.first_child], e[r.last_child])
-            extremes.append(pick(e[:, c.first_child], e[:, c.last_child]))
-    highs.reverse()
-    lows.reverse()
+            x = pick(extremes[-1][fr], extremes[-1][lr])
+            extremes.append(pick(x[:, fc], x[:, lc]))
 
     found = []  # per depth: (path key, x, y, w, h) arrays of its leaves
-    alive = np.ones((1, 1), dtype=bool)
-    for d, (r, c) in enumerate(zip(rows, cols)):
-        splits = (
-            alive
-            & (np.maximum.outer(r.lengths, c.lengths) > min_block)
-            & (highs[d] - lows[d] > tau)
-        )
-        i, j = np.nonzero(alive & ~splits)
-        found.append((r.keys[i] + c.keys[j], c.starts[j], r.starts[i], c.lengths[j], r.lengths[i]))
+    alive = np.ones((1, 1), dtype=bool)  # the children of the last depth's splits
+    top = left = 0  # the interval indices of alive's first row and column
+    for r, q, (a, b, c, e), high, low in zip(rows, cols, spans[::-1], highs[::-1], lows[::-1]):
+        inside = np.s_[a - top : b - top, c - left : e - left]
+        splits = alive[inside] & (high - low > tau)
+        splits &= np.maximum.outer(r.lengths[a:b], q.lengths[c:e]) > min_block
+        alive[inside] &= ~splits  # now the leaves
+        i, j = (np.argwhere(alive) + (top, left)).T  # their interval indices
+        found.append((r.keys[i] + q.keys[j], q.starts[j], r.starts[i], q.lengths[j], r.lengths[i]))
         if not splits.any():
             break
-        alive = splits[np.ix_(rows[d + 1].parent, cols[d + 1].parent)]
+        top, left = r.first_child[a], q.first_child[c]
+        alive = splits.repeat(r.children[a:b], 0).repeat(q.children[c:e], 1)
 
     keys, *sides = (np.concatenate(part) for part in zip(*found))
     return np.stack(sides, 1)[np.argsort(keys)]
 
 
-def _block_ranks(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Check that ``blocks`` partition the image; map each pixel to its block.
+def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndarray:
+    """Check that ``blocks`` partition the image; map each pixel of ``window`` to its block.
 
     Each pixel reads 1 + the rank of its block in raster order of the
-    blocks' top-left corners. The ranks come from one 2-D difference array
-    (+v at the top-left and bottom-right corners, -v at the other two, added
-    by one ``np.add.at``) and a cumsum along each axis. int32 sums wrap, but
-    an uncovered pixel still reads exactly 0 and a pixel of one block its
-    rank. Blocks inside the image partition it exactly when their areas add
-    up to the image's and no pixel reads 0.
+    blocks' top-left corners. Corners weighted +v at the top-left and
+    bottom-right and -v at the other two make a 2-D difference array; blocks
+    inside the image partition it when, at v = 1, it is the image's own, as a
+    sort of each sign's corners checks. The ranks are painted on the window
+    from the blocks clipped to it, by ``np.add.at`` and a cumsum per axis:
+    int32 sums wrap, but a pixel still reads its rank.
     """
     x, y, w, h = blocks.T.astype(np.int64)
     right, bottom = x + w, y + h
     bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (w < 1) | (h < 1)
     if bad.any():
         raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))].tolist())} outside image")
+    stride = width + 1  # a corner's x is at most width, so distinct corners get distinct keys
+    key = np.min_scalar_type((height + 1) * stride)  # the narrowest type sorts fastest
+    plus = np.r_[y * stride + x, bottom * stride + right, width, height * stride].astype(key)
+    minus = np.r_[y * stride + right, bottom * stride + x, 0, height * stride + width].astype(key)
+    if not np.array_equal(np.sort(plus), np.sort(minus)):
+        raise ValueError("blocks do not partition the image")
     ranks = np.empty(len(blocks), dtype=np.int32)
-    # One key orders the corners in raster order: x < width, so distinct
-    # corners have distinct keys.
-    ranks[np.argsort(y * width + x)] = np.arange(1, len(blocks) + 1, dtype=np.int32)
-    stride = width + 1
+    ranks[np.argsort(y * stride + x)] = np.arange(1, len(blocks) + 1, dtype=np.int32)
+    (y0, y1, _), (x0, x1, _) = window[0].indices(height), window[1].indices(width)
+    x, right = np.clip(x, x0, x1) - x0, np.clip(right, x0, x1) - x0
+    y, bottom = np.clip(y, y0, y1) - y0, np.clip(bottom, y0, y1) - y0
+    stride = x1 - x0 + 1
     corners = np.concatenate(
         (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
     )
-    diff = np.zeros((height + 1) * stride, dtype=np.int32)
-    np.add.at(diff, corners, np.concatenate((ranks, ranks, -ranks, -ranks)))
-    diff = diff.reshape(height + 1, stride)
-    painted = diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[:height, :width]
-    if (w * h).sum() != width * height or not painted.all():
-        raise ValueError("blocks do not partition the image")
-    return painted
+    diff = np.zeros((y1 - y0 + 1, stride), dtype=np.int32)
+    np.add.at(diff.ravel(), corners, np.concatenate((ranks, ranks, -ranks, -ranks)))
+    return diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[: y1 - y0, : x1 - x0]
 
 
 def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +370,7 @@ def merge(
     adjacent pair is within ``tau_merge``. Ids are then relabeled densely in
     raster order of each region's first pixel.
 
-    The seeds come from union-find over the foreground's row runs
+    The seeds come from union-find over the row runs in the mask's window
     (:func:`_seed_labels`); the scan runs on a region adjacency graph built
     once from them, with integer gray sums and pixel counts per region. A
     scanned region absorbs its smallest-id neighbour within ``tau_merge``,
@@ -385,11 +405,11 @@ def merge(
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
     tau = float(min(tau_merge, 255))  # means differ by <= 255; a float negates without wrapping
-    block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height)
-    seeds, first_pixel = _seed_labels(mask.bits, block_of)
+    block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height, mask.window)
+    seeds, first_pixel = _seed_labels(mask.bits[mask.window], block_of)
     count = len(first_pixel)
     flat = seeds.ravel()
-    sums = np.bincount(flat, weights=img.pixels.ravel(), minlength=count + 1)
+    sums = np.bincount(flat, weights=img.pixels[mask.window].ravel(), minlength=count + 1)
     sizes = np.bincount(flat, minlength=count + 1)
     # The float sums are exact integers, so one correctly rounded array
     # division gives the bits of Python's int / int; a row of no pixels is 0.0.
@@ -442,7 +462,8 @@ def merge(
         neighbours[rid] = own
 
     # Each seed's final region, then each region's first pixel: the first
-    # of its seeds' first pixels.
+    # of its seeds' first pixels. Flat indices in the window keep the
+    # image's raster order.
     owner = np.array(absorbed_by, dtype=np.int32)
     alive = np.flatnonzero(owner == 0)[1:]
     owner[alive] = alive
@@ -455,7 +476,9 @@ def merge(
     np.minimum.at(first, owner[1:], first_pixel)
     final_id = np.zeros(count + 1, dtype=np.int32)
     final_id[alive[np.argsort(first[alive])]] = np.arange(1, len(alive) + 1, dtype=np.int32)
-    return RegionMap(final_id[owner][seeds], len(alive))
+    labels = np.zeros(mask.bits.shape, dtype=np.int32)
+    labels[mask.window] = final_id[owner][seeds]
+    return RegionMap(labels, len(alive))
 
 
 def segment_image(
@@ -485,8 +508,9 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
 
 
 def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[int]:
-    """The ids of the regions with at least ``min_pixels`` pixels, ascending."""
-    sizes = np.bincount(region_map.labels.ravel(), minlength=region_map.region_count + 1)
+    """Ids of the regions with at least ``min_pixels`` pixels, ascending, counted in the window."""
+    labels = region_map.labels[region_map.window].ravel()
+    sizes = np.bincount(labels, minlength=region_map.region_count + 1)
     return (np.flatnonzero(sizes[1:] >= min_pixels) + 1).tolist()
 
 
@@ -508,5 +532,6 @@ def overlay_boundaries(img: GrayImage, region_map: RegionMap) -> GrayImage:
     if (img.height, img.width) != region_map.labels.shape:
         raise ValueError("image and region map dimensions differ")
     out = img.pixels.copy()
-    out[boundary_mask(region_map.labels)] = 255
+    window = region_map.window  # a neighbour outside it, 0 or off the image, is no label
+    out[window][boundary_mask(region_map.labels[window])] = 255
     return GrayImage(out)

@@ -1,6 +1,7 @@
 """Histogram computation and adaptive (Otsu) threshold selection."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -10,9 +11,18 @@ from .image import GrayImage
 BINS = 256
 
 
+def bounding_window(a: np.ndarray) -> tuple[slice, slice]:
+    """Rows, then columns, of the smallest window holding ``a``'s nonzero entries; empty if none."""
+    rows = np.flatnonzero(a.any(axis=1))
+    if not rows.size:
+        return np.s_[0:0, 0:0]
+    cols = np.flatnonzero(a[rows[0] : rows[-1] + 1].any(axis=0))
+    return np.s_[int(rows[0]) : int(rows[-1]) + 1, int(cols[0]) : int(cols[-1]) + 1]
+
+
 @dataclass
 class BinaryMask:
-    """Foreground/background partition; foreground is strictly > threshold."""
+    """Foreground/background partition: foreground is strictly > threshold, all in ``window``."""
 
     bits: np.ndarray
     threshold_used: int
@@ -29,6 +39,10 @@ class BinaryMask:
     @property
     def height(self) -> int:
         return self.bits.shape[0]
+
+    @cached_property
+    def window(self) -> tuple[slice, slice]:
+        return bounding_window(self.bits)
 
     @property
     def foreground_count(self) -> int:

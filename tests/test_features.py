@@ -33,6 +33,7 @@ from oracles import (
     sobel_magnitude,
 )
 from test_fractal import checkerboard, cross_and_ring, dense_map, labeled_images
+from test_segment import windowed_image_and_mask
 
 
 def map_of(img, bits):
@@ -366,6 +367,17 @@ class TestFeatureTable:
         img, rm, rng = case
         areas = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
         ids = [rid for rid, n in enumerate(areas) if rid and n >= 2 and rng.random() < share]
+        self.assert_window_gradient_exact(img, rm, ids)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=windowed_image_and_mask(max_side=32))
+    def test_windowed_maps_match_oracle(self, pair):
+        """A map whose regions lie in a small window, on any border or corner."""
+        img, mask = pair
+        rm = segment_image(img, mask, tau_split=30, tau_merge=30)
+        areas = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
+        ids = [rid for rid, n in enumerate(areas) if rid and n >= 2 and rid % 3]
+        self.assert_matches_oracle(img, rm, gradient_map(img), ids)
         self.assert_window_gradient_exact(img, rm, ids)
 
     @pytest.mark.parametrize("window", [

@@ -26,6 +26,7 @@ from oracles import (
     padded_blanket_areas,
     region_geometry,
 )
+from test_segment import windowed_image_and_mask
 
 
 def full_map(img):
@@ -168,6 +169,15 @@ class TestBlanketAreaTable:
         rm = dense_map(make(side))
         img = GrayImage(rng.choice(np.array([0, 255, 128], np.uint8), (side, side)))
         self.assert_matches_oracle(img, rm, list(range(1, rm.region_count + 1)), 10)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=windowed_image_and_mask(max_side=32), r_max=st.integers(2, 6))
+    def test_windowed_maps_match_oracle(self, pair, r_max):
+        """A map whose regions lie in a small window, on any border or corner."""
+        img, mask = pair
+        rm = segment_image(img, mask, tau_split=30, tau_merge=30)
+        ids = [rid for rid in range(1, rm.region_count + 1) if rid % 3]
+        self.assert_matches_oracle(img, rm, ids, r_max)
 
     def test_dimension_from_table_equals_per_region(self):
         rng = np.random.default_rng(3)

@@ -37,6 +37,16 @@ def band_tumor():
     return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[60:69, 40:90].copy())
 
 
+def column_tumor():
+    """The 128 px tumor phantom cropped to 9 columns, so its blob touches the left and right."""
+    return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[40:90, 60:69].copy())
+
+
+def far_corner_tumor():
+    """The 128 px tumor phantom cropped so its blob touches the bottom and right edges."""
+    return GrayImage(generate_phantom("tumor", 1, 128)[0].pixels[:70, :70].copy())
+
+
 # name -> (image factory, config overrides, report, labels, features, overlay sha256)
 CASES = {
     "blank_256": (
@@ -133,6 +143,24 @@ CASES = {
         "cf9cf1101a444e588227e6cc8f15b55b3dd5c66da4a1edf8ecfb5a75e56ecb80",
         "f64fe6ee076192a068d6b07d7b2c475faee33a582480165d4826e714255a2387",
     ),
+    # The same across the other axis: its window spans the image's width.
+    "tumor_column_l0": (
+        column_tumor,
+        {"dwt_levels": 0},
+        "89c8a44f4b960953aac44184da31f35b6d889af90ec72445bbe52723d88fb939",
+        "f93070a525fff863694f8446d60a9463eaf1dde6798cb7d67b627ed4c7527435",
+        "66ab9fc15c38e63f0515154c63e479e2bff3bf0274170e5af9046315ad9e336d",
+        "3dbbff087ca6f78e336cb10e103b3471e43931e73fce6f50a72fb41f2be88e2d",
+    ),
+    # The two borders neither crop above touches: row and column halvings differ.
+    "tumor_far_corner_l0": (
+        far_corner_tumor,
+        {"dwt_levels": 0},
+        "56a1766c4b2316850a01c4907c8d2dff75e99cc96c6d72b80f6e4d711ca744af",
+        "bf88b1fdb2d6e88cef77693555c8116631bde598f46ea72494438845b7c7a6e6",
+        "ee48b954973233f848f1beb9b6453d48aa8f40be64917fd00ce764542b8a6e4b",
+        "38e9c9ff005b60115d4e11bc8ea43bfcc65c93a2f43b3977fffaf2ea94317b79",
+    ),
 }
 
 
@@ -159,13 +187,28 @@ def test_golden_fingerprints(name, tmp_path):
     assert fingerprints(name, tmp_path) == tuple(hashes)
 
 
-def test_band_gated_foreground_touches_top_and_bottom(tmp_path):
-    img = band_tumor()
+def gated_foreground(make, tmp_path):
+    """The pixels of the detected regions of ``make()`` at full resolution."""
+    img = make()
     cfg = PipelineConfig(dwt_levels=0, output_dir=tmp_path, emit=("labels",))
-    report = run_pipeline(img, cfg, source="band.pgm")
+    report = run_pipeline(img, cfg, source="crop.pgm")
     assert report.region_count_pre_gate <= 255  # one byte per label
-    raw = (tmp_path / "band_labels.pgm").read_bytes()
+    raw = (tmp_path / "crop_labels.pgm").read_bytes()
     labels = np.frombuffer(raw[-img.pixels.size :], np.uint8).reshape(img.pixels.shape)
-    gated = np.isin(labels, [det.region_id for det in report.detections])
     assert [det.label for det in report.detections] == ["tumor"]
+    return np.isin(labels, [det.region_id for det in report.detections])
+
+
+def test_band_gated_foreground_touches_top_and_bottom(tmp_path):
+    gated = gated_foreground(band_tumor, tmp_path)
     assert gated[0].any() and gated[-1].any()
+
+
+def test_column_gated_foreground_touches_left_and_right(tmp_path):
+    gated = gated_foreground(column_tumor, tmp_path)
+    assert gated[:, 0].any() and gated[:, -1].any()
+
+
+def test_far_corner_gated_foreground_touches_bottom_and_right(tmp_path):
+    gated = gated_foreground(far_corner_tumor, tmp_path)
+    assert gated[-1].any() and gated[:, -1].any()

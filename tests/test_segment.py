@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from mammocad.segment import (
     RegionMap,
     _adjacency,
     _block_ranks,
+    _halvings,
     _seed_labels,
     boundary_mask,
     extract_regions,
@@ -371,6 +373,50 @@ def image_and_mask(draw, max_side=40):
     return GrayImage(pixels), BinaryMask(rng.random((height, width)) < density, 0)
 
 
+def sub_span(n):
+    """A [start, stop) within [0, n): often at either end, one long or all of it."""
+    return st.one_of(st.just(0), st.integers(0, n - 1)).flatmap(
+        lambda start: st.tuples(
+            st.just(start),
+            st.one_of(st.just(n), st.just(start + 1), st.integers(start + 1, n)),
+        )
+    )
+
+
+@st.composite
+def windowed_image_and_mask(draw, max_side=64):
+    """Random image and mask whose foreground lies in one random sub-rectangle.
+
+    The rectangle can touch any border or corner, and be one pixel, one
+    row, one column or the whole image; the foreground can be empty. When
+    pinned, two opposite corners of the rectangle are foreground, so the
+    mask's window is the rectangle itself.
+    """
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    (y0, y1), (x0, x1) = draw(sub_span(height)), draw(sub_span(width))
+    density = draw(st.floats(0.0, 1.0))
+    spread = draw(st.sampled_from([1, 4, 16, 64, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.integers(0, 256 - spread))
+    pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
+    bits = np.zeros((height, width), dtype=bool)
+    bits[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < density
+    if draw(st.booleans()):
+        bits[y0, x0] = bits[y1 - 1, x1 - 1] = True
+    return GrayImage(pixels), BinaryMask(bits, 0)
+
+
+def nonzero_window(a):
+    """The bounding box of ``a``'s nonzero entries by ``np.nonzero``; (0, 0, 0, 0) if none."""
+    ys, xs = np.nonzero(a)
+    return (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1) if ys.size else (0, 0, 0, 0)
+
+
+def bounds(window):
+    return tuple(x for part in window for x in (part.start, part.stop))
+
+
 def serpentine(side):
     """A one-pixel-wide path snaking down the rows: one component, many turns."""
     bits = np.zeros((side, side), dtype=bool)
@@ -391,7 +437,30 @@ class TestOracleEquivalence:
         min_block=st.integers(1, 5),
     )
     def test_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge, min_block):
+        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge, min_block)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair=windowed_image_and_mask(),
+        tau_split=st.sampled_from(TAUS),
+        tau_merge=st.sampled_from(TAUS),
+        min_block=st.integers(1, 5),
+    )
+    def test_windowed_split_merge_extract_match_oracle(
+        self, pair, tau_split, tau_merge, min_block
+    ):
+        """A foreground in a small window: the work follows it, the outputs do not change."""
+        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge, min_block)
+
+    @settings(deadline=None, max_examples=60)
+    @given(pair=windowed_image_and_mask())
+    def test_windows_bound_the_foreground(self, pair):
         img, mask = pair
+        assert bounds(mask.window) == nonzero_window(mask.bits)
+        assert bounds(segment_image(img, mask).window) == nonzero_window(mask.bits)
+
+    @staticmethod
+    def assert_split_merge_extract_match_oracle(img, mask, tau_split, tau_merge, min_block):
         blocks = split(img, mask, tau_split, min_block)
         assert leaves(blocks) == quadtree_split(img.pixels, mask.bits, tau_split, min_block)
         rm = merge(img, mask, blocks, tau_merge)
@@ -482,7 +551,8 @@ def bits_and_blocks(draw, max_side=40):
 def assert_seeds_match_oracle(bits, blocks):
     """``_seed_labels`` gives the flood fill's labels and each seed's first flat pixel."""
     height, width = bits.shape
-    labels, first = _seed_labels(bits, _block_ranks(np.array(blocks).reshape(-1, 4), width, height))
+    block_of = _block_ranks(np.array(blocks).reshape(-1, 4), width, height, np.s_[:, :])
+    labels, first = _seed_labels(bits, block_of)
     expected, members = flood_seeds(bits, [tuple(b) for b in blocks])
     assert labels.dtype == np.int32 and labels.shape == bits.shape
     assert np.array_equal(labels, expected)
@@ -557,6 +627,43 @@ def seed_visits(pixels, bits, blocks, tau_merge):
                     if low != high and abs(means[low] - means[high]) <= tau_merge:
                         visits.add(low)
     return sorted(visits)
+
+
+class TestHalvingsCache:
+    """Cached halvings are shared between images, so nothing may write to them."""
+
+    def test_cached_arrays_are_read_only(self):
+        levels = _halvings(37, 6, 1)
+        assert _halvings(37, 6, 1) is levels
+        for array in (array for level in levels for array in level if array is not None):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_interleaved_shapes_match_oracle(self):
+        rng = np.random.default_rng(20)
+        for height, width in ((5, 7), (7, 5), (1, 37), (128, 128), (5, 7)):
+            pixels = rng.integers(0, 256, (height, width)).astype(np.uint8)
+            bits = rng.random((height, width)) < 0.7
+            if height == 128:
+                bits[:, :20] = bits[:40] = False  # a window away from the top and left
+            for tau in (0, 30):
+                got = leaves(split(GrayImage(pixels), BinaryMask(bits, 0), tau))
+                assert got == quadtree_split(pixels, bits, tau, 1)
+
+
+def test_sparse_work_follows_the_window():
+    """A 16 px blob on a 2048 px image: segmenting it allocates about one label map, not six."""
+    pixels = np.zeros((2048, 2048), np.uint8)
+    pixels[1000:1016, 1500:1516] = np.random.default_rng(7).integers(100, 200, (16, 16))
+    img, mask = GrayImage(pixels), BinaryMask(pixels > 50, 50)
+    tracemalloc.start()
+    try:
+        rm = segment_image(img, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rm.labels.nbytes
+    assert bounds(rm.window) == (1000, 1016, 1500, 1516)
 
 
 class TestMergeVisits:
