@@ -107,7 +107,7 @@ def feature_table(
     :class:`FeatureVector` fields of region i in field order; rows of
     regions not in ``ids`` are 0. ``grad`` is the image's :func:`gradient_map`;
     None computes it on the regions' window only, with the same bits.
-    The order of ``ids`` and repeats in it do not matter.
+    The order of ``ids`` and repeats in it do not matter; areas are the map's ``sizes``.
     """
     wanted = wanted_rows(img, region_map, ids)
     if grad is not None and grad.shape != region_map.labels.shape:
@@ -129,7 +129,7 @@ def feature_table(
     order = np.argsort(group, kind="stable")  # by region, raster order within
     at, group = at[order], group[order]
     ys, xs = np.divmod(at, labels.shape[1])
-    area = np.bincount(group)
+    area = region_map.sizes[wanted]  # a row per wanted id, as group numbers them
     ends = np.cumsum(area)
     edge = boundary_mask(labels).ravel()[at]
     edge_group = group[edge]

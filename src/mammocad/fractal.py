@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegenerateFit, RegionTooSmall
 from .image import GrayImage
 from .segment import RegionMap, check_id, wanted_rows
+from .threshold import bounding_window
 
 
 @dataclass
@@ -153,16 +154,17 @@ def box_count_dimension(img: GrayImage, region_map: RegionMap, region_id: int) -
     For each grid side s (powers of two up to half the short bbox side) the
     box height is h = s * 256 / M with M the short side; every s x s cell
     contributes ceil(max/h) - floor(min/h) + 1 boxes. D is the slope of
-    log N(s) against log(1/s).
+    log N(s) against log(1/s). The box is found inside the map's window.
     """
     wanted_rows(img, region_map, [region_id])  # checks the shapes and the id
-    ys, xs = np.nonzero(region_map.labels == region_id)
-    x0, y0 = xs.min(), ys.min()
-    w, h = xs.max() - x0 + 1, ys.max() - y0 + 1
+    outer = region_map.window
+    inner = bounding_window(region_map.labels[outer] == region_id)
+    (y0, y1), (x0, x1) = ((o.start + i.start, o.start + i.stop) for o, i in zip(outer, inner))
+    w, h = x1 - x0, y1 - y0
     short = min(w, h)
     if short < 8:
         raise RegionTooSmall(f"bounding box {w}x{h} below 8x8")
-    window = img.pixels[y0 : y0 + h, x0 : x0 + w].astype(np.float64)
+    window = img.pixels[y0:y1, x0:x1].astype(np.float64)
 
     sizes = [1 << k for k in range(1, int(short // 2).bit_length())]
     counts = []

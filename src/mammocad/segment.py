@@ -23,6 +23,7 @@ and pixel-rescanning merge they replace; only the label map is image-sized.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -38,11 +39,15 @@ PGM_MAX_REGIONS = 65535  # largest maxval a PGM header allows
 
 @dataclass
 class RegionMap:
-    """Labeled partition: 0 is background, 1..region_count are regions, all in ``window``."""
+    """Labeled partition: 0 is background, 1..region_count are regions, all in ``window``.
+
+    ``sizes[i]``, read-only, is the pixel count of label i, background 0 included.
+    """
 
     labels: np.ndarray
     region_count: int
     window: tuple[slice, slice] = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -61,9 +66,12 @@ class RegionMap:
         self.labels = labels.astype(np.int32, copy=False)
         if dense:
             box = box.astype(np.int32, copy=False)  # numpy refuses a uint64 bincount
-            dense = np.bincount(box, minlength=self.region_count + 1)[1:].all()
+            self.sizes = np.bincount(box, minlength=self.region_count + 1)  # the one count
+            dense = self.sizes[1:].all()
         if not dense:
             raise ValueError("region ids must be dense 1..region_count")
+        self.sizes[0] += labels.size - box.size  # the background outside the window
+        self.sizes.setflags(write=False)
 
     @property
     def width(self) -> int:
@@ -77,12 +85,15 @@ class RegionMap:
 def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np.ndarray:
     """Check ``ids`` against the map; a bool per id 0..region_count, True at ``ids``.
 
-    The image must have the map's shape and every id must lie in
-    1..region_count; either fault raises ``ValueError``.
+    The image must have the map's shape and every id must be an integer
+    in 1..region_count; either fault raises ``ValueError``.
     """
     if region_map.labels.shape != img.pixels.shape:
         raise ValueError("image and region map dimensions differ")
     rows = region_map.region_count + 1
+    ids = list(ids)
+    if not all(map(_integer_type, set(map(type, ids)))):  # one test per distinct type
+        raise ValueError("region ids must be integers")
     ids = np.fromiter(ids, dtype=np.int64)
     if ids.size:
         check_id(ids.min(), rows)
@@ -92,12 +103,20 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
     return wanted
 
 
+def _integer_type(kind: type) -> bool:
+    """Python and numpy integer types; not bool, whose values are truths, not ids."""
+    return issubclass(kind, Integral) and kind is not bool
+
+
 def check_id(region_id: int, rows: int) -> None:
-    """``ValueError`` unless ``region_id`` lies in 1..rows - 1.
+    """``ValueError`` unless ``region_id`` is an integer in 1..rows - 1.
 
     ``rows`` is the row count of a per-region table, whose row 0 is the
-    background, so a negative id never reads a row from the end.
+    background, so a negative id never reads a row from the end, and a
+    float, str or bool never reads the row of the integer it casts to.
     """
+    if not _integer_type(type(region_id)):
+        raise ValueError("region ids must be integers")
     if not 1 <= region_id < rows:
         raise ValueError(f"region ids must lie in 1..{rows - 1}")
 
@@ -230,6 +249,8 @@ def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndar
     from the blocks clipped to it, by ``np.add.at`` and a cumsum per axis:
     int32 sums wrap, but a pixel still reads its rank.
     """
+    if blocks.size and blocks.dtype.kind not in "iu":  # the cast below would drop fractions
+        raise ValueError("blocks must be integers")
     x, y, w, h = blocks.T.astype(np.int64)
     right, bottom = x + w, y + h
     bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (w < 1) | (h < 1)
@@ -508,10 +529,8 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
 
 
 def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[int]:
-    """Ids of the regions with at least ``min_pixels`` pixels, ascending, counted in the window."""
-    labels = region_map.labels[region_map.window].ravel()
-    sizes = np.bincount(labels, minlength=region_map.region_count + 1)
-    return (np.flatnonzero(sizes[1:] >= min_pixels) + 1).tolist()
+    """Ids of the regions with at least ``min_pixels`` pixels, ascending, from the map's sizes."""
+    return (np.flatnonzero(region_map.sizes[1:] >= min_pixels) + 1).tolist()
 
 
 def write_region_map_pgm(region_map: RegionMap, path) -> None:

@@ -1,13 +1,24 @@
 """numpy stays the only runtime dependency: the package imports nothing else
-from outside the standard library."""
+from outside the standard library. And every module uses what it imports."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import mammocad
 
 PACKAGE = Path(mammocad.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def bench_hooked_pipeline_names() -> set[str]:
+    """The names ``bench/tracing.py`` hooks on ``mammocad.pipeline`` by ``getattr``."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    hooks = module.TIMED + module.COUNTED
+    return {name for mod, name, *_ in hooks if mod.__name__ == "mammocad.pipeline"}
 
 
 def test_imports_only_stdlib_and_numpy():
@@ -25,3 +36,26 @@ def test_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {module}")
     assert outside == []
+
+
+def test_no_unused_imports():
+    """Each module-level import is used in its module, but for the bench's hooks.
+
+    The benchmark's tracer wraps names on ``mammocad.pipeline``, so the
+    pipeline may import one it no longer calls; no other module may.
+    """
+    hooked = bench_hooked_pipeline_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # the package's re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]  # the name it binds
+                if name not in used and not (path.name == "pipeline.py" and name in hooked):
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -343,6 +343,20 @@ class TestBoxCount:
         with pytest.raises(ValueError, match="dimensions differ"):
             box_count_dimension(crop, rm, 2)
 
+    def test_box_found_inside_an_offset_window(self):
+        """The box is found in the map's window and read back at the window's offset."""
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, (40, 50)).astype(np.uint8)
+        labels = np.zeros((40, 50), np.int32)
+        labels[5:36, 7:46] = 1  # the map's window starts at row 5, column 7
+        labels[12:30, 20:36] = 2  # region 2's box starts 7 rows and 13 columns into it
+        img, rm = GrayImage(pixels), RegionMap(labels, 2)
+        assert (rm.window[0].start, rm.window[1].start) == (5, 7)
+        crop = GrayImage(pixels[12:30, 20:36].copy())
+        assert box_count_dimension(img, rm, 2) == box_count_dimension(crop, full_map(crop), 1)
+        whole = GrayImage(pixels[5:36, 7:46].copy())
+        assert box_count_dimension(img, rm, 1) == box_count_dimension(whole, full_map(whole), 1)
+
 
     @settings(deadline=None, max_examples=60)
     @given(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from mammocad import segment as segment_module
 from mammocad.errors import IoFailure
+from mammocad.features import compute_features, feature_table
+from mammocad.fractal import blanket_area_table, blanket_dimension, box_count_dimension
 from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
@@ -177,6 +179,10 @@ class TestMerge:
             ([(0, 0, 4, 4), (1, 1, 2, 2)], "do not partition"),  # overlap, too much area
             ([(0, 0, 4, 2), (0, 1, 4, 2)], "do not partition"),  # overlap, the image's area
             ([], "do not partition"),
+            ([(0, 0, 4.7, 4)], "blocks must be integers"),  # a cast would read (0, 0, 4, 4)
+            (np.array([[0.0, 0.0, 4.0, 4.0]]), "blocks must be integers"),
+            ([("0", "0", "4", "4")], "blocks must be integers"),
+            ([(False, False, True, True)], "blocks must be integers"),
         ],
     )
     def test_bad_blocks_raise(self, blocks, message):
@@ -185,15 +191,21 @@ class TestMerge:
             merge(img, full_mask(4, 4), blocks, 10)
 
     @settings(deadline=None, max_examples=20)
-    @given(seed=st.integers(0, 10_000), tau_merge=st.sampled_from([0, 5, 30]))
-    def test_block_list_and_array_agree(self, seed, tau_merge):
+    @given(
+        seed=st.integers(0, 10_000),
+        tau_merge=st.sampled_from([0, 5, 30]),
+        dtype=st.sampled_from([np.uint8, np.int16, np.uint32, np.int64, np.uint64]),
+    )
+    def test_block_list_and_array_agree(self, seed, tau_merge, dtype):
+        """The block array, also cast to any integer width, gives the tuple list's labels."""
         rng = np.random.default_rng(seed)
         img, mask = random_pair(rng)
         blocks = split(img, mask, 5)
-        from_array = merge(img, mask, blocks, tau_merge)
         from_list = merge(img, mask, leaves(blocks), tau_merge)
-        assert from_list.region_count == from_array.region_count
-        assert np.array_equal(from_list.labels, from_array.labels)
+        for array in (blocks, blocks.astype(dtype)):
+            from_array = merge(img, mask, array, tau_merge)
+            assert from_list.region_count == from_array.region_count
+            assert np.array_equal(from_list.labels, from_array.labels)
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 10_000))
@@ -354,7 +366,9 @@ class TestExports:
         "labels,count", [([[0, 0]], 0), ([[2, 0, 1, 1]], 2), (np.zeros((0, 0)), 0)]
     )
     def test_region_map_accepts_dense_ids(self, labels, count):
-        assert RegionMap(np.array(labels, dtype=np.int32), count).region_count == count
+        rm = RegionMap(np.array(labels, dtype=np.int32), count)
+        assert rm.region_count == count
+        assert rm.sizes.tolist() == np.bincount(rm.labels.ravel(), minlength=count + 1).tolist()
 
 
 TAUS = (0, 5, 10, 30, 255)
@@ -766,3 +780,59 @@ class TestAdjacency:
             pairs.update((r, t) for t in row)
         assert pairs == {(b, a) for a, b in pairs}
         assert pairs == touching_pairs(grid)
+
+
+class TestRegionSizes:
+    """``RegionMap.sizes``: every label's pixel count, taken once and read-only."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(pair=windowed_image_and_mask(), tau=st.sampled_from(TAUS))
+    def test_sizes_count_every_label(self, pair, tau):
+        rm = segment_image(*pair, tau, tau)
+        counted = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)
+        assert rm.sizes.tolist() == counted.tolist()
+
+    def test_sizes_are_read_only_and_derived(self):
+        rm = RegionMap(np.array([[0, 2, 1]], dtype=np.int32), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            rm.sizes[1] = 5
+        with pytest.raises(TypeError):
+            RegionMap(np.array([[1]], dtype=np.int32), 1, sizes=np.array([0, 1]))
+        assert rm.sizes.tolist() == [1, 1, 1]
+
+
+def id_entry_points():
+    """The five calls that take region ids, each on a 16x16 map of three regions."""
+    rng = np.random.default_rng(8)
+    img = GrayImage(rng.integers(0, 256, (16, 16)).astype(np.uint8))
+    labels = np.ones((16, 16), dtype=np.int32)
+    labels[8:, :8], labels[8:, 8:] = 2, 3
+    rm = RegionMap(labels, 3)
+    features, blankets = feature_table(img, rm, [1, 2, 3]), blanket_area_table(img, rm, [1, 2, 3])
+    return {
+        "feature_table": lambda rid: feature_table(img, rm, [rid]),
+        "blanket_area_table": lambda rid: blanket_area_table(img, rm, [rid]),
+        "compute_features": lambda rid: compute_features(features, rid),
+        "blanket_dimension": lambda rid: blanket_dimension(blankets, rid),
+        "box_count_dimension": lambda rid: box_count_dimension(img, rm, rid),
+    }
+
+
+class TestRegionIds:
+    """Ids are integers: no float, str or bool reads the row of the integer it casts to."""
+
+    ENTRY_POINTS = id_entry_points()
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "rid", [1.5, 2.0, "3", True, np.float64(2.0), np.bool_(True)], ids=repr
+    )
+    def test_non_integer_ids_rejected(self, entry, rid):
+        with pytest.raises(ValueError, match="region ids must be integers"):
+            self.ENTRY_POINTS[entry](rid)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("rid", [np.int64(2), np.uint8(2), np.int32(2)], ids=repr)
+    def test_integers_of_any_type_agree(self, entry, rid):
+        np.testing.assert_equal(self.ENTRY_POINTS[entry](rid), self.ENTRY_POINTS[entry](2))
+
