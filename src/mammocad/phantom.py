@@ -10,6 +10,8 @@ smooth distractor must be dropped by the roughness gate), for "blank"
 nothing.
 """
 
+import math
+
 import numpy as np
 
 from .image import GrayImage
@@ -44,10 +46,9 @@ def generate_phantom(
     if size < 64:
         raise ValueError("size must be >= 64")
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-
-    field = _BG_BASE + _BG_RAMP * (yy / size)
-    field += rng.integers(-_BG_NOISE, _BG_NOISE + 1, size=(size, size))
+    coords = np.arange(size, dtype=np.float64)
+    ramp = _BG_BASE + _BG_RAMP * (coords / size)
+    field = ramp[:, None] + rng.integers(-_BG_NOISE, _BG_NOISE + 1, size=(size, size))
     truth = np.zeros((size, size), dtype=bool)
 
     blobs = []  # (x_frac, y_frac, textured)
@@ -57,40 +58,55 @@ def generate_phantom(
         blobs = [(0.3, 0.5, True), (0.7, 0.5, False)]
 
     sigma = _BLOB_SIGMA_FRAC * size
+    # Beyond d^2 = 2 sigma^2 the envelope is exp(-(>=2)**12) = 0.0 exactly,
+    # so each blob touches only the box around that disc (2 px margin).
+    reach = math.sqrt(2.0) * sigma + 2.0
     for x_frac, y_frac, textured in blobs:
-        d2 = (xx - x_frac * size) ** 2 + (yy - y_frac * size) ** 2
+        cx, cy = x_frac * size, y_frac * size
+        rows, cols = _span(cy, reach, size), _span(cx, reach, size)
+        d2 = (coords[cols] - cx) ** 2 + (coords[rows, None] - cy) ** 2
         # Supergaussian: flat top so the blob segments as one region, steep
         # flank so the transition ring stays thin.
         envelope = np.exp(-((d2 / (sigma * sigma)) ** (_BLOB_SHAPE // 2)))
-        field -= _BLOB_AMP * envelope
+        box = field[rows, cols]
+        box -= _BLOB_AMP * envelope
         if textured:
-            field += envelope * _texture_field(size, rng)
-            truth |= envelope >= _TRUTH_LEVEL
+            box += envelope * _texture_field(size, rng, rows, cols)
+            truth[rows, cols] |= envelope >= _TRUTH_LEVEL
 
-    pixels = np.clip(np.rint(field), 0, 255).astype(np.uint8)
-    return GrayImage(pixels), truth
+    np.rint(field, out=field)
+    np.clip(field, 0, 255, out=field)
+    return GrayImage(field.astype(np.uint8)), truth
 
 
-def _texture_field(size: int, rng: np.random.Generator) -> np.ndarray:
-    """Bounded rough texture, |values| <= _TEXTURE_AMP, at the working grid.
+def _span(center: float, reach: float, size: int) -> slice:
+    """The pixels within ``reach`` of ``center`` on one axis, clipped to the image."""
+    return slice(max(0, math.floor(center - reach)), min(size, math.ceil(center + reach) + 1))
+
+
+def _texture_field(size: int, rng: "np.random.Generator", rows: slice, cols: slice) -> np.ndarray:
+    """Bounded rough texture, |values| <= _TEXTURE_AMP, on the box ``rows, cols``.
 
     Phantoms of 512 pixels and up are meant for the default 3-level
     pyramid, so the texture is synthesized on the 8x-coarser working grid
-    (rounded up, so any size is covered), upsampled blockwise and cropped to
-    ``size``; block averaging then hands it to the pipeline unchanged.
+    (rounded up, so any size is covered) and each pixel reads its block's
+    value; block averaging then hands it to the pipeline unchanged.
     Smaller phantoms (meant for dwt_levels=0 runs) get it at full
-    resolution. The hard bound matters: adjacent working pixels can never
-    differ by more than twice the bound, so the merge step cannot crack the
-    blob apart under its default tolerance.
+    resolution. The whole grid is drawn whatever the box, so the random
+    stream does not depend on it. The hard bound matters: adjacent working
+    pixels can never differ by more than twice the bound, so the merge step
+    cannot crack the blob apart under its default tolerance.
     """
     upsample = 8 if size >= 512 else 1
     grid = -(-size // upsample)
     raw = _fbm_field(grid, _TEXTURE_HURST, rng)
     bounded = _TEXTURE_AMP * np.tanh(_TEXTURE_GAIN * raw)
-    return np.repeat(np.repeat(bounded, upsample, axis=0), upsample, axis=1)[:size, :size]
+    ys = np.arange(rows.start, rows.stop) // upsample
+    xs = np.arange(cols.start, cols.stop) // upsample
+    return bounded[np.ix_(ys, xs)]
 
 
-def _fbm_field(size: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+def _fbm_field(size: int, hurst: float, rng: "np.random.Generator") -> np.ndarray:
     """Zero-mean unit-std band-limited fractional-Brownian-like surface.
 
     Spectral synthesis: white Gaussian noise shaped to amplitude

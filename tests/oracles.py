@@ -3,8 +3,10 @@
 Everything here is deliberately naive: plain loops, Fractions, dicts. None
 of it shares code paths with the package: the per-region references take
 :class:`RegionRecord`s that :func:`region_geometry` builds from a label map.
-The one exception is :func:`oracle_pipeline`, which reads the package's
-``gradient_map``, since the Sobel loop here agrees with it only to 1e-12.
+The exceptions are :func:`oracle_pipeline`, which reads the package's
+``gradient_map``, since the Sobel loop here agrees with it only to 1e-12, and
+:func:`phantom_reference`, which takes the phantom's constants and texture
+synthesis from the package and redoes only the blob math, on the full image.
 """
 
 import math
@@ -23,6 +25,19 @@ from mammocad.errors import (
 )
 from mammocad.features import gradient_map
 from mammocad.image import GrayImage
+from mammocad.phantom import (
+    _BG_BASE,
+    _BG_NOISE,
+    _BG_RAMP,
+    _BLOB_AMP,
+    _BLOB_SHAPE,
+    _BLOB_SIGMA_FRAC,
+    _TEXTURE_AMP,
+    _TEXTURE_GAIN,
+    _TEXTURE_HURST,
+    _TRUTH_LEVEL,
+    _fbm_field,
+)
 
 
 def otsu_sweep(counts) -> int:
@@ -736,3 +751,40 @@ def oracle_pipeline(img, cfg):
         for x, y in record.boundary:
             overlay[y, x] = 255
     return report, csv, labels, overlay
+
+
+def phantom_reference(kind, seed, size):
+    """``generate_phantom``'s pixels and truth, each blob's math on the full image.
+
+    Every blob's envelope, texture and truth test runs over all size**2
+    pixels with ``np.mgrid`` coordinates, and the texture is upsampled by
+    ``np.repeat``; the random draws come in the package's order.
+    """
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+
+    field = _BG_BASE + _BG_RAMP * (yy / size)
+    field += rng.integers(-_BG_NOISE, _BG_NOISE + 1, size=(size, size))
+    truth = np.zeros((size, size), dtype=bool)
+
+    blobs = []  # (x_frac, y_frac, textured)
+    if kind == "tumor":
+        blobs = [(0.5, 0.5, True)]
+    elif kind == "multi":
+        blobs = [(0.3, 0.5, True), (0.7, 0.5, False)]
+
+    sigma = _BLOB_SIGMA_FRAC * size
+    for x_frac, y_frac, textured in blobs:
+        d2 = (xx - x_frac * size) ** 2 + (yy - y_frac * size) ** 2
+        envelope = np.exp(-((d2 / (sigma * sigma)) ** (_BLOB_SHAPE // 2)))
+        field -= _BLOB_AMP * envelope
+        if textured:
+            upsample = 8 if size >= 512 else 1
+            raw = _fbm_field(-(-size // upsample), _TEXTURE_HURST, rng)
+            bounded = _TEXTURE_AMP * np.tanh(_TEXTURE_GAIN * raw)
+            texture = np.repeat(np.repeat(bounded, upsample, axis=0), upsample, axis=1)
+            field += envelope * texture[:size, :size]
+            truth |= envelope >= _TRUTH_LEVEL
+
+    pixels = np.clip(np.rint(field), 0, 255).astype(np.uint8)
+    return pixels, truth

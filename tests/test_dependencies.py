@@ -3,6 +3,8 @@ from outside the standard library. And every module uses what it imports."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +38,17 @@ def test_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {module}")
     assert outside == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """``import mammocad`` does not load ``numpy.random`` (~10 ms a process);
+    only a phantom's first draw does."""
+    probe = "import sys, mammocad; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_no_unused_imports():

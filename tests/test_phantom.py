@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mammocad.phantom import generate_phantom
+from mammocad.phantom import KINDS, _span, generate_phantom
 
-from oracles import connected_components_8
+from oracles import connected_components_8, phantom_reference
 
 
 # sha256 of pixels then truth, one byte a sample: the phantoms the benchmark's
@@ -26,6 +27,33 @@ class TestGeneratePhantom:
         img, truth = generate_phantom(*key)
         digest = hashlib.sha256(img.pixels.tobytes() + truth.tobytes()).hexdigest()
         assert digest == PINNED[key]
+
+    @pytest.mark.parametrize("size", [64, 100, 256, 513, 700, 1024])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_image_reference(self, kind, size):
+        # Both upsample paths (below and from 512 px), odd sizes and multi's two boxes.
+        for seed in (0, 1, 7):
+            img, truth = generate_phantom(kind, seed, size)
+            pixels, expected_truth = phantom_reference(kind, seed, size)
+            assert img.pixels.tobytes() == pixels.tobytes()
+            assert truth.tobytes() == expected_truth.tobytes()
+
+    def test_blob_box_clipped_to_image(self):
+        # No phantom's blob reaches an edge, so only a direct call clips.
+        assert _span(1.5, 3.0, 10) == slice(0, 6)
+        assert _span(8.5, 3.0, 10) == slice(5, 10)
+        assert _span(5.0, 2.0, 10) == slice(3, 8)
+
+    def test_memory_bounded(self):
+        # The blob math stays on each blob's box: no full-image float planes
+        # beyond the field and the noise it is built from.
+        tracemalloc.start()
+        try:
+            generate_phantom("multi", 1, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_deterministic_per_seed(self):
         img1, truth1 = generate_phantom("tumor", 5, 256)
