@@ -27,11 +27,35 @@ _WHITESPACE = b" \t\r\n\v\f"
 _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*+\n?)*+([^ \t\r\n\v\f#]*+)")
 # A raster comment; the newline that ends it stays as a separator.
 _COMMENT = re.compile(rb"#[^\n]*+")
-# A raster byte's digit value, or _SPACE for whitespace and _OTHER otherwise.
+# A raster byte's class: its digit value, _SPACE for whitespace, _OTHER otherwise.
 _SPACE, _OTHER = 10, 11
-_DIGIT = np.full(256, _OTHER, dtype=np.uint8)
-_DIGIT[list(_WHITESPACE)] = _SPACE
-_DIGIT[ord("0") : ord("9") + 1] = range(10)
+_CLASS = bytes(
+    byte - ord("0") if byte in b"0123456789" else _SPACE if byte in _WHITESPACE else _OTHER
+    for byte in range(256)
+)
+# The raster is decoded this many bytes at a time, so no array grows with the file.
+_CHUNK = 1 << 16
+_NOT_SIMPLE = 0xFFFF  # above any maxval, so it is found with the samples out of range
+
+
+def _value_table() -> np.ndarray:
+    """The value of a token from the classes of its last four bytes.
+
+    Row ``12 * before + hundreds``, column ``12 * tens + ones``, where
+    ``before`` is the byte in front of a three-byte token. A token of one to
+    three digits reads as its value; any other token as ``_NOT_SIMPLE``.
+    """
+    digit = np.arange(10, dtype=np.uint16)
+    table = np.full((12, 12, 12, 12), _NOT_SIMPLE, dtype=np.uint16)
+    table[:, :, _SPACE, :10] = digit
+    table[:, _SPACE, :10, :10] = digit[:, None] * 10 + digit
+    table[_SPACE, :10, :10, :10] = digit[:, None, None] * 100 + digit[:, None] * 10 + digit
+    table = table.reshape(144, 144)
+    table.flags.writeable = False
+    return table
+
+
+_VALUE = _value_table()
 
 
 @dataclass(eq=False)
@@ -91,53 +115,54 @@ def _parse_dim(token: bytes, name: str) -> int:
 def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     """The first ``count`` ASCII samples after ``pos``; the first fault wins.
 
-    Tokens of one to three ASCII digits are read as arrays. Any other token
-    (a sign, '_', four or more bytes, any other byte) goes through int() on
-    its own, which decides its value or its fault.
+    The raster is read ``_CHUNK`` bytes at a time. Tokens of one to three
+    ASCII digits are read from ``_VALUE``. Any other token (a sign, '_',
+    four or more bytes, any other byte) goes through int() on its own, which
+    decides its value or its fault.
     """
     raster = memoryview(data)[pos:]
     if data.find(b"#", pos) >= 0:
         raster = _COMMENT.sub(b" ", raster)
-    # Four spaces in front give every token three readable bytes before its
-    # last one; one space behind ends a token at the end of the data.
-    text = b"".join((b"    ", raster, b" "))
-    digit = np.take(_DIGIT, np.frombuffer(text, dtype=np.uint8))
-    space = digit == _SPACE
-    # An entry j of ends is a token whose last byte is j + 3, so the shifted
-    # view digit[k:][ends] reads byte j + k: the ones digit for k = 3, back
-    # to the byte before a three-digit token for k = 0.
-    ends = np.flatnonzero(space[4:] > space[3:-1])[:count]
-    found = len(ends)
-    ones, tens, hundreds, before = (digit[k:][ends] for k in (3, 2, 1, 0))
-    # A token runs left from its last byte to the first space; it is simple
-    # if it holds one to three digits. Digits beyond that space are zeroed.
-    simple = (ones < 10) & (
-        (tens == _SPACE)
-        | (tens < 10) & ((hundreds == _SPACE) | (hundreds < 10) & (before == _SPACE))
-    )
-    hundreds[(tens == _SPACE) | (hundreds == _SPACE)] = 0
-    tens[tens == _SPACE] = 0
-    values = ones + tens.astype(np.uint16) * 10 + hundreds.astype(np.uint16) * 100
-    over = simple & (values > maxval)
-    first_over = int(over.argmax()) if over.any() else found
-    for i in np.flatnonzero(~simple[:first_over]):
-        # The token starts at the first byte after the previous one that is
-        # not a space.
-        previous_end = ends[i - 1] + 4 if i else 0
-        end = ends[i] + 4
-        token = text[previous_end + space[previous_end:end].argmin() : end]
-        try:
-            value = int(token)
-        except ValueError:
-            raise InvalidPixelValue(f"non-numeric sample {token!r}") from None
-        if not 0 <= value <= maxval:
-            raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
-        values[i] = value
-    if first_over < found:
-        raise InvalidPixelValue(f"sample {values[first_over]} outside [0, {maxval}]")
-    if found < count:
-        raise TruncatedData(f"expected {count} samples, found {found}")
-    return values.astype(np.uint8)
+    size = len(raster)
+    out = np.empty(count, dtype=np.uint8)
+    found = 0
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        # The chunk with the four bytes before it and the one after it;
+        # spaces stand in beyond the raster's ends.
+        text = b"".join(
+            (b"    "[start:], raster[max(start - 4, 0) : stop + 1], b" " * (stop == size))
+        )
+        digit = np.frombuffer(text.translate(_CLASS), dtype=np.uint8)
+        space = digit == _SPACE
+        # Entry j of ends is a token whose last byte is raster[start + j],
+        # that is text[j + 4]. Its _VALUE row and column are pair[j + 1] and
+        # pair[j + 3], and cell[j] is their flat index.
+        ends = np.flatnonzero(space[5:] > space[4:-1])[: count - found]
+        pair = digit[:-1] * 12 + digit[1:]
+        cell = pair[1:-2].astype(np.uint16)
+        cell *= 144
+        cell += pair[3:]
+        values = np.take(_VALUE.ravel(), np.take(cell, ends))
+        for i in np.flatnonzero(values > maxval):
+            if values[i] != _NOT_SIMPLE:
+                raise InvalidPixelValue(f"sample {values[i]} outside [0, {maxval}]")
+            end = first = start + int(ends[i]) + 1
+            while first and raster[first - 1] not in _WHITESPACE:
+                first -= 1
+            token = bytes(raster[first:end])
+            try:
+                value = int(token)
+            except ValueError:
+                raise InvalidPixelValue(f"non-numeric sample {token!r}") from None
+            if not 0 <= value <= maxval:
+                raise InvalidPixelValue(f"sample {value} outside [0, {maxval}]")
+            values[i] = value
+        out[found : found + len(values)] = values
+        found += len(values)
+        if found == count:
+            return out
+    raise TruncatedData(f"expected {count} samples, found {found}")
 
 
 def read_pgm(path) -> GrayImage:
@@ -169,7 +194,9 @@ def decode_pgm(data: bytes) -> GrayImage:
         # Exactly one whitespace byte separates the maxval from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
             raise MalformedHeader("missing whitespace after maxval")
-        flat = np.frombuffer(data[pos + 1 : pos + 1 + count], dtype=np.uint8)
+        flat = np.frombuffer(
+            data, dtype=np.uint8, count=min(count, len(data) - pos - 1), offset=pos + 1
+        )
         if maxval < 255:
             over = flat > maxval
             if over.any():

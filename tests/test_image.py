@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mammocad import image
 from mammocad.errors import (
     InvalidPixelValue,
     IoFailure,
@@ -159,6 +161,8 @@ class TestReadPgm:
             (b"P5\n3 1\n15\n\x0f\x00", TruncatedData, "expected 3 bytes, found 2"),
             (b"P5\n1 1\n255#c\n\x00", MalformedHeader, "missing whitespace after maxval"),
             (b"P5\n1 1\n255", MalformedHeader, "missing whitespace after maxval"),
+            # The whitespace after the maxval is the file's last byte.
+            (b"P5\n2 2\n255\n", TruncatedData, "expected 4 bytes, found 0"),
         ],
     )
     def test_p5_first_fault_reported(self, data, error, message, tmp_path):
@@ -253,6 +257,80 @@ class TestReadPgm:
             tracemalloc.stop()
         assert img.pixels.shape == (1024, 1024)
         assert peak <= 16 * path.stat().st_size
+
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7])
+    @settings(deadline=None, max_examples=60)
+    @given(data=p2_streams())
+    def test_p2_chunk_size_does_not_matter(self, chunk, data):
+        # Chunks of a few bytes put every token, comment and fault across
+        # chunk boundaries.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(image, "_CHUNK", chunk)
+            assert_p2_matches_reference(data)
+
+    @pytest.mark.parametrize("offset", range(5))
+    @pytest.mark.parametrize(
+        "token, value, error, last",
+        [
+            (b"0123", 123, None, False),  # four digits: int() decides
+            (b"+5", 5, None, False),
+            (b"5x", None, "non-numeric sample b'5x'", False),
+            (b"256", None, "sample 256 outside [0, 255]", False),
+            (b"9", 9, None, True),  # the last needed sample; bad tokens follow it
+        ],
+    )
+    def test_p2_token_across_chunk_boundary(self, token, value, error, last, offset):
+        # The raster is everything after the maxval token. The token starts
+        # ``offset`` bytes before the end of its second chunk, and the raster
+        # runs on into a third.
+        lead = 2 * image._CHUNK - offset
+        fill = (lead - 1) // 2  # " 7" each, then one or two spaces
+        raster = b" 7" * fill + b" " * (lead - 2 * fill) + token + b" " + b" ".join(
+            [b"x" if last else b"7"] * 300
+        )
+        assert len(raster) > 2 * image._CHUNK
+        rest = [] if last else [7] * 300
+        data = b"P2 %d 1 255" % (fill + 1 + len(rest)) + raster
+        if error:
+            with pytest.raises(InvalidPixelValue, match=re.escape(error)):
+                decode_pgm(data)
+        else:
+            assert decode_pgm(data).pixels.ravel().tolist() == [7] * fill + [value] + rest
+
+    def test_p2_value_table(self):
+        # Every token of one to four bytes over these symbols reads as int()
+        # reads it: its value, or the same fault and message.
+        symbols = [bytes([c]) for c in b"019+-_a\x00\xff"]
+        tokens = [
+            b"".join(t) for n in range(1, 5) for t in itertools.product(symbols, repeat=n)
+        ]
+        assert len(tokens) == 7380
+        for maxval in (255, 99):
+            for token in tokens:
+                assert_p2_matches_reference(b"P2 1 1 %d\n" % maxval + token + b"\n")
+        assert not image._VALUE.flags.writeable
+        with pytest.raises(ValueError):
+            image._VALUE[0, 0] = 0
+
+    def test_p2_read_memory_near_file_size(self, tmp_path):
+        # The raster is decoded in chunks: besides the file's bytes and the
+        # image, nothing grows with the file.
+        path = tmp_path / "phantom.pgm"
+        flat = generate_phantom("multi", 2, 1024)[0].pixels.ravel()
+        lines = [
+            b" ".join(b"%d" % v for v in flat[i : i + 17].tolist())
+            for i in range(0, len(flat), 17)
+        ]
+        path.write_bytes(b"P2\n1024 1024\n255\n" + b"\n".join(lines) + b"\n")
+        tracemalloc.start()
+        try:
+            img = read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels.ravel(), flat)
+        assert peak <= 3 * path.stat().st_size
 
 
 def assert_p2_matches_reference(data):
