@@ -124,7 +124,8 @@ def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     if data.find(b"#", pos) >= 0:
         raster = _COMMENT.sub(b" ", raster)
     size = len(raster)
-    out = np.empty(count, dtype=np.uint8)
+    # Tokens and their separators take at least two bytes each, bar the last.
+    out = np.empty(min(count, (size + 1) // 2), dtype=np.uint8)
     found = 0
     for start in range(0, size, _CHUNK):
         stop = min(start + _CHUNK, size)

@@ -181,10 +181,8 @@ def run_pipeline(
         fits = {rid: blanket_dimension(blankets, rid) for rid in ids}
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
     with _stage(timings, "features"):
-        vectors = {}
-        if gated_ids:
-            table = feature_table(inverted, region_map, gated_ids)
-            vectors = {rid: compute_features(table, rid) for rid in gated_ids}
+        table = feature_table(inverted, region_map, gated_ids)
+        vectors = {rid: compute_features(table, rid) for rid in gated_ids}
     with _stage(timings, "classify"):
         rules = resolve_rules(cfg, inverted.width * inverted.height)
         detections = [classify(rid, vectors[rid], fits[rid], rules) for rid in gated_ids]
@@ -256,37 +254,36 @@ def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
     return results
 
 
-# The detections sorted by region id, and the JSON tokens of their numbers.
-_Tokens = tuple[list[Detection], list[str]]
+# The detections sorted by region id, the tokens of their template slots,
+# and the index of each one's label slot.
+_Tokens = tuple[list[Detection], list[str], list[int]]
 
 
 def _number_tokens(report: DetectionReport) -> _Tokens:
-    """The detections sorted by region id, and the JSON token of each of their numbers.
+    """The detections sorted by region id, the tokens of their slots, and where each label goes.
 
-    A detection's numbers are its region id, its features, its dimension,
-    its fit's scales and areas, then the fit's dimension, intercept and
-    residual; the detections' numbers follow one another. One C-encoder
-    dump of that flat list formats them all, split on ``", "`` into the
-    tokens ``json.dumps`` writes for them (``NaN`` and ``Infinity``
-    included). The number fields must hold numbers, as annotated.
+    The tokens fill the slots of :func:`_detection_template`, detection after
+    detection: region id, features and dimension, a ``0`` for the label and
+    one for the failed rules, then the fit's scales, areas, dimension,
+    intercept and residual. ``slots[i]`` is the index of detection i's label
+    token. One C-encoder dump of the flat list formats every number, split
+    on ``", "`` into the tokens ``json.dumps`` writes for them (``NaN`` and
+    ``Infinity`` included). The number fields must hold numbers, as annotated.
     """
     detections = sorted(report.detections, key=lambda d: d.region_id)
     numbers = []
+    slots = []
     for det in detections:
         fit = det.fit
-        numbers.append(det.region_id)
-        numbers += vars(det.features).values()
-        numbers.append(det.dimension)
-        numbers += fit.scales
-        numbers += fit.areas
-        numbers += (fit.dimension, fit.intercept, fit.residual)
-    return detections, json.dumps(numbers)[1:-1].split(", ")
+        numbers += (det.region_id, *vars(det.features).values(), det.dimension)
+        slots.append(len(numbers))
+        numbers += (0, 0, *fit.scales, *fit.areas, fit.dimension, fit.intercept, fit.residual)
+    return detections, json.dumps(numbers)[1:-1].split(", "), slots
 
 
-# A detection's region id, features and dimension: its first tokens, and
-# the number columns of its CSV row.
+# A detection's region id, features and dimension: the tokens before its
+# label slot, and the number columns of its CSV row.
 _HEAD_NUMBERS = len(fields(FeatureVector)) + 2
-_FIT_TAIL = 3  # the fit's dimension, intercept and residual
 
 
 @cache
@@ -311,52 +308,44 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
 
     ``report_dict`` holds ``vars()`` of the dataclasses, detections sorted by
     region id. An indented dump runs the pure-Python encoder over every
-    token, so only the small head goes through it. The detection numbers
-    come formatted from one token pass, ``tokens`` (the report's
-    :func:`_number_tokens`, made here when not given). One ``%`` pass over
-    per-detection templates, each the dump's own layout of a detection
-    (:func:`_detection_template`), lays them out with the strings encoded
-    as that dump encodes them, and builds no string per detection.
+    token, so only the small head goes through it. The detections' slot
+    tokens come from one token pass, ``tokens`` (the report's
+    :func:`_number_tokens`, made here when not given). A copy of them takes
+    each label and failed-rules list, encoded as that dump encodes them, in
+    its two slots; one ``%`` pass then fills the per-detection templates
+    (:func:`_detection_template`) and builds no string per detection.
     """
     head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
     if not report.detections:
         return head
-    detections, numbers = _number_tokens(report) if tokens is None else tokens
-    values = []
-    layout = []
+    detections, numbers, slots = _number_tokens(report) if tokens is None else tokens
+    values = numbers.copy()  # the caller shares the tokens with features_csv
     rules_of = {}  # failed_rules tuple -> its encoded list
-    at = 0
-    for det in detections:
-        scales, areas = len(det.fit.scales), len(det.fit.areas)
+    for det, at in zip(detections, slots):
         rules = tuple(det.failed_rules)
         if rules not in rules_of:
             rules_of[rules] = json.dumps(rules, indent=2).replace("\n", "\n      ")
-        end = at + _HEAD_NUMBERS + scales + areas + _FIT_TAIL
-        values += numbers[at : at + _HEAD_NUMBERS]
-        values += (encode_basestring_ascii(det.label), rules_of[rules])
-        values += numbers[at + _HEAD_NUMBERS : end]
-        layout.append(_detection_template(scales, areas))
-        at = end
+        values[at : at + 2] = encode_basestring_ascii(det.label), rules_of[rules]
+    layout = ",\n".join(
+        _detection_template(len(det.fit.scales), len(det.fit.areas)) for det in detections
+    )
     # The head's strings escape every quote and newline, so its first
     # '\n  "detections": []' is the key itself.
     before, _, after = head.partition('\n  "detections": []')
-    layout = ",\n".join(layout)
     return f'%s\n  "detections": [\n{layout}\n  ]%s' % (before, *values, after)
 
 
 def features_csv(report: DetectionReport, tokens: _Tokens | None = None) -> str:
     """Feature table, one row per detection, sorted by region id.
 
-    The numbers are the report's JSON tokens, ``tokens`` (the report's
-    :func:`_number_tokens`, made here when not given), with ``NaN`` and
-    ``Infinity`` written ``nan`` and ``inf``: for ints and floats, their
-    ``repr``.
+    A row's numbers are the slot tokens before its detection's label slot,
+    from ``tokens`` (the report's :func:`_number_tokens`, made here when not
+    given), with ``NaN`` and ``Infinity`` written ``nan`` and ``inf``: for
+    ints and floats, their ``repr``.
     """
-    detections, numbers = _number_tokens(report) if tokens is None else tokens
+    detections, numbers, slots = _number_tokens(report) if tokens is None else tokens
     lines = [CSV_HEADER]
-    at = 0
-    for det in detections:
-        row = ",".join(numbers[at : at + _HEAD_NUMBERS])
+    for det, at in zip(detections, slots):
+        row = ",".join(numbers[at - _HEAD_NUMBERS : at])
         lines.append(f"{row.replace('NaN', 'nan').replace('Infinity', 'inf')},{det.label}")
-        at += _HEAD_NUMBERS + len(det.fit.scales) + len(det.fit.areas) + _FIT_TAIL
     return "\n".join(lines) + "\n"

@@ -94,10 +94,10 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
     ids = list(ids)
     if not all(map(_integer_type, set(map(type, ids)))):  # one test per distinct type
         raise ValueError("region ids must be integers")
+    if ids:  # before the cast, which overflows on ids outside int64
+        check_id(min(ids), rows)
+        check_id(max(ids), rows)
     ids = np.fromiter(ids, dtype=np.int64)
-    if ids.size:
-        check_id(ids.min(), rows)
-        check_id(ids.max(), rows)
     wanted = np.zeros(rows, dtype=bool)
     wanted[ids] = True
     return wanted
@@ -425,6 +425,8 @@ def merge(
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
+    if tau_merge < 0:
+        raise ValueError("tau_merge must be >= 0")
     tau = float(min(tau_merge, 255))  # means differ by <= 255; a float negates without wrapping
     block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height, mask.window)
     seeds, first_pixel = _seed_labels(mask.bits[mask.window], block_of)

@@ -695,6 +695,24 @@ class TestBatchContract:
         assert "b.pgm" not in err
         assert json.loads((out / "b_report.json").read_text())["source"] == str(second)
 
+    @pytest.mark.parametrize("side", [100_000_000, 4_000_000])
+    def test_header_larger_than_its_file_is_a_per_file_error(self, tmp_path, capsys, side):
+        """A header's sample count allocates nothing the file cannot hold."""
+        lying_p2 = tmp_path / "p2.pgm"
+        lying_p2.write_bytes(b"P2\n%d %d\n255\n1 2 3\n" % (side, side))
+        lying_p5 = tmp_path / "p5.pgm"
+        lying_p5.write_bytes(b"P5\n%d %d\n255\n\x01\x02\x03" % (side, side))
+        good = tmp_path / "good.pgm"
+        write_pgm(generate_phantom("tumor", 1, 64)[0], good)
+        results = run_batch([lying_p2, lying_p5, good], PipelineConfig(output_dir=None))
+        assert [type(r) for r in results] == [BatchError, BatchError, DetectionReport]
+        assert results[0].error == f"expected {side * side} samples, found 3"
+        assert results[1].error == f"expected {side * side} bytes, found 3"
+        out = tmp_path / "out"
+        assert main(["detect", str(lying_p2), str(lying_p5), str(good), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count(": ERROR: expected") == 2
+        assert json.loads((out / "good_report.json").read_text())["source"] == str(good)
+
     def test_output_dir_that_is_a_file_is_a_per_file_error(self, tmp_path):
         src = tmp_path / "a.pgm"
         write_pgm(generate_phantom("tumor", 1, 64)[0], src)

@@ -99,6 +99,10 @@ class TestSplit:
             split(img_of([[1, 2]]), full_mask(3, 3))
         with pytest.raises(ValueError, match="tau_split must be >= 0"):
             split(img_of([[1, 2]]), full_mask(2, 1), tau_split=-1)
+        with pytest.raises(ValueError, match="tau_merge must be >= 0"):
+            merge(img_of([[1, 2]]), full_mask(2, 1), [(0, 0, 2, 1)], tau_merge=-1)
+        with pytest.raises(ValueError, match="tau_merge must be >= 0"):
+            segment_image(img_of([[1, 2]]), full_mask(2, 1), tau_merge=-1)
         with pytest.raises(ValueError, match="min_block must be >= 1"):
             split(img_of([[1, 2]]), full_mask(2, 1), min_block=0)
 
@@ -829,6 +833,16 @@ class TestRegionIds:
     )
     def test_non_integer_ids_rejected(self, entry, rid):
         with pytest.raises(ValueError, match="region ids must be integers"):
+            self.ENTRY_POINTS[entry](rid)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "rid",
+        [0, 4, -1, 2**63, -(2**63) - 1, 2**70, np.uint64(2**63), np.uint64(2**64 - 1)],
+        ids=repr,
+    )
+    def test_out_of_range_ids_rejected(self, entry, rid):
+        with pytest.raises(ValueError, match=r"region ids must lie in 1\.\.3$"):
             self.ENTRY_POINTS[entry](rid)
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
