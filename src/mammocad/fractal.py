@@ -65,6 +65,13 @@ def blanket_area_table(
     another region points back at the pixel itself, which never wins since
     u + 1 beats u and b - 1 beats b. The volumes are sums of integers, read
     per region with one weighted ``bincount`` per radius, so they are exact.
+
+    The loop stops at the first radius r where every surface grows by
+    exactly one: no pixel has a neighbor above u + 1 or below b - 1. Then
+    u + 1 and b - 1 keep that property, so from r on every pixel adds 2 to
+    u - b per radius, and V(r + k) = V(r - 1) + 2(k + 1)n with n the
+    region's pixel count. Those later areas are the same exact integers,
+    divided by the same 2r, so they carry the bits the loop would give.
     """
     r_max = operator.index(r_max)  # a numpy integer's r_max + 1 would wrap
     if r_max < 2:
@@ -74,7 +81,7 @@ def blanket_area_table(
     rows = len(wanted)
     # A ring of background around the window, where every label is 0 anyway,
     # keeps every neighbor index in range and never matches a region's label.
-    padded = np.pad(labels, 1).ravel()
+    padded = _framed(labels)
     stride = labels.shape[1] + 2
     at = np.flatnonzero(wanted[padded])
     group = padded[at]
@@ -88,17 +95,31 @@ def blanket_area_table(
         ]
     )
 
-    upper = np.pad(img.pixels[region_map.window], 1).ravel()[at].astype(np.int32)
+    upper = _framed(img.pixels[region_map.window])[at].astype(np.int32)
     lower = upper.copy()
+    volume = np.zeros(rows)  # V(r - 1), exact integers
     areas = np.zeros((rows, r_max), dtype=np.float64)
     for r in range(1, r_max + 1):
-        upper = np.maximum(upper[neighbors].max(0), upper + 1)
-        lower = np.minimum(lower[neighbors].min(0), lower - 1)
-        areas[:, r - 1] = np.bincount(group, weights=upper - lower, minlength=rows) / (2 * r)
+        high, above = upper[neighbors].max(0), upper + 1
+        low, below = lower[neighbors].min(0), lower - 1
+        if (high <= above).all() and (low >= below).all():  # settled from r on
+            grown = np.outer(np.where(wanted, region_map.sizes, 0), 2 * np.arange(1, r_max - r + 2))
+            areas[:, r - 1 :] = (volume[:, None] + grown) / (2 * np.arange(r, r_max + 1))
+            break
+        upper, lower = np.maximum(high, above), np.minimum(low, below)
+        volume = np.bincount(group, weights=upper - lower, minlength=rows)
+        areas[:, r - 1] = volume / (2 * r)
     slope, intercept, residual = _fit_lines(range(1, r_max + 1), areas[wanted])
     fits = np.full((3, rows), np.nan)
     fits[:, wanted] = 2.0 - slope, intercept, residual
     return BlanketTable(areas, *fits)
+
+
+def _framed(a: np.ndarray) -> np.ndarray:
+    """``a`` inside a one-pixel frame of zeros, flattened."""
+    framed = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=a.dtype)
+    framed[1:-1, 1:-1] = a
+    return framed.ravel()
 
 
 def _fit_lines(scales, areas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

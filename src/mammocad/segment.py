@@ -227,7 +227,8 @@ def split(
         splits = alive[inside] & (high - low > tau)
         splits &= np.maximum.outer(r.lengths[a:b], q.lengths[c:e]) > min_block
         alive[inside] &= ~splits  # now the leaves
-        i, j = (np.argwhere(alive) + (top, left)).T  # their interval indices
+        i, j = np.nonzero(alive)
+        i, j = i + top, j + left  # their interval indices
         found.append((r.keys[i] + q.keys[j], q.starts[j], r.starts[i], q.lengths[j], r.lengths[i]))
         if not splits.any():
             break
@@ -258,15 +259,17 @@ def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndar
         raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))].tolist())} outside image")
     stride = width + 1  # a corner's x is at most width, so distinct corners get distinct keys
     key = np.min_scalar_type((height + 1) * stride)  # the narrowest type sorts fastest
-    plus = np.r_[y * stride + x, bottom * stride + right, width, height * stride].astype(key)
-    minus = np.r_[y * stride + right, bottom * stride + x, 0, height * stride + width].astype(key)
+    plus = np.concatenate((y * stride + x, bottom * stride + right, [width, height * stride]))
+    minus = np.concatenate((y * stride + right, bottom * stride + x, [0, height * stride + width]))
+    plus, minus = plus.astype(key), minus.astype(key)
     if not np.array_equal(np.sort(plus), np.sort(minus)):
         raise ValueError("blocks do not partition the image")
     ranks = np.empty(len(blocks), dtype=np.int32)
     ranks[np.argsort(y * stride + x)] = np.arange(1, len(blocks) + 1, dtype=np.int32)
     (y0, y1, _), (x0, x1, _) = window[0].indices(height), window[1].indices(width)
-    x, right = np.clip(x, x0, x1) - x0, np.clip(right, x0, x1) - x0
-    y, bottom = np.clip(y, y0, y1) - y0, np.clip(bottom, y0, y1) - y0
+    # np.minimum and np.maximum clip as np.clip does, without its Python-level wrapper.
+    x, right = (np.minimum(np.maximum(a, x0), x1) - x0 for a in (x, right))
+    y, bottom = (np.minimum(np.maximum(a, y0), y1) - y0 for a in (y, bottom))
     stride = x1 - x0 + 1
     corners = np.concatenate(
         (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
@@ -313,8 +316,7 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     ):
         joined = (starts[a] | starts[b]) & bits[a] & bits[b] & (block_of[a] == block_of[b])
         codes.append(run_map[a][joined].astype(np.int64) * runs + run_map[b][joined])
-    codes = np.sort(np.concatenate(codes))
-    codes = codes[np.diff(codes, prepend=-1) != 0]
+    codes = _distinct(np.sort(np.concatenate(codes)))
     heads, tails = (part.astype(np.int32) for part in np.divmod(codes, runs))
     parent = np.arange(runs, dtype=np.int32)
     while True:
@@ -338,6 +340,13 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     return labels, first[order]
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted array ``codes`` with each value once."""
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first]
+
+
 def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
 
@@ -354,9 +363,7 @@ def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, 
         codes += (a * (count + 1) + b, b * (count + 1) + a)
     codes = np.concatenate(codes)
     codes.sort()
-    distinct = np.ones(len(codes), dtype=bool)
-    distinct[1:] = codes[1:] != codes[:-1]
-    src, targets = np.divmod(codes[distinct], count + 1)
+    src, targets = np.divmod(_distinct(codes), count + 1)
     offsets = np.zeros(count + 2, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=count + 1), out=offsets[1:])
     return src, targets.astype(np.int32), offsets

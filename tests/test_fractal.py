@@ -14,9 +14,10 @@ from mammocad.fractal import (
     fit_dimension,
     roughness_gate,
 )
-from mammocad.image import GrayImage
+from mammocad.image import GrayImage, haar_downsample, negate
+from mammocad.phantom import generate_phantom
 from mammocad.segment import RegionMap, extract_regions, segment_image
-from mammocad.threshold import BinaryMask
+from mammocad.threshold import BinaryMask, apply_threshold, histogram, otsu_threshold
 
 from oracles import (
     blanket_recursion,
@@ -154,7 +155,7 @@ class TestBlanketAreaTable:
             assert got.tolist() == padded_blanket_areas(img, record, r_max)[1]
 
     @settings(deadline=None, max_examples=80)
-    @given(case=labeled_images(), r_max=st.integers(2, 10))
+    @given(case=labeled_images(), r_max=st.integers(2, 40))  # most settle by radius 7
     def test_matches_oracle(self, case, r_max):
         img, rm, rng = case
         ids = [rid for rid in range(1, rm.region_count + 1) if rng.random() < 0.7]
@@ -221,6 +222,63 @@ class TestBlanketAreaTable:
         sizes = np.bincount(rm.labels.ravel(), minlength=rm.region_count + 1)[1:]
         assert (table[1:, 0] >= sizes).all()
         assert np.array_equal(table[1:, 0] == 1.0, sizes == 1)
+
+
+def settle_mix():
+    """An image and map whose regions settle at different radii, or not by 40.
+
+    Raw labels: 1 a constant block and 2 a single pixel (both settle at
+    r = 1), 3 a ramp rising 3 per column (r = 6), 4 a block of noise
+    (r = 10), and 5 a one-pixel-wide line of 0 with 255 at one end, whose
+    blanket still moves at r = 40.
+    """
+    rng = np.random.default_rng(7)
+    raw = np.zeros((8, 50), dtype=np.int64)
+    pixels = np.zeros((8, 50), dtype=np.uint8)
+    raw[2:, 0:4], pixels[2:, 0:4] = 1, 77
+    raw[2, 12], pixels[2, 12] = 2, 200
+    raw[2:, 5:11], pixels[2:, 5:11] = 3, 20 + 3 * np.arange(6)
+    raw[2:, 14:22], pixels[2:, 14:22] = 4, rng.integers(0, 256, (6, 8))
+    raw[0, :48], pixels[0, 0] = 5, 255
+    return GrayImage(pixels), dense_map(raw)
+
+
+class TestSettledBlanket:
+    """Rows past the radius where every surface grows by one keep the loop's bits."""
+
+    @pytest.mark.parametrize("r_max", [2, 8, 40])
+    @pytest.mark.parametrize("ids", [[1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 3], [1, 2], [5]])
+    def test_mixed_regions(self, ids, r_max):
+        img, rm = settle_mix()
+        TestBlanketAreaTable.assert_matches_oracle(img, rm, ids, r_max)
+        table = blanket_area_table(img, rm, ids, r_max).areas
+        records = {r.id: r for r in region_geometry(rm.labels)}
+        for rid in ids:
+            assert table[rid].tolist() == blanket_recursion(img, records[rid], r_max)[1]
+
+    def test_mix_settles_at_different_radii(self):
+        """From the oracle's volumes: a region has settled once V(r) - V(r - 1) = 2n."""
+        img, rm = settle_mix()
+        records = {r.id: r for r in region_geometry(rm.labels)}
+
+        def settles(rid):
+            areas = padded_blanket_areas(img, records[rid], 40)[1]
+            volumes = [0] + [round(a * 2 * r) for r, a in enumerate(areas, start=1)]
+            moving = [r for r in range(1, 41) if volumes[r] - volumes[r - 1] != 2 * rm.sizes[rid]]
+            last = max(moving, default=0)
+            return None if last == 40 else last + 1
+
+        assert {rid: settles(rid) for rid in records} == {1: 1, 2: 1, 3: 6, 4: 10, 5: None}
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_screen_blank_phantom(self, seed):
+        """The default run's blank image at three Haar levels, as the bench makes it."""
+        img = negate(haar_downsample(generate_phantom("blank", 100 * seed, 1024)[0], 3))
+        mask = apply_threshold(img, otsu_threshold(histogram(img)))
+        rm = segment_image(img, mask, 10, 10)
+        ids = extract_regions(rm, 8)
+        assert ids
+        TestBlanketAreaTable.assert_matches_oracle(img, rm, ids, 8)
 
 
 class TestFitTable:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mammocad.errors import EmptyHistogram
 from mammocad.image import GrayImage
 from mammocad.threshold import (
+    COUNT_MAX,
     BinaryMask,
     apply_threshold,
     histogram,
@@ -16,8 +17,8 @@ from mammocad.threshold import (
 from oracles import otsu_sweep
 
 
-def hist_of(bins: dict) -> np.ndarray:
-    counts = np.zeros(256, dtype=np.int64)
+def hist_of(bins: dict, dtype=np.int64) -> np.ndarray:
+    counts = np.zeros(256, dtype=dtype)
     for value, count in bins.items():
         counts[value] = count
     return counts
@@ -83,6 +84,53 @@ class TestOtsu:
         )
         hist = hist_of(bins)
         assert otsu_threshold(hist) == otsu_sweep(hist)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_matches_exhaustive_sweep_on_huge_counts(self, data):
+        """Counts far past 2**53 in their products, where float scores round."""
+        bins = data.draw(
+            st.dictionaries(
+                st.integers(0, 255), st.integers(1, COUNT_MAX), min_size=2, max_size=6
+            )
+        )
+        hist = hist_of(bins)
+        assert otsu_threshold(hist) == otsu_sweep(hist)
+
+    def test_near_tie_decided_exactly(self):
+        # Masses 3m at 0, m at 1 and 3m + d at 2: by symmetry t = 0 and t = 1
+        # tie at d = 0, and at d = -1 or 1 their scores differ by ~1/m, far
+        # inside the float pre-selection's margin.
+        for m in (10**6, 10**9, 10**12):
+            picks = []
+            for d in (-1, 0, 1):
+                hist = hist_of({0: 3 * m, 1: m, 2: 3 * m + d})
+                picks.append(otsu_threshold(hist))
+                assert picks[-1] == otsu_sweep(hist)
+            assert picks == [0, 0, 1]
+
+    def test_every_integer_dtype(self):
+        bins = {3: 5, 90: 7, 200: 11}
+        for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+            assert otsu_threshold(hist_of(bins).astype(dtype)) == 90
+        assert otsu_threshold(hist_of(bins).tolist()) == 90
+        assert otsu_threshold(hist_of({0: COUNT_MAX, 255: COUNT_MAX})) == 0
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            hist_of({10: -3, 20: 3}),  # sums to 0, yet holds pixels
+            hist_of({10: -5, 100: 3, 200: 10}),
+            hist_of({10: 2.7, 200: 0.5}, np.float64),  # floats are not counts
+            hist_of({10: 2, 200: 3}, np.float64),  # not even whole ones
+            hist_of({10: True, 200: True}, bool),  # nor are bools
+            hist_of({10: COUNT_MAX + 1}, np.uint64),  # its sum would not fit int64
+            [1] * 255 + [2**70],  # an object array
+        ],
+    )
+    def test_rejects_counts_that_are_not_a_histogram(self, counts):
+        with pytest.raises(ValueError, match="integers in 0.."):
+            otsu_threshold(counts)
 
     @settings(deadline=None, max_examples=40)
     @given(
