@@ -178,7 +178,7 @@ def run_pipeline(
         ids = extract_regions(region_map, cfg.min_region_pixels)
     with _stage(timings, "fractal"):
         blankets = blanket_area_table(inverted, region_map, ids, cfg.r_max)
-        fits = {rid: blanket_dimension(blankets, rid) for rid in ids}
+        fits = {rid: blanket_dimension(blankets, rid) for rid in ids.tolist()}
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
     with _stage(timings, "features"):
         table = feature_table(inverted, region_map, gated_ids)

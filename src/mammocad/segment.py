@@ -86,20 +86,23 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
     """Check ``ids`` against the map; a bool per id 0..region_count, True at ``ids``.
 
     The image must have the map's shape and every id must be an integer
-    in 1..region_count; either fault raises ``ValueError``.
+    in 1..region_count; either fault raises ``ValueError``. A 1-D integer
+    ndarray is taken as it is; any other iterable is checked id by id.
     """
     if region_map.labels.shape != img.pixels.shape:
         raise ValueError("image and region map dimensions differ")
     rows = region_map.region_count + 1
-    ids = list(ids)
-    if not all(map(_integer_type, set(map(type, ids)))):  # one test per distinct type
-        raise ValueError("region ids must be integers")
-    if ids:  # before the cast, which overflows on ids outside int64
-        check_id(min(ids), rows)
-        check_id(max(ids), rows)
-    ids = np.fromiter(ids, dtype=np.int64)
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+        ends = (ids.min(), ids.max()) if ids.size else ()  # the dtype is the type check
+    else:
+        ids = list(ids)
+        if not all(map(_integer_type, set(map(type, ids)))):  # one test per distinct type
+            raise ValueError("region ids must be integers")
+        ends = (min(ids), max(ids)) if ids else ()
+    for end in ends:  # in the ids' own types, before the cast wraps or overflows one
+        check_id(end, rows)
     wanted = np.zeros(rows, dtype=bool)
-    wanted[ids] = True
+    wanted[np.asarray(ids, dtype=np.int64)] = True
     return wanted
 
 
@@ -319,18 +322,12 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     codes = _distinct(np.sort(np.concatenate(codes)))
     heads, tails = (part.astype(np.int32) for part in np.divmod(codes, runs))
     parent = np.arange(runs, dtype=np.int32)
-    while True:
+    while heads.size:  # an edge joins runs in two rows, so it starts between two roots
+        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
+        parent = _roots(parent)
+        heads, tails = parent[heads], parent[tails]
         crossing = heads != tails
         heads, tails = heads[crossing], tails[crossing]
-        if not heads.size:
-            break
-        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        heads, tails = parent[heads], parent[tails]
     roots = np.flatnonzero(parent == np.arange(runs))
     first = fg[opens][roots]
     order = np.lexsort((first, block_of.ravel()[first]))
@@ -338,6 +335,13 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     ids[roots[order]] = np.arange(1, len(roots) + 1, dtype=np.int32)
     np.put(labels, fg, ids[parent][run_of])
     return labels, first[order]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Pointer jumping on a forest: each entry of ``parent`` replaced by its root."""
+    while not np.array_equal(grand := parent[parent], parent):
+        parent = grand
+    return parent
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -497,11 +501,7 @@ def merge(
     owner = np.array(absorbed_by, dtype=np.int32)
     alive = np.flatnonzero(owner == 0)[1:]
     owner[alive] = alive
-    while True:
-        jumped = owner[owner]
-        if np.array_equal(jumped, owner):
-            break
-        owner = jumped
+    owner = _roots(owner)
     first = np.full(count + 1, flat.size, dtype=np.int64)
     np.minimum.at(first, owner[1:], first_pixel)
     final_id = np.zeros(count + 1, dtype=np.int32)
@@ -537,9 +537,9 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     )
 
 
-def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> list[int]:
-    """Ids of the regions with at least ``min_pixels`` pixels, ascending, from the map's sizes."""
-    return (np.flatnonzero(region_map.sizes[1:] >= min_pixels) + 1).tolist()
+def extract_regions(region_map: RegionMap, min_pixels: int = 1) -> np.ndarray:
+    """Ascending int64 ids of the regions with at least ``min_pixels`` pixels, from ``sizes``."""
+    return np.flatnonzero(region_map.sizes[1:] >= min_pixels) + 1
 
 
 def write_region_map_pgm(region_map: RegionMap, path) -> None:

@@ -277,7 +277,7 @@ class TestSettledBlanket:
         mask = apply_threshold(img, otsu_threshold(histogram(img)))
         rm = segment_image(img, mask, 10, 10)
         ids = extract_regions(rm, 8)
-        assert ids
+        assert ids.size
         TestBlanketAreaTable.assert_matches_oracle(img, rm, ids, 8)
 
 

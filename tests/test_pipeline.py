@@ -30,6 +30,7 @@ from mammocad.pipeline import (
 )
 
 from oracles import oracle_pipeline, reference_csv, report_to_dict
+from test_golden import box_noise
 
 REPORT_KEYS = [
     "source",
@@ -61,6 +62,23 @@ class TestRunPipeline:
             assert 1 <= det.region_id <= report.region_count_pre_gate
             assert det.fit is not None
             assert det.fit.scales == list(range(1, 9))
+
+    @pytest.mark.parametrize(
+        "make, cfg",
+        [
+            (lambda: generate_phantom("tumor", 1, 1024)[0], PipelineConfig(output_dir=None)),
+            (lambda: box_noise(7, 64), PipelineConfig(dwt_levels=0, output_dir=None)),
+        ],
+        ids=["phantom", "box_noise"],
+    )
+    def test_region_ids_are_python_ints(self, make, cfg):
+        """extract_regions gives an int64 array; the detections hold Python ints."""
+        report = run_pipeline(make(), cfg)
+        assert report.detections
+        for det in report.detections:
+            assert type(det.region_id) is int  # report_json rejects numpy ints
+            assert type(det.features.area) is int
+        assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
     def test_blank_phantom_no_detections(self):
         img, _ = generate_phantom("blank", 1, 1024)

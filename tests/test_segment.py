@@ -52,6 +52,14 @@ def leaves(blocks):
     return list(map(tuple, blocks.tolist()))
 
 
+def region_ids(region_map, min_pixels=1):
+    """``extract_regions``' ids, checked to be a 1-D ascending int64 array, as a list."""
+    ids = extract_regions(region_map, min_pixels)
+    assert ids.dtype == np.int64 and ids.ndim == 1
+    assert (np.diff(ids) > 0).all()
+    return ids.tolist()
+
+
 def half_half_8x8():
     pix = np.zeros((8, 8), np.uint8)
     pix[:, 4:] = 255
@@ -245,7 +253,7 @@ class TestExtractRegions:
     def test_3x3_square_geometry(self):
         img = GrayImage(np.full((3, 3), 50, np.uint8))
         rm = segment_image(img, full_mask(3, 3))
-        assert extract_regions(rm) == [1]
+        assert region_ids(rm) == [1]
         edge = boundary_mask(rm.labels)
         assert edge.sum() == 8
         assert not edge[1, 1]
@@ -255,8 +263,8 @@ class TestExtractRegions:
         bits[7, 5] = True
         img = GrayImage(np.zeros((10, 10), np.uint8))
         rm = segment_image(img, BinaryMask(bits, 0))
-        assert extract_regions(rm) == extract_regions(rm, min_pixels=0) == [1]
-        assert extract_regions(rm, min_pixels=2) == []
+        assert region_ids(rm) == region_ids(rm, min_pixels=0) == [1]
+        assert region_ids(rm, min_pixels=2) == []
         assert np.array_equal(boundary_mask(rm.labels), bits)
 
     def test_full_image_boundary_is_border_ring(self):
@@ -270,7 +278,7 @@ class TestExtractRegions:
         img = GrayImage(np.zeros((4, 4), np.uint8))
         rm = segment_image(img, BinaryMask(np.zeros((4, 4), bool), 0))
         assert rm.region_count == 0
-        assert extract_regions(rm) == []
+        assert region_ids(rm) == []
 
     def test_boundary_subset_and_area_sums(self):
         rng = np.random.default_rng(3)
@@ -486,9 +494,8 @@ class TestOracleEquivalence:
         assert np.array_equal(rm.labels, expected)
         geometry = region_geometry(expected)
         for min_pixels in (1, 2, 8):
-            ids = extract_regions(rm, min_pixels)
+            ids = region_ids(rm, min_pixels)
             assert ids == [g.id for g in geometry if len(g.pixels) >= min_pixels]
-            assert all(type(rid) is int for rid in ids)  # report_json rejects numpy ints
         painted = img.pixels.copy()
         for record in geometry:
             for x, y in record.boundary:
@@ -805,13 +812,36 @@ class TestRegionSizes:
         assert rm.sizes.tolist() == [1, 1, 1]
 
 
-def id_entry_points():
-    """The five calls that take region ids, each on a 16x16 map of three regions."""
+# Every numpy integer dtype: the ids' dtype is the table builders' type check.
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def three_regions():
+    """A 16x16 image and a map of three regions on it."""
     rng = np.random.default_rng(8)
     img = GrayImage(rng.integers(0, 256, (16, 16)).astype(np.uint8))
     labels = np.ones((16, 16), dtype=np.int32)
     labels[8:, :8], labels[8:, 8:] = 2, 3
-    rm = RegionMap(labels, 3)
+    return img, RegionMap(labels, 3)
+
+
+def id_tables():
+    """The two table builders, each taking a whole ids iterable on :func:`three_regions`."""
+    img, rm = three_regions()
+    return {
+        "feature_table": lambda ids: feature_table(img, rm, ids),
+        "blanket_area_table": lambda ids: blanket_area_table(img, rm, ids),
+    }
+
+
+def table_bytes(table):
+    """The bytes of a feature table or of every array of a blanket table."""
+    return b"".join(part.tobytes() for part in (table if isinstance(table, tuple) else [table]))
+
+
+def id_entry_points():
+    """The five calls that take region ids, each on the map of :func:`three_regions`."""
+    img, rm = three_regions()
     features, blankets = feature_table(img, rm, [1, 2, 3]), blanket_area_table(img, rm, [1, 2, 3])
     return {
         "feature_table": lambda rid: feature_table(img, rm, [rid]),
@@ -846,7 +876,56 @@ class TestRegionIds:
             self.ENTRY_POINTS[entry](rid)
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
-    @pytest.mark.parametrize("rid", [np.int64(2), np.uint8(2), np.int32(2)], ids=repr)
+    @pytest.mark.parametrize("rid", [dtype(2) for dtype in INTEGER_DTYPES], ids=repr)
     def test_integers_of_any_type_agree(self, entry, rid):
         np.testing.assert_equal(self.ENTRY_POINTS[entry](rid), self.ENTRY_POINTS[entry](2))
+
+
+class TestRegionIdArrays:
+    """A 1-D integer ndarray of ids is taken as it is, with the checks a list of them gets."""
+
+    TABLES = id_tables()
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    def test_integer_arrays_agree_with_lists(self, table, dtype):
+        build = self.TABLES[table]
+        for ids in ([1, 2, 3], [3], [2, 1, 2], []):
+            assert table_bytes(build(np.array(ids, dtype=dtype))) == table_bytes(build(ids))
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([0]),
+            np.array([-1]),
+            np.array([4]),
+            np.array([1, 2, 0]),
+            np.array([3, 4], dtype=np.uint8),
+            np.array([-1, 2], dtype=np.int8),
+            np.array([2**63], dtype=np.uint64),
+            np.array([2**64 - 1], dtype=np.uint64),
+            np.array([1, 2**63], dtype=np.uint64),
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_arrays_rejected(self, table, ids):
+        with pytest.raises(ValueError, match=r"region ids must lie in 1\.\.3$"):
+            self.TABLES[table](ids)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([True]), np.array([False, True]), np.array([2.0]), np.array([[1, 2]])],
+        ids=repr,
+    )
+    def test_non_integer_arrays_rejected(self, table, ids):
+        with pytest.raises(ValueError, match="region ids must be integers"):
+            self.TABLES[table](ids)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_object_and_empty_float_arrays_accepted(self, table):
+        build = self.TABLES[table]
+        assert table_bytes(build(np.array([1, 3], dtype=object))) == table_bytes(build([1, 3]))
+        assert table_bytes(build(np.array([], dtype=np.float64))) == table_bytes(build([]))
 
