@@ -6,14 +6,13 @@ Exit codes: 0 all inputs processed cleanly, 1 at least one per-file error,
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from .classify import RuleSet
 from .errors import ConfigError, IoFailure, MammoCadError
 from .image import write_pgm
 from .phantom import KINDS, generate_phantom
 from .pipeline import (
+    CONFIG_PARSERS,
     EMIT_CHOICES,
     RULE_KEYS,
     BatchError,
@@ -21,38 +20,6 @@ from .pipeline import (
     run_batch,
 )
 from .threshold import mask_to_image
-
-
-def boolean(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(value)
-
-
-def auto_or_int(value: str) -> int | str:
-    return "auto" if value == "auto" else int(value)
-
-
-def comma_list(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
-# One text parser per field annotation in use. The config keys are the
-# PipelineConfig fields with one of these annotations (not rule_overrides)
-# plus the rule names; CLI flags use the same parsers.
-_PARSERS = {
-    int: int,
-    float: float,
-    bool: boolean,
-    int | str: auto_or_int,
-    Path | None: Path,
-    tuple[str, ...]: comma_list,
-}
-CONFIG_PARSERS = {
-    f.name: _PARSERS[f.type] for f in fields(PipelineConfig) if f.type in _PARSERS
-} | {f.name: _PARSERS[f.type] for f in fields(RuleSet)}
 
 
 def parse_config_file(path) -> dict:
@@ -98,7 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", help="run the detection pipeline on PGM files")
     detect.add_argument("inputs", nargs="+", help="input PGM files")
     detect.add_argument("--config", help="flat key=value config file")
-    detect.add_argument("--dwt-levels", type=int, dest="dwt_levels")
+
+    def option(flag, dest, **kwargs):
+        """A flag that reads its text as the config key ``dest`` does."""
+        detect.add_argument(flag, dest=dest, type=CONFIG_PARSERS[dest], **kwargs)
+
+    option("--dwt-levels", "dwt_levels")
     detect.add_argument(
         "--dwt-first",
         action=argparse.BooleanOptionalAction,
@@ -106,22 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="downsample before negation (default) or after",
     )
-    detect.add_argument("--threshold", type=auto_or_int, help="'auto' or a gray level")
-    detect.add_argument("--tau-split", type=int, dest="tau_split")
-    detect.add_argument("--tau-merge", type=int, dest="tau_merge")
-    detect.add_argument("--d-min", type=float, dest="d_min")
-    detect.add_argument("--d-max", type=float, dest="d_max")
-    detect.add_argument(
+    option("--threshold", "threshold", help="'auto' or a gray level")
+    option("--tau-split", "tau_split")
+    option("--tau-merge", "tau_merge")
+    option("--d-min", "d_min")
+    option("--d-max", "d_max")
+    option(
         "--out",
-        dest="output_dir",
-        type=Path,
+        "output_dir",
         help="artifact directory (default: the config file's output_dir, else out)",
     )
-    detect.add_argument(
-        "--emit",
-        type=comma_list,
-        help=f"comma list of artifacts: {','.join(EMIT_CHOICES)}",
-    )
+    option("--emit", "emit", help=f"comma list of artifacts: {','.join(EMIT_CHOICES)}")
 
     phantom = sub.add_parser("phantom", help="generate a synthetic test image")
     phantom.add_argument("--kind", required=True, choices=KINDS)

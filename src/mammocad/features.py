@@ -98,20 +98,16 @@ def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return means
 
 
-def feature_table(
-    img: GrayImage, region_map: RegionMap, ids: Iterable[int], grad: np.ndarray | None = None
-) -> np.ndarray:
+def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np.ndarray:
     """Descriptors of the regions ``ids`` in one pass over their box in the map's window.
 
     Returns an array of shape (region_count + 1, 7) whose row i holds the
     :class:`FeatureVector` fields of region i in field order; rows of
-    regions not in ``ids`` are 0. ``grad`` is the image's :func:`gradient_map`;
-    None computes it on the regions' window only, with the same bits.
+    regions not in ``ids`` are 0. The gradient is :func:`gradient_map` on
+    the regions' box plus a 1-px halo, with the bits of the whole image's.
     The order of ``ids`` and repeats in it do not matter; areas are the map's ``sizes``.
     """
     wanted = wanted_rows(img, region_map, ids)
-    if grad is not None and grad.shape != region_map.labels.shape:
-        raise ValueError("gradient and region map dimensions differ")
     table = np.zeros((len(wanted), 7), dtype=np.float64)
     if not wanted.any():
         return table
@@ -138,7 +134,7 @@ def feature_table(
     # The box plus a 1-px halo, so edges replicate only at the image border.
     top, left = max(y0 - 1, 0), max(x0 - 1, 0)
     halo = np.s_[top : y1 + 1, left : x1 + 1]
-    grad = gradient_map(GrayImage(img.pixels[halo])) if grad is None else grad[halo]
+    grad = gradient_map(GrayImage(img.pixels[halo]))
     grads = grad[y0 - top : y1 - top, x0 - left : x1 - left].ravel()[at]
     mean_gradient = np.bincount(group, weights=grads) / area
     boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count

@@ -56,16 +56,18 @@ class PipelineConfig:
             _check_type(name, getattr(self, name), kind)
         if self.dwt_levels < 0:
             raise ConfigError("dwt_levels must be >= 0")
-        if self.threshold != "auto":
-            _check_type("threshold", self.threshold, _KINDS[int])
-            if not 0 <= self.threshold <= 255:
-                raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
+        if self.threshold != "auto" and (
+            isinstance(self.threshold, str) or not 0 <= self.threshold <= 255
+        ):
+            raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
         if self.tau_split < 0 or self.tau_merge < 0:
             raise ConfigError("tau_split and tau_merge must be >= 0")
         if self.min_block < 1:
             raise ConfigError("min_block must be >= 1")
-        if self.r_max < 2:
-            raise ConfigError("r_max must be >= 2")
+        # On 8-bit gray levels every blanket has settled by radius 256: a
+        # larger r_max only adds the closed-form tail, at 8 bytes a row each.
+        if not 2 <= self.r_max <= 256:
+            raise ConfigError("r_max must be in [2, 256]")
         if not self.d_min < self.d_max:
             raise ConfigError("d_min must be < d_max")
         if self.min_region_pixels < 2:
@@ -86,24 +88,46 @@ class PipelineConfig:
             raise ConfigError(f"rule {exc}") from exc
 
 
-# The types each field annotation admits, and how to name them; numpy's
-# numbers and bools count. threshold (int | str) has its own check.
+def boolean(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+def auto_or_int(value: str) -> int | str:
+    return "auto" if value == "auto" else int(value)
+
+
+def comma_list(value: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+# Per field annotation: the types it admits (numpy's numbers and bools
+# count), how to name them, and the parser of its text form (dict has none).
 _KINDS = {
-    int: ((Integral,), "an integer"),
-    float: ((Real,), "a real number"),
-    bool: ((bool, np.bool_), "a bool"),
-    dict: ((dict,), "a dict"),
-    Path | None: ((type(None), str, os.PathLike), "None, a str or a path"),
-    tuple[str, ...]: ((tuple, list), "a tuple or list of str"),
+    int: ((Integral,), "an integer", int),
+    float: ((Real,), "a real number", float),
+    bool: ((bool, np.bool_), "a bool", boolean),
+    int | str: ((Integral, str), "'auto' or an integer", auto_or_int),
+    dict: ((dict,), "a dict", None),
+    Path | None: ((type(None), str, os.PathLike), "None, a str or a path", Path),
+    tuple[str, ...]: ((tuple, list), "a tuple or list of str", comma_list),
 }
-_FIELD_TYPES = {f.name: _KINDS[f.type] for f in fields(PipelineConfig) if f.type in _KINDS}
+_FIELD_TYPES = {f.name: _KINDS[f.type] for f in fields(PipelineConfig)}
 # Rule thresholds settable by name: every RuleSet field.
 _RULE_TYPES = {f.name: _KINDS[f.type] for f in fields(RuleSet)}
 RULE_KEYS = tuple(_RULE_TYPES)
+# The config keys (every field with a text form, and the rule names) and
+# their parsers; the CLI's flags use the same ones.
+CONFIG_PARSERS = {
+    name: parse for name, (_, _, parse) in (_FIELD_TYPES | _RULE_TYPES).items() if parse
+}
 
 
-def _check_type(name: str, value, kind: tuple[tuple[type, ...], str]) -> None:
-    kinds, noun = kind
+def _check_type(name: str, value, kind) -> None:
+    kinds, noun, _ = kind
     # Bools are integers too, but only a bool field takes one.
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         raise ConfigError(f"{name} must be {noun}, got {value!r}")

@@ -194,7 +194,7 @@ def test_criterion_6_feature_hand_values_and_oracles():
     pix = np.zeros((1, 2), np.uint8)
     pix[0, 1] = 2
     img2 = GrayImage(pix)
-    assert abs(features_of(img2, full_map(img2), 1, np.zeros((1, 2))).gray_std - 1.0) <= 1e-6
+    assert abs(features_of(img2, full_map(img2), 1).gray_std - 1.0) <= 1e-6
 
     pix = np.full((5, 5), 100, np.uint8)
     for x, y in ((2, 2), (1, 2), (3, 2), (2, 1), (2, 3)):
@@ -221,7 +221,7 @@ def test_criterion_6_feature_hand_values_and_oracles():
         for record in region_geometry(rm.labels):
             if len(record.pixels) < 2 or blobs >= 100:
                 continue
-            got = features_of(img, rm, record.id, grad)
+            got = features_of(img, rm, record.id)
             want = naive_features(record, img, grad)
             for name, value in want.items():
                 assert abs(getattr(got, name) - value) <= 1e-9, name

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mammocad.classify import Detection, RuleSet
-from mammocad.cli import CONFIG_PARSERS, build_config, main, parse_config_file
+from mammocad.cli import CONFIG_PARSERS, build_config, build_parser, main, parse_config_file
 from mammocad.errors import ConfigError, NotDivisible, PipelineStageError
 from mammocad.features import FeatureVector
 from mammocad.fractal import BlanketFit
@@ -297,11 +298,10 @@ class TestRunBatch:
         assert isinstance(results[0], BatchError)
 
 
-README_CONFIG = re.search(
-    r"### Config file\n.*?```\n(.*?)```",
-    (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
-    re.S,
-)[1]
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+README_CONFIG = re.search(r"### Config file\n.*?```\n(.*?)```", README, re.S)[1]
+# The flag list of the CLI section: its first sentence.
+README_FLAGS = re.search(r"^Flags: (.*?)\.\s", README, re.S | re.M)[1]
 # The README block shows every config key at its default; output_dir is the
 # CLI's "out" and max_area the unscaled RuleSet default.
 README_VALUES = {
@@ -499,6 +499,40 @@ class TestCli:
         assert main(["phantom", "--kind", "tumor", "--size", "10", "--out", str(tmp_path)]) == 2
         assert "error: size must be >= 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, key, text",
+        [
+            ("--dwt-levels", "dwt_levels", "2"),
+            ("--threshold", "threshold", "auto"),
+            ("--threshold", "threshold", "140"),
+            ("--tau-split", "tau_split", "7"),
+            ("--tau-merge", "tau_merge", "12"),
+            ("--d-min", "d_min", "2.1"),
+            ("--d-max", "d_max", "2.9"),
+            ("--emit", "emit", "report, mask"),
+            ("--out", "output_dir", "results"),
+        ],
+    )
+    def test_flag_and_config_key_parse_alike(self, tmp_path, flag, key, text):
+        args = build_parser().parse_args(["detect", "x.pgm", flag, text])
+        from_flag = build_config({}, {k: v for k, v in vars(args).items() if k in CONFIG_PARSERS})
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        from_file = build_config(parse_config_file(cfg_file), {})
+        assert from_flag == from_file
+        assert type(getattr(from_flag, key)) is type(getattr(from_file, key))
+
+    def test_readme_lists_every_detect_flag(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        detect = subcommands.choices["detect"]
+        flags = [name for a in detect._actions for name in a.option_strings if a.dest != "help"]
+        listed = [
+            name for item in re.findall(r"`(--[^ `]+)", README_FLAGS) for name in item.split("/")
+        ]
+        assert listed == flags
+
     def test_bad_flag_value_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["detect", "x.pgm", "--threshold", "warm"])
@@ -623,6 +657,8 @@ class TestBatchContract:
             {"tau_merge": -1},
             {"min_block": 0},
             {"r_max": 1},
+            {"r_max": 257},
+            {"r_max": 10**12},
             {"min_region_pixels": 1},
             {"rule_overrides": {"no_such_rule": 1}},
         ],
@@ -766,6 +802,17 @@ class TestBatchContract:
         (result,) = run_batch([src], PipelineConfig(dwt_levels=10**12, output_dir=None))
         assert isinstance(result, BatchError)
         assert result.error == "downsample: 64x64 not divisible by 2^1000000000000"
+
+    def test_largest_r_max_runs(self, tmp_path):
+        """validate's largest r_max runs; its long tail pulls D toward 2, hence the wide band."""
+        src = tmp_path / "t.pgm"
+        write_pgm(generate_phantom("tumor", 1, 128)[0], src)
+        (result,) = run_batch(
+            [src], PipelineConfig(dwt_levels=0, r_max=256, d_min=1.5, d_max=3.0, output_dir=None)
+        )
+        assert isinstance(result, DetectionReport)
+        assert result.detections
+        assert all(d.fit.scales == list(range(1, 257)) for d in result.detections)
 
     def test_regions_stage_timed(self):
         img, _ = generate_phantom("tumor", 1, 256)
