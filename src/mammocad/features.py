@@ -72,6 +72,25 @@ def gradient_map(img: GrayImage) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
+def _gradient_at(img: GrayImage, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """:func:`gradient_map`'s values at the pixels ``(ys, xs)``, with the same bits.
+
+    Edge padding replicates the border, so a neighbour's row and column are
+    clamped to the image. Each of the eight neighbours is gathered once and
+    the kernel sums run in :func:`gradient_map`'s operation order.
+    """
+    height, width = img.pixels.shape
+    flat = img.pixels.ravel()
+    up, mid, down = (np.minimum(np.maximum(ys + k, 0), height - 1) * width for k in (-1, 0, 1))
+    left, right = np.maximum(xs - 1, 0), np.minimum(xs + 1, width - 1)
+    nw, n, ne = (flat[up + col].astype(np.float64) for col in (left, xs, right))
+    w, e = (flat[mid + col].astype(np.float64) for col in (left, right))
+    sw, s, se = (flat[down + col].astype(np.float64) for col in (left, xs, right))
+    gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w + sw)) / 8.0
+    gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n + ne)) / 8.0
+    return np.hypot(gx, gy)
+
+
 def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function of ``values``: ``mean()`` of each consecutive slice, slice i ``lengths[i]`` long.
 
@@ -103,8 +122,8 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
 
     Returns an array of shape (region_count + 1, 7) whose row i holds the
     :class:`FeatureVector` fields of region i in field order; rows of
-    regions not in ``ids`` are 0. The gradient is :func:`gradient_map` on
-    the regions' box plus a 1-px halo, with the bits of the whole image's.
+    regions not in ``ids`` are 0. The gradient is :func:`gradient_map`'s,
+    evaluated at the regions' pixels alone (:func:`_gradient_at`).
     The order of ``ids`` and repeats in it do not matter; areas are the map's ``sizes``.
     """
     wanted = wanted_rows(img, region_map, ids)
@@ -131,11 +150,7 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
     edge_group = group[edge]
     edge_count = np.bincount(edge_group)
 
-    # The box plus a 1-px halo, so edges replicate only at the image border.
-    top, left = max(y0 - 1, 0), max(x0 - 1, 0)
-    halo = np.s_[top : y1 + 1, left : x1 + 1]
-    grad = gradient_map(GrayImage(img.pixels[halo]))
-    grads = grad[y0 - top : y1 - top, x0 - left : x1 - left].ravel()[at]
+    grads = _gradient_at(img, ys + y0, xs + x0)
     mean_gradient = np.bincount(group, weights=grads) / area
     boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count
 

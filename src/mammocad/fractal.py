@@ -30,6 +30,11 @@ from .segment import RegionMap, check_id, wanted_rows
 from .threshold import bounding_window
 
 
+# On 8-bit gray levels every blanket has settled by radius 256 (see
+# blanket_area_table): a larger r_max only adds the closed-form tail.
+MAX_R_MAX = 256
+
+
 @dataclass
 class BlanketFit:
     """Blanket record: scales r, areas A(r), fitted D, intercept, residual."""
@@ -56,7 +61,8 @@ def blanket_area_table(
     """Surface-area estimates A(1..r_max) of the regions ``ids``, fitted in one pass.
 
     Returns a :class:`BlanketTable` of region_count + 1 rows: row i holds
-    A(1..r_max) of region i and its :func:`fit_dimension` line. Rows of
+    A(1..r_max) of region i and its :func:`fit_dimension` line; an ``r_max``
+    outside 2..256 raises ``ValueError`` before any allocation. Rows of
     regions not in ``ids`` have areas 0 and NaN fits. The blanket grows
     over all those regions together, in the map's window, where a
     4-neighbor counts only if it has the same label, so every region's
@@ -74,8 +80,8 @@ def blanket_area_table(
     divided by the same 2r, so they carry the bits the loop would give.
     """
     r_max = operator.index(r_max)  # a numpy integer's r_max + 1 would wrap
-    if r_max < 2:
-        raise ValueError("r_max must be >= 2")
+    if not 2 <= r_max <= MAX_R_MAX:  # before the (rows, r_max) table is allocated
+        raise ValueError(f"r_max must be in [2, {MAX_R_MAX}]")
     wanted = wanted_rows(img, region_map, ids)
     labels = region_map.labels[region_map.window]
     rows = len(wanted)

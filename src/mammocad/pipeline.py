@@ -12,7 +12,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from numbers import Integral, Real
 from pathlib import Path
@@ -23,7 +23,7 @@ from .classify import Detection, RuleSet, classify, default_rules
 from .errors import ConfigError, IoFailure, MammoCadError, PipelineStageError
 # The bench's tracer hooks gradient_map by this name, though nothing here calls it.
 from .features import FeatureVector, compute_features, feature_table, gradient_map  # noqa: F401
-from .fractal import BlanketFit, blanket_area_table, blanket_dimension, roughness_gate
+from .fractal import MAX_R_MAX, BlanketFit, blanket_area_table, blanket_dimension, roughness_gate
 from .image import GrayImage, haar_downsample, negate, read_pgm, write_bytes, write_pgm
 from .segment import extract_regions, overlay_boundaries, segment_image, write_region_map_pgm
 from .threshold import apply_threshold, histogram, mask_to_image, otsu_threshold
@@ -64,10 +64,8 @@ class PipelineConfig:
             raise ConfigError("tau_split and tau_merge must be >= 0")
         if self.min_block < 1:
             raise ConfigError("min_block must be >= 1")
-        # On 8-bit gray levels every blanket has settled by radius 256: a
-        # larger r_max only adds the closed-form tail, at 8 bytes a row each.
-        if not 2 <= self.r_max <= 256:
-            raise ConfigError("r_max must be in [2, 256]")
+        if not 2 <= self.r_max <= MAX_R_MAX:
+            raise ConfigError(f"r_max must be in [2, {MAX_R_MAX}]")
         if not self.d_min < self.d_max:
             raise ConfigError("d_min must be < d_max")
         if self.min_region_pixels < 2:
@@ -205,7 +203,7 @@ def run_pipeline(
         fits = {rid: blanket_dimension(blankets, rid) for rid in ids.tolist()}
     gated_ids = roughness_gate(fits, cfg.d_min, cfg.d_max)
     with _stage(timings, "features"):
-        table = feature_table(inverted, region_map, gated_ids)
+        table = feature_table(inverted, region_map, np.array(gated_ids, dtype=np.int64))
         vectors = {rid: compute_features(table, rid) for rid in gated_ids}
     with _stage(timings, "classify"):
         rules = resolve_rules(cfg, inverted.width * inverted.height)
@@ -288,11 +286,12 @@ def _number_tokens(report: DetectionReport) -> _Tokens:
 
     The tokens fill the slots of :func:`_detection_template`, detection after
     detection: region id, features and dimension, a ``0`` for the label and
-    one for the failed rules, then the fit's scales, areas, dimension,
-    intercept and residual. ``slots[i]`` is the index of detection i's label
-    token. One C-encoder dump of the flat list formats every number, split
-    on ``", "`` into the tokens ``json.dumps`` writes for them (``NaN`` and
-    ``Infinity`` included). The number fields must hold numbers, as annotated.
+    one for the failed rules, then the fit's areas, dimension, intercept and
+    residual; the template holds the scales. ``slots[i]`` is the index of
+    detection i's label token. One C-encoder dump of the flat list formats
+    every number, split on ``", "`` into the tokens ``json.dumps`` writes for
+    them (``NaN`` and ``Infinity`` included). The number fields must hold
+    numbers, as annotated.
     """
     detections = sorted(report.detections, key=lambda d: d.region_id)
     numbers = []
@@ -301,7 +300,7 @@ def _number_tokens(report: DetectionReport) -> _Tokens:
         fit = det.fit
         numbers += (det.region_id, *vars(det.features).values(), det.dimension)
         slots.append(len(numbers))
-        numbers += (0, 0, *fit.scales, *fit.areas, fit.dimension, fit.intercept, fit.residual)
+        numbers += (0, 0, *fit.areas, fit.dimension, fit.intercept, fit.residual)
     return detections, json.dumps(numbers)[1:-1].split(", "), slots
 
 
@@ -310,19 +309,23 @@ def _number_tokens(report: DetectionReport) -> _Tokens:
 _HEAD_NUMBERS = len(fields(FeatureVector)) + 2
 
 
-@cache
-def _detection_template(scales: int, areas: int) -> str:
+@lru_cache(maxsize=64)
+def _detection_template(scales: tuple, types: tuple[type, ...], areas: int) -> str:
     """One detection as json.dumps(indent=2) writes it inside the report's list.
 
-    The layout is json.dumps's own, of a detection whose every value is a
-    %s slot: each takes an encoded value, in the order of the dataclass
-    fields, and the fit's lists hold ``scales`` and ``areas`` of them.
+    The layout is json.dumps's own, of a detection whose fit's ``scales``
+    are written as they are and whose every other value is a %s slot: each
+    takes an encoded value, in the order of the dataclass fields, and the
+    fit's areas list holds ``areas`` of them. A scale json.dumps refuses
+    raises its ``TypeError`` here. ``types``, the scales' types, only keys
+    the cache: ``1``, ``1.0``, ``True`` and ``np.int64(1)`` are equal keys
+    that dump differently, the last not at all.
     """
     detection = dict.fromkeys(f.name for f in fields(Detection))
     detection["features"] = dict.fromkeys(f.name for f in fields(FeatureVector))
     detection["fit"] = dict.fromkeys(f.name for f in fields(BlanketFit))
-    detection["fit"].update(scales=[None] * scales, areas=[None] * areas)
-    # None dumps as null; no field name holds "null" or a "%".
+    detection["fit"].update(scales=list(scales), areas=[None] * areas)
+    # None dumps as null; no field name and no number's text holds "null" or a "%".
     text = json.dumps(detection, indent=2).replace("null", "%s")
     return "    " + text.replace("\n", "\n    ")
 
@@ -351,7 +354,10 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
             rules_of[rules] = json.dumps(rules, indent=2).replace("\n", "\n      ")
         values[at : at + 2] = encode_basestring_ascii(det.label), rules_of[rules]
     layout = ",\n".join(
-        _detection_template(len(det.fit.scales), len(det.fit.areas)) for det in detections
+        _detection_template(
+            tuple(det.fit.scales), tuple(map(type, det.fit.scales)), len(det.fit.areas)
+        )
+        for det in detections
     )
     # The head's strings escape every quote and newline, so its first
     # '\n  "detections": []' is the key itself.

@@ -108,7 +108,7 @@ def wanted_rows(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> np
 
 def _integer_type(kind: type) -> bool:
     """Python and numpy integer types; not bool, whose values are truths, not ids."""
-    return issubclass(kind, Integral) and kind is not bool
+    return kind is int or issubclass(kind, Integral) and kind is not bool
 
 
 def check_id(region_id: int, rows: int) -> None:
@@ -239,19 +239,21 @@ def split(
         alive = splits.repeat(r.children[a:b], 0).repeat(q.children[c:e], 1)
 
     keys, *sides = (np.concatenate(part) for part in zip(*found))
-    return np.stack(sides, 1)[np.argsort(keys)]
+    return np.stack(sides, 1).take(np.argsort(keys), 0)
 
 
-def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndarray:
+def _block_keys(blocks: np.ndarray, width: int, height: int, window) -> np.ndarray:
     """Check that ``blocks`` partition the image; map each pixel of ``window`` to its block.
 
-    Each pixel reads 1 + the rank of its block in raster order of the
-    blocks' top-left corners. Corners weighted +v at the top-left and
-    bottom-right and -v at the other two make a 2-D difference array; blocks
-    inside the image partition it when, at v = 1, it is the image's own, as a
-    sort of each sign's corners checks. The ranks are painted on the window
-    from the blocks clipped to it, by ``np.add.at`` and a cumsum per axis:
-    int32 sums wrap, but a pixel still reads its rank.
+    Each pixel reads its block's key ``y * (width + 1) + x``, from the
+    block's top-left corner, so keys order the blocks in raster order of
+    those corners. Corners weighted +v at the top-left and bottom-right and
+    -v at the other two make a 2-D difference array; blocks inside the
+    image partition it when, at v = 1, it is the image's own, as a sort of
+    each sign's corners checks. The keys are painted on the window from the
+    blocks clipped to it, by ``np.add.at`` and a cumsum per axis: the sums
+    wrap, but a pixel still reads its key, which the paint's type holds:
+    int32, or int64 where ``(height + 1) * (width + 1)`` needs it.
     """
     if blocks.size and blocks.dtype.kind not in "iu":  # the cast below would drop fractions
         raise ValueError("blocks must be integers")
@@ -267,8 +269,8 @@ def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndar
     plus, minus = plus.astype(key), minus.astype(key)
     if not np.array_equal(np.sort(plus), np.sort(minus)):
         raise ValueError("blocks do not partition the image")
-    ranks = np.empty(len(blocks), dtype=np.int32)
-    ranks[np.argsort(y * stride + x)] = np.arange(1, len(blocks) + 1, dtype=np.int32)
+    paint = np.promote_types(np.min_scalar_type(-(height + 1) * stride), np.int32)
+    keys = (y * stride + x).astype(paint)
     (y0, y1, _), (x0, x1, _) = window[0].indices(height), window[1].indices(width)
     # np.minimum and np.maximum clip as np.clip does, without its Python-level wrapper.
     x, right = (np.minimum(np.maximum(a, x0), x1) - x0 for a in (x, right))
@@ -277,9 +279,9 @@ def _block_ranks(blocks: np.ndarray, width: int, height: int, window) -> np.ndar
     corners = np.concatenate(
         (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
     )
-    diff = np.zeros((y1 - y0 + 1, stride), dtype=np.int32)
-    np.add.at(diff.ravel(), corners, np.concatenate((ranks, ranks, -ranks, -ranks)))
-    return diff.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)[: y1 - y0, : x1 - x0]
+    diff = np.zeros((y1 - y0 + 1, stride), dtype=paint)
+    np.add.at(diff.ravel(), corners, np.concatenate((keys, keys, -keys, -keys)))
+    return diff.cumsum(0, dtype=paint).cumsum(1, dtype=paint)[: y1 - y0, : x1 - x0]
 
 
 def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +296,9 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     jumping makes every run point at its root. Runs are numbered in raster
     order, so a root run starts at its component's first pixel. Ids follow
     blocks in raster order of their top-left corner, then components in
-    raster order of their first pixel.
+    raster order of their first pixel: ``block_of`` holds each pixel's block
+    key (:func:`_block_keys`), and the roots come in raster order of their
+    first pixels, so a stable argsort of their block keys orders them.
 
     Returns the seed label map and the flat index of each seed's first
     pixel, in id order.
@@ -330,7 +334,7 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
         heads, tails = heads[crossing], tails[crossing]
     roots = np.flatnonzero(parent == np.arange(runs))
     first = fg[opens][roots]
-    order = np.lexsort((first, block_of.ravel()[first]))
+    order = np.argsort(block_of.ravel()[first], kind="stable")  # first is ascending
     ids = np.zeros(runs, dtype=np.int32)
     ids[roots[order]] = np.arange(1, len(roots) + 1, dtype=np.int32)
     np.put(labels, fg, ids[parent][run_of])
@@ -439,7 +443,7 @@ def merge(
     if tau_merge < 0:
         raise ValueError("tau_merge must be >= 0")
     tau = float(min(tau_merge, 255))  # means differ by <= 255; a float negates without wrapping
-    block_of = _block_ranks(np.asarray(blocks).reshape(-1, 4), img.width, img.height, mask.window)
+    block_of = _block_keys(np.asarray(blocks).reshape(-1, 4), img.width, img.height, mask.window)
     seeds, first_pixel = _seed_labels(mask.bits[mask.window], block_of)
     count = len(first_pixel)
     flat = seeds.ravel()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestBlanketAreaTable:
         with pytest.raises(ValueError):
             blanket_area_table(GrayImage(np.zeros((3, 4), np.uint8)), rm, [1], 4)
         assert not blanket_area_table(img, rm, [], 4).areas.any()
+
+    @pytest.mark.parametrize("r_max", [257, 10**12])
+    def test_r_max_above_bound_raises_before_allocating(self, r_max):
+        img = GrayImage(np.zeros((4, 4), np.uint8))
+        rm = RegionMap(np.ones((4, 4), np.int32), 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"r_max must be in \[2, 256\]"):
+                blanket_area_table(img, rm, [1], r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert blanket_area_table(img, rm, [1], 256).areas.shape == (2, 256)
 
     def test_dimension_with_table_rejects_one_pixel_region(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mammocad import pipeline as pipeline_module
 from mammocad.classify import Detection, RuleSet
 from mammocad.cli import CONFIG_PARSERS, build_config, build_parser, main, parse_config_file
 from mammocad.errors import ConfigError, NotDivisible, PipelineStageError
-from mammocad.features import FeatureVector
+from mammocad.features import FeatureVector, feature_table
 from mammocad.fractal import BlanketFit
 from mammocad.image import GrayImage, read_pgm, write_pgm
 from mammocad.phantom import generate_phantom
@@ -72,9 +73,19 @@ class TestRunPipeline:
         ],
         ids=["phantom", "box_noise"],
     )
-    def test_region_ids_are_python_ints(self, make, cfg):
-        """extract_regions gives an int64 array; the detections hold Python ints."""
+    def test_region_ids_are_python_ints(self, make, cfg, monkeypatch):
+        """feature_table gets the gated ids as an int64 array; the detections hold Python ints."""
+        table_ids = []
+
+        def spy(img, region_map, ids):
+            table_ids.append(ids)
+            return feature_table(img, region_map, ids)
+
+        monkeypatch.setattr(pipeline_module, "feature_table", spy)
         report = run_pipeline(make(), cfg)
+        [ids] = table_ids
+        assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+        assert ids.tolist() == sorted(det.region_id for det in report.detections)
         assert report.detections
         for det in report.detections:
             assert type(det.region_id) is int  # report_json rejects numpy ints
@@ -249,6 +260,19 @@ class TestReportJson:
             json.dumps(report_to_dict(report), indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             report_json(report)
+
+    def test_equal_scales_of_other_types_write_their_own_text(self):
+        """1, 1.0, True and np.int64(1) are equal keys; each report's scales dump as they are."""
+        for first in (1, 1.0, True, np.int64(1)):
+            report = hand_built_report(0.5)
+            report.detections[0].fit.scales = [first, 2]
+            if isinstance(first, np.integer):
+                with pytest.raises(TypeError) as expected:
+                    json.dumps(report_to_dict(report), indent=2)
+                with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+                    report_json(report)
+            else:
+                assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 class TestFeaturesCsv:

@@ -14,7 +14,7 @@ from mammocad.image import GrayImage
 from mammocad.segment import (
     RegionMap,
     _adjacency,
-    _block_ranks,
+    _block_keys,
     _halvings,
     _seed_labels,
     boundary_mask,
@@ -576,7 +576,7 @@ def bits_and_blocks(draw, max_side=40):
 def assert_seeds_match_oracle(bits, blocks):
     """``_seed_labels`` gives the flood fill's labels and each seed's first flat pixel."""
     height, width = bits.shape
-    block_of = _block_ranks(np.array(blocks).reshape(-1, 4), width, height, np.s_[:, :])
+    block_of = _block_keys(np.array(blocks).reshape(-1, 4), width, height, np.s_[:, :])
     labels, first = _seed_labels(bits, block_of)
     expected, members = flood_seeds(bits, [tuple(b) for b in blocks])
     assert labels.dtype == np.int32 and labels.shape == bits.shape
@@ -629,6 +629,20 @@ class TestSeedLabels:
     def test_pixel_blocks(self, shape):
         bits = np.random.default_rng(shape[0]).random(shape) < 0.6
         assert_seeds_match_oracle(bits, pixel_leaves(*shape))
+
+    def test_block_keys_past_int32(self):
+        """Keys above 2**31 widen the paint, so the seeds keep the blocks' raster order."""
+        width, height = 70000, 40000
+        x, y = width - 2, height - 2  # the far corner's block is 2 x 2
+        blocks = np.array([(0, 0, x, y), (x, 0, 2, y), (0, y, x, 2), (x, y, 2, 2)])
+        window = np.s_[height - 4 :, width - 4 :]
+        block_of = _block_keys(blocks, width, height, window)
+        keys = [0, x, y * (width + 1), y * (width + 1) + x]
+        assert keys[2] > 2**31 and block_of.dtype == np.int64
+        assert np.array_equal(block_of, np.array(keys).reshape(2, 2).repeat(2, 0).repeat(2, 1))
+        labels, first = _seed_labels(np.ones((4, 4), bool), block_of)
+        assert np.array_equal(labels, np.array([[1, 2], [3, 4]]).repeat(2, 0).repeat(2, 1))
+        assert first.tolist() == [0, 2, 8, 10]
 
 
 def pixel_leaves(height, width):
