@@ -140,11 +140,14 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
     box = np.s_[y0:y1, x0:x1]
     labels, gray = region_map.labels[box], img.pixels[box]
     at = np.flatnonzero(covered[inner])
-    group = (np.cumsum(wanted) - 1)[labels.ravel()[at]]  # a row per wanted id
-    order = np.argsort(group, kind="stable")  # by region, raster order within
-    at, group = at[order], group[order]
-    ys, xs = np.divmod(at, labels.shape[1])
+    # Each pixel's row among the wanted ids, in the narrowest type that
+    # numbers them: at 16 bits or fewer, numpy's stable sort is a radix
+    # sort. Ids below the first wanted one wrap, but no covered pixel reads them.
+    group = (np.cumsum(wanted, dtype=np.min_scalar_type(len(wanted))) - 1)[labels.ravel()[at]]
+    at = at[np.argsort(group, kind="stable")]  # by region, raster order within
     area = region_map.sizes[wanted]  # a row per wanted id, as group numbers them
+    group = np.repeat(np.arange(len(area)), area)  # the sorted rows, as intp
+    ys, xs = np.divmod(at, labels.shape[1])
     ends = np.cumsum(area)
     edge = boundary_mask(labels).ravel()[at]
     edge_group = group[edge]

@@ -144,12 +144,14 @@ def _halvings(n: int, depth: int, shift: int) -> tuple[_Level, ...]:
     child coincide. The path key adds, for each halving taken,
     ``1 << (2 * (depth - d) + shift)`` when the interval is the second half,
     so adding a row key (shift 1) to a column key (shift 0) interleaves them
-    into a key that orders blocks depth-first NW, NE, SW, SE. Cached, so its
-    arrays are read-only: no caller can alter a later image's tree.
+    into a key that orders blocks depth-first NW, NE, SW, SE. The keys are
+    below ``4 ** depth``: uint32 up to depth 16, whose default argsort beats
+    int64's, and uint64 beyond. Cached, so its arrays are read-only: no
+    caller can alter a later image's tree.
     """
     starts = np.zeros(1, dtype=np.int32)
     lengths = np.array([n], dtype=np.int32)
-    keys = np.zeros(1, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.uint32 if depth <= 16 else np.uint64)
     parent = None
     levels = []
     for d in range(1, depth + 1):
@@ -163,7 +165,7 @@ def _halvings(n: int, depth: int, shift: int) -> tuple[_Level, ...]:
         first_lengths = (lengths - halves)[parent]
         starts = starts[parent] + np.where(second, first_lengths, 0)
         lengths = np.where(second, halves[parent], first_lengths)
-        keys = keys[parent] + (second.astype(np.int64) << (2 * (depth - d) + shift))
+        keys = keys[parent] + (second.astype(keys.dtype) << (2 * (depth - d) + shift))
     levels.append(_Level(starts, lengths, keys, parent, None, None, None))
     for array in (array for level in levels for array in level if array is not None):
         array.setflags(write=False)
@@ -291,14 +293,15 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     Components are found by union-find over row runs, maximal stretches of
     foreground in one row and one block (He, Chao and Suzuki, IEEE TIP
     17(5), 2008). Runs in adjacent rows first touch where one of them
-    starts; one sort deduplicates those edges. Each round hooks the larger
-    root of every edge to the smaller with ``np.minimum.at``, then pointer
-    jumping makes every run point at its root. Runs are numbered in raster
-    order, so a root run starts at its component's first pixel. Ids follow
-    blocks in raster order of their top-left corner, then components in
-    raster order of their first pixel: ``block_of`` holds each pixel's block
-    key (:func:`_block_keys`), and the roots come in raster order of their
-    first pixels, so a stable argsort of their block keys orders them.
+    starts; :func:`_pairs` codes each such edge, upper run first, and one
+    sort of the narrow codes deduplicates the edges. Each round hooks the
+    larger root of every edge to the smaller with ``np.minimum.at``, then
+    pointer jumping makes every run point at its root. Runs are numbered in
+    raster order, so a root run starts at its component's first pixel. Ids
+    follow blocks in raster order of their top-left corner, then components
+    in raster order of their first pixel: ``block_of`` holds each pixel's
+    block key (:func:`_block_keys`), and the roots come in raster order of
+    their first pixels, so a stable argsort of their block keys orders them.
 
     Returns the seed label map and the flat index of each seed's first
     pixel, in id order.
@@ -315,16 +318,16 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     runs = int(run_of[-1]) + 1
     run_map = np.zeros(bits.shape, dtype=np.int32)
     np.put(run_map, fg, run_of)
-    codes = []  # head * runs + tail of each edge
+    heads, tails = [], []  # the runs of each edge, the upper one first
     for a, b in (
         (np.s_[:-1, :], np.s_[1:, :]),
         (np.s_[:-1, :-1], np.s_[1:, 1:]),
         (np.s_[:-1, 1:], np.s_[1:, :-1]),
     ):
         joined = (starts[a] | starts[b]) & bits[a] & bits[b] & (block_of[a] == block_of[b])
-        codes.append(run_map[a][joined].astype(np.int64) * runs + run_map[b][joined])
-    codes = _distinct(np.sort(np.concatenate(codes)))
-    heads, tails = (part.astype(np.int32) for part in np.divmod(codes, runs))
+        heads.append(run_map[a][joined])
+        tails.append(run_map[b][joined])
+    heads, tails = _pairs(np.concatenate(heads), np.concatenate(tails), runs - 1)[1:]
     parent = np.arange(runs, dtype=np.int32)
     while heads.size:  # an edge joins runs in two rows, so it starts between two roots
         np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
@@ -348,48 +351,74 @@ def _roots(parent: np.ndarray) -> np.ndarray:
     return parent
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The sorted array ``codes`` with each value once."""
+def _pairs(lo: np.ndarray, hi: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs ``(lo[i], hi[i])`` of ids in 0..top, ordered by lo, then by hi.
+
+    Returns (codes, lo, hi): each pair once as its code ``lo << k | hi``,
+    where ``k = top.bit_length()``, and the code decoded by shift and mask
+    into int32 ids. One sort of the codes orders and, with a comparison of
+    neighbours, dedupes the pairs. The codes are uint32 while ``2 * k <= 32``
+    and uint64 above: the narrower type sorts faster.
+    """
+    shift = top.bit_length()
+    kind = np.uint32 if 2 * shift <= 32 else np.uint64
+    codes = lo.astype(kind) << shift | hi.astype(kind)
+    codes.sort()
     first = np.ones(len(codes), dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
-    return codes[first]
+    codes = codes[first]
+    mask = (1 << shift) - 1
+    return codes, (codes >> shift).astype(np.int32), (codes & mask).astype(np.int32)
 
 
-def _adjacency(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _adjacency(
+    labels: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
 
-    Returns (sources, targets, offsets): edge i runs from ``sources[i]`` to
-    ``targets[i]``, and the neighbours of id r are
-    ``targets[offsets[r]:offsets[r + 1]]``, ascending and each once. Every
-    touching pair is coded in both directions as ``src * (count + 1) + dst``,
-    so one sort of the codes orders them by source, then by target.
+    Returns (lo, hi, targets, offsets). Each touching pair is listed once
+    as ``(lo[i], hi[i])``, lo < hi, ordered by lo, then by hi
+    (:func:`_pairs`). The neighbours of id r are
+    ``targets[offsets[r]:offsets[r + 1]]``, ascending and each once: one
+    sort of the pairs' codes ``lo << k | hi`` with their mirrors
+    ``hi << k | lo`` orders both directions by source, then by target, and
+    the mask ``(1 << k) - 1`` takes the target from each code.
     """
-    codes = []
-    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
+    width = labels.shape[1]
+    flat = labels.ravel()
+    pixels, neighbours = [], []
+    for step, row in ((1, width), (width, 0)):  # each pixel's right neighbour, then its lower one
+        a, b = flat[: flat.size - step], flat[step:]
         touching = (a != b) & (a > 0) & (b > 0)
-        a, b = a[touching].astype(np.int64), b[touching].astype(np.int64)
-        codes += (a * (count + 1) + b, b * (count + 1) + a)
-    codes = np.concatenate(codes)
-    codes.sort()
-    src, targets = np.divmod(_distinct(codes), count + 1)
+        if row:  # a row's last pixel is not next to the next row's first
+            touching[row - 1 :: row] = False
+        # A random mask gathers ~4x faster through its indices than by itself.
+        at = np.flatnonzero(touching)
+        pixels.append(a.take(at))
+        neighbours.append(b.take(at))
+    a, b = np.concatenate(pixels), np.concatenate(neighbours)
+    codes, lo, hi = _pairs(np.minimum(a, b), np.maximum(a, b), count)
+    shift = count.bit_length()  # as _pairs codes them
+    mask = (1 << shift) - 1
+    both = np.concatenate((codes, (codes & mask) << shift | codes >> shift))
+    both.sort()
     offsets = np.zeros(count + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=count + 1), out=offsets[1:])
-    return src, targets.astype(np.int32), offsets
+    degrees = np.bincount(lo, minlength=count + 1) + np.bincount(hi, minlength=count + 1)
+    np.cumsum(degrees, out=offsets[1:])
+    return lo, hi, both & mask, offsets
 
 
-def _merge_visits(
-    means: np.ndarray, sources: np.ndarray, targets: np.ndarray, tau: float
-) -> list[int]:
+def _merge_visits(means: np.ndarray, lo: np.ndarray, hi: np.ndarray, tau: float) -> list[int]:
     """The seeds with a higher-id neighbour within ``tau`` at the seed means.
 
-    ``means`` holds each seed's mean by id, (sources, targets) are the edges
-    of :func:`_adjacency` and ``tau`` is :func:`merge`'s tolerance. Only
-    these seeds can absorb anything in :func:`merge`'s scan; the ids come
-    back ascending, as Python ints.
+    ``means`` holds each seed's mean by id, (lo, hi) are the pairs of
+    :func:`_adjacency` and ``tau`` is :func:`merge`'s tolerance: a pair
+    within ``tau`` marks its lower id. Only these seeds can absorb anything
+    in :func:`merge`'s scan; the ids come back ascending, as Python ints.
     """
-    near = (targets > sources) & (np.abs(means[sources] - means[targets]) <= tau)
+    near = np.flatnonzero(np.abs(means[lo] - means[hi]) <= tau)
     visit = np.zeros(len(means), dtype=bool)
-    visit[sources[near]] = True
+    visit[lo.take(near)] = True
     return np.flatnonzero(visit).tolist()
 
 
@@ -408,11 +437,14 @@ def merge(
 
     The seeds come from union-find over the row runs in the mask's window
     (:func:`_seed_labels`); the scan runs on a region adjacency graph built
-    once from them, with integer gray sums and pixel counts per region. A
-    scanned region absorbs its smallest-id neighbour within ``tau_merge``,
-    takes over that neighbour's neighbours, recomputes its mean as sum /
-    count and looks again. Neighbour lists are not rewritten on an absorb:
-    ids are read through ``absorbed_by`` to the region that holds them now.
+    once from them (:func:`_adjacency`), with integer gray sums and pixel
+    counts per region. The graph is one sort of each touching seed pair's
+    code ``lo << k | hi``, uint32 up to 65535 seeds, and one sort of those
+    codes with their mirrors for the neighbour lists. A scanned region
+    absorbs its smallest-id neighbour within ``tau_merge``, takes over that
+    neighbour's neighbours, recomputes its mean as sum / count and looks
+    again. Neighbour lists are not rewritten on an absorb: ids are read
+    through ``absorbed_by`` to the region that holds them now.
     The scan reads each neighbour list as a set: ``seen_in`` lists an id
     once, the close search takes the smallest id and ``own.remove`` meets
     each id once, so no label depends on the order of a list.
@@ -425,7 +457,8 @@ def merge(
     means final and the means more than ``tau_merge`` apart, and a second
     pass would merge nothing.
 
-    The same argument lets the scan skip seeds (:func:`_merge_visits`).
+    The same argument lets the scan skip seeds (:func:`_merge_visits`, read
+    off the graph's pairs: a pair within ``tau_merge`` marks its lower id).
     When an unabsorbed seed's visit comes, its mean is still the seed's.
     Each lower-id region next to it either ended its own visit with this
     seed listed and more than ``tau_merge`` away, and has not changed since,
@@ -455,8 +488,8 @@ def merge(
     means = mean_of.tolist()
     sums = sums.astype(np.int64).tolist()
     sizes = sizes.tolist()
-    sources, targets, offsets = _adjacency(seeds, count)
-    visits = _merge_visits(mean_of, sources, targets, tau)
+    lo, hi, targets, offsets = _adjacency(seeds, count)
+    visits = _merge_visits(mean_of, lo, hi, tau)
     # Memoryviews read the graph as Python ints without a copy of it.
     targets, offsets = memoryview(targets), memoryview(offsets)
     # A region's neighbour ids, stored when its visit ends; before that it

@@ -12,6 +12,7 @@ BINS = 256
 # The largest count whose histogram's gray-value sum int64 holds exactly.
 COUNT_MAX = np.iinfo(np.int64).max // (BINS * (BINS - 1))
 _LEVELS = np.arange(BINS, dtype=np.int64)
+_CHUNK = 1 << 16  # samples per histogram pass
 
 
 def bounding_window(a: np.ndarray) -> tuple[slice, slice]:
@@ -53,8 +54,17 @@ class BinaryMask:
 
 
 def histogram(img: GrayImage) -> np.ndarray:
-    """Count pixels per gray level: an array of 256 counts."""
-    return np.bincount(img.pixels.ravel(), minlength=BINS)
+    """Count pixels per gray level: an array of 256 counts.
+
+    ``np.bincount`` casts its samples to ``intp``, so it counts 64 KiB of
+    them at a time: the cast takes 8 bytes per sample of a chunk, not of
+    the image.
+    """
+    flat = img.pixels.ravel()
+    counts = np.bincount(flat[:_CHUNK], minlength=BINS)
+    for start in range(_CHUNK, flat.size, _CHUNK):
+        counts += np.bincount(flat[start : start + _CHUNK], minlength=BINS)
+    return counts
 
 
 def otsu_threshold(counts: np.ndarray) -> int:

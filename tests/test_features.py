@@ -400,6 +400,24 @@ class TestFeatureTable:
         ring = dense_map(cross_and_ring(9))
         self.assert_matches_oracle(img, ring, [1, 2])  # 3 is one pixel
 
+    @pytest.mark.parametrize("rows,cols", [(8, 40), (256, 260)])  # 160 and 66560 dominoes
+    def test_many_ids_match_one_id_tables(self, rows, cols):
+        """Tables past 255 and 65535 ids number their pixel groups in wider types.
+
+        Every region is a 1x2 domino, and every id but 1 is wanted; each row
+        checked has the bits of its id's own one-id table.
+        """
+        count = rows * cols
+        labels = (np.arange(count, dtype=np.int32).reshape(rows, cols) + 1).repeat(2, axis=1)
+        rng = np.random.default_rng(count)
+        img = GrayImage(rng.integers(0, 256, labels.shape).astype(np.uint8))
+        rm = RegionMap(labels, count)
+        table = feature_table(img, rm, np.arange(2, count + 1))
+        assert not table[1].any()
+        edges = {r for r in (2, 3, 255, 256, 257, 65535, 65536, 65537, count) if r <= count}
+        for rid in sorted(edges | set(rng.integers(2, count + 1, 20).tolist())):
+            assert table[rid].tobytes() == feature_table(img, rm, [rid])[rid].tobytes()
+
     @pytest.mark.parametrize("rid", [-1, 0, 3])
     def test_row_rejects_ids_outside_the_map(self, rid):
         """A negative id must not read the last row: ids are 1..region_count."""

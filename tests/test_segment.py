@@ -522,6 +522,22 @@ class TestOracleEquivalence:
                 pixels, bits, tau, min_block
             )
 
+    @pytest.mark.parametrize("height,width,spikes", [
+        (24, 300, 0),  # depth 9: path keys pass 2**16
+        (1, 70000, 4),  # depth 17: path keys pass 2**32, a uint64 sort
+    ])
+    def test_wide_path_keys_match_oracle(self, height, width, spikes):
+        rng = np.random.default_rng(width)
+        if spikes:  # a few bright pixels: the tree splits only along their paths
+            pixels = np.zeros((height, width), np.uint8)
+            pixels[0, rng.integers(width // 2, width, spikes)] = 200
+            pixels[0, 100] = 200
+        else:
+            pixels = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        bits = np.ones((height, width), bool)
+        blocks = split(GrayImage(pixels), BinaryMask(bits, 0), 10)
+        assert leaves(blocks) == quadtree_split(pixels, bits, 10, 1)
+
     @settings(deadline=None, max_examples=60)
     @given(
         pair=image_and_mask(max_side=24),
@@ -643,6 +659,21 @@ class TestSeedLabels:
         labels, first = _seed_labels(np.ones((4, 4), bool), block_of)
         assert np.array_equal(labels, np.array([[1, 2], [3, 4]]).repeat(2, 0).repeat(2, 1))
         assert first.tolist() == [0, 2, 8, 10]
+
+    @pytest.mark.parametrize("cut", ["columns", "pixels"])
+    def test_runs_past_16_bits(self, cut):
+        """More than 65535 runs: each foreground pixel is one, as every leaf is one pixel wide.
+
+        One-pixel columns join their runs downwards, so the run-edge codes
+        take uint64; pixel leaves join nothing and give a seed per run.
+        """
+        bits = np.random.default_rng(9).random((300, 300)) < 0.9
+        if cut == "columns":
+            blocks = [(x, 0, 1, 300) for x in range(300)]
+        else:
+            blocks = pixel_leaves(300, 300)
+        assert bits.sum() > 65535
+        assert_seeds_match_oracle(bits, blocks)
 
 
 def pixel_leaves(height, width):
@@ -778,6 +809,27 @@ class TestMergeVisits:
         assert np.array_equal(rm.labels, flood_merge(img.pixels, mask.bits, blocks, tau_merge))
 
 
+def assert_graph_matches_touching_pairs(grid, count):
+    """``_adjacency``'s pairs and neighbour lists against the oracle's touching pairs."""
+    lo, hi, targets, offsets = _adjacency(grid, count)
+    assert offsets.shape == (count + 2,)
+    assert offsets[0] == 0 and offsets[-1] == len(targets)
+    assert (np.diff(offsets) >= 0).all()
+    assert len(targets) == 2 * len(lo)  # each pair once per direction
+    half = list(zip(lo.tolist(), hi.tolist()))
+    assert all(a < b for a, b in half) and half == sorted(set(half))  # lo < hi, each once
+    rows = [targets[offsets[r] : offsets[r + 1]].tolist() for r in range(count + 1)]
+    assert not rows[0]
+    pairs = set()
+    for r, row in enumerate(rows):
+        assert all(a < b for a, b in zip(row, row[1:]))  # ascending, each once
+        assert r not in row
+        pairs.update((r, t) for t in row)
+    assert pairs == {(b, a) for a, b in pairs}
+    assert pairs == touching_pairs(grid)
+    assert set(half) == {(a, b) for a, b in pairs if a < b}
+
+
 class TestAdjacency:
     """The region graph holds every touching pair once per direction, rows ascending."""
 
@@ -791,20 +843,16 @@ class TestAdjacency:
     def test_matches_touching_pairs(self, shape, labels, extra, seed):
         grid = np.random.default_rng(seed).integers(0, labels + 1, shape).astype(np.int32)
         count = labels + extra  # ids above the largest label have empty rows
-        sources, targets, offsets = _adjacency(grid, count)
-        assert offsets.shape == (count + 2,)
-        assert offsets[0] == 0 and offsets[-1] == len(targets)
-        assert (np.diff(offsets) >= 0).all()
-        assert sources.tolist() == np.repeat(np.arange(count + 1), np.diff(offsets)).tolist()
-        rows = [targets[offsets[r] : offsets[r + 1]].tolist() for r in range(count + 1)]
-        assert not rows[0]
-        pairs = set()
-        for r, row in enumerate(rows):
-            assert all(a < b for a, b in zip(row, row[1:]))  # ascending, each once
-            assert r not in row
-            pairs.update((r, t) for t in row)
-        assert pairs == {(b, a) for a, b in pairs}
-        assert pairs == touching_pairs(grid)
+        assert_graph_matches_touching_pairs(grid, count)
+
+    @pytest.mark.parametrize("count", [65535, 70000])
+    def test_wide_codes_match_touching_pairs(self, count):
+        """65535 is the largest count whose pair codes fit uint32; ids past it take uint64."""
+        rng = np.random.default_rng(count)
+        grid = (rng.permutation(280 * 280) % (count + 1)).reshape(280, 280).astype(np.int32)
+        grid[grid == 0] = count  # every id from 1 to count is on the map, most of them twice
+        assert set(np.unique(grid).tolist()) == set(range(1, count + 1))
+        assert_graph_matches_touching_pairs(grid, count)
 
 
 class TestRegionSizes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,27 @@ class TestHistogram:
         hist = histogram(img)
         assert hist.shape == (256,)
         assert hist.sum() == w * h
+
+    @pytest.mark.parametrize("shape", [(1, 65535), (1, 65536), (1, 65537), (300, 700)])
+    def test_chunks_count_every_sample(self, shape):
+        """Counts summed over 64 KiB chunks equal one count of the whole image."""
+        pixels = np.random.default_rng(shape[1]).integers(0, 256, shape).astype(np.uint8)
+        for img in (GrayImage(pixels), GrayImage(pixels.T)):  # a view ravel copies too
+            expected = np.bincount(img.pixels.ravel(), minlength=256)
+            hist = histogram(img)
+            assert hist.dtype == expected.dtype and np.array_equal(hist, expected)
+
+    def test_memory_stays_below_one_cast_chunk(self):
+        """A 1024 px image: the peak is one chunk's ``intp`` cast, not the image's 8 MB."""
+        img = GrayImage(np.random.default_rng(4).integers(0, 256, (1024, 1024)).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            hist = histogram(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.sum() == 1024 * 1024
+        assert peak <= 1 << 20
 
     def test_invalid_bins_rejected(self):
         with pytest.raises(ValueError, match="256 bins"):
