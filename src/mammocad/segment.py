@@ -129,7 +129,6 @@ class _Level(NamedTuple):
 
     starts: np.ndarray
     lengths: np.ndarray
-    keys: np.ndarray  # this axis's share of each block's path key
     parent: np.ndarray | None  # interval one depth up; None at depth 0
     first_child: np.ndarray | None  # halves one depth down; None at the last depth
     last_child: np.ndarray | None
@@ -137,36 +136,29 @@ class _Level(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _halvings(n: int, depth: int, shift: int) -> tuple[_Level, ...]:
+def _halvings(n: int, depth: int) -> tuple[_Level, ...]:
     """The ceil/floor halvings of the interval [0, n) at depths 0..depth.
 
     An interval of length 1 halves into itself alone, so its first and last
-    child coincide. The path key adds, for each halving taken,
-    ``1 << (2 * (depth - d) + shift)`` when the interval is the second half,
-    so adding a row key (shift 1) to a column key (shift 0) interleaves them
-    into a key that orders blocks depth-first NW, NE, SW, SE. The keys are
-    below ``4 ** depth``: uint32 up to depth 16, whose default argsort beats
-    int64's, and uint64 beyond. Cached, so its arrays are read-only: no
-    caller can alter a later image's tree.
+    child coincide. Rows and columns of one length share an entry. Cached,
+    so its arrays are read-only: no caller can alter a later image's tree.
     """
     starts = np.zeros(1, dtype=np.int32)
     lengths = np.array([n], dtype=np.int32)
-    keys = np.zeros(1, dtype=np.uint32 if depth <= 16 else np.uint64)
     parent = None
     levels = []
-    for d in range(1, depth + 1):
+    for _ in range(depth):
         halves = lengths // 2
         counts = 1 + (halves > 0)
         last = np.cumsum(counts) - 1
-        levels.append(_Level(starts, lengths, keys, parent, last - counts + 1, last, counts))
+        levels.append(_Level(starts, lengths, parent, last - counts + 1, last, counts))
         parent = np.repeat(np.arange(len(lengths)), counts)
         second = np.zeros(len(parent), dtype=bool)
         second[last[counts == 2]] = True
         first_lengths = (lengths - halves)[parent]
         starts = starts[parent] + np.where(second, first_lengths, 0)
         lengths = np.where(second, halves[parent], first_lengths)
-        keys = keys[parent] + (second.astype(keys.dtype) << (2 * (depth - d) + shift))
-    levels.append(_Level(starts, lengths, keys, parent, None, None, None))
+    levels.append(_Level(starts, lengths, parent, None, None, None))
     for array in (array for level in levels for array in level if array is not None):
         array.setflags(write=False)
     return tuple(levels)
@@ -181,21 +173,22 @@ def split(
     its foreground pixel values exceeds ``tau_split`` and its longer side
     exceeds ``min_block``. Blocks with no foreground never split. The
     leaves come back as an ``(n, 4)`` int array of ``(x, y, w, h)`` rows that
-    tile the image in depth-first NW, NE, SW, SE order.
+    tile the image, in no promised order: :func:`merge` takes them in any.
 
     The quadtree is decided level by level: all blocks of one depth share
     the same row and column intervals, so the foreground extremes of every
     block of a depth come at once from the extremes of its (at most four)
     children one depth down. Only blocks meeting the mask's window can
-    split, so both run on the intervals that meet it. Leaves are ordered by
-    their interleaved path key. The root's extremes come first, so an image
-    whose root block is a leaf returns before the pyramid is built.
+    split, so both run on the intervals that meet it. Leaves come depth by
+    depth, in raster order within a depth. The root's extremes come first,
+    so an image whose root block is a leaf returns before the pyramid is
+    built.
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
-    if tau_split < 0:
+    if not tau_split >= 0:  # NaN fails too
         raise ValueError("tau_split must be >= 0")
-    if min_block < 1:
+    if not min_block >= 1:
         raise ValueError("min_block must be >= 1")
     height, width = img.height, img.width
     tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
@@ -209,7 +202,7 @@ def split(
         return np.array([[0, 0, width, height]], dtype=np.int32)  # the root is a leaf
 
     depth = (max(height, width) - 1).bit_length()
-    rows, cols = _halvings(height, depth, 1), _halvings(width, depth, 0)
+    rows, cols = _halvings(height, depth), _halvings(width, depth)
     # Per depth, the intervals meeting the window: its pixels, then their parents.
     spans = [(window[0].start, window[0].stop, window[1].start, window[1].stop)]
     for d in range(depth - 1, -1, -1):
@@ -224,7 +217,7 @@ def split(
             x = pick(extremes[-1][fr], extremes[-1][lr])
             extremes.append(pick(x[:, fc], x[:, lc]))
 
-    found = []  # per depth: (path key, x, y, w, h) arrays of its leaves
+    found = []  # per depth: (x, y, w, h) arrays of its leaves
     alive = np.ones((1, 1), dtype=bool)  # the children of the last depth's splits
     top = left = 0  # the interval indices of alive's first row and column
     for r, q, (a, b, c, e), high, low in zip(rows, cols, spans[::-1], highs[::-1], lows[::-1]):
@@ -234,14 +227,13 @@ def split(
         alive[inside] &= ~splits  # now the leaves
         i, j = np.nonzero(alive)
         i, j = i + top, j + left  # their interval indices
-        found.append((r.keys[i] + q.keys[j], q.starts[j], r.starts[i], q.lengths[j], r.lengths[i]))
+        found.append((q.starts[j], r.starts[i], q.lengths[j], r.lengths[i]))
         if not splits.any():
             break
         top, left = r.first_child[a], q.first_child[c]
         alive = splits.repeat(r.children[a:b], 0).repeat(q.children[c:e], 1)
 
-    keys, *sides = (np.concatenate(part) for part in zip(*found))
-    return np.stack(sides, 1).take(np.argsort(keys), 0)
+    return np.stack([np.concatenate(side) for side in zip(*found)], 1)
 
 
 def _block_keys(blocks: np.ndarray, width: int, height: int, window) -> np.ndarray:
@@ -429,7 +421,8 @@ def merge(
 
     Starting regions are the 8-connected foreground components of each leaf
     block; ``blocks`` is :func:`split`'s ``(n, 4)`` array or any list of
-    ``(x, y, w, h)`` tuples that partitions the image. Regions are scanned
+    ``(x, y, w, h)`` tuples that partitions the image, in any order: seeds
+    are numbered by their blocks' top-left corners. Regions are scanned
     by ascending id; a scanned region absorbs any 4-adjacent region whose
     mean gray value is within ``tau_merge`` of its own, so at return no
     adjacent pair is within ``tau_merge``. Ids are then relabeled densely in
@@ -473,7 +466,7 @@ def merge(
     """
     if (img.height, img.width) != (mask.height, mask.width):
         raise ValueError("image and mask dimensions differ")
-    if tau_merge < 0:
+    if not tau_merge >= 0:  # NaN fails too
         raise ValueError("tau_merge must be >= 0")
     tau = float(min(tau_merge, 255))  # means differ by <= 255; a float negates without wrapping
     block_of = _block_keys(np.asarray(blocks).reshape(-1, 4), img.width, img.height, mask.window)

@@ -392,6 +392,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg_file)
 
+    def test_not_utf8(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"dwt_levels = \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {cfg_file}: 'utf-8' codec")):
+            parse_config_file(cfg_file)
+
     def test_cli_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text("tau_merge = 12\nd_min = 2.0\n")
@@ -512,6 +518,12 @@ class TestCli:
         code = main(["detect", "x.pgm", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
         assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"dwt_levels = \xff\n")
+        assert main(["detect", "x.pgm", "--config", str(cfg_file)]) == 2
+        assert f"config error: cannot read config {cfg_file}" in capsys.readouterr().err
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

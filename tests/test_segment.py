@@ -113,6 +113,15 @@ class TestSplit:
             segment_image(img_of([[1, 2]]), full_mask(2, 1), tau_merge=-1)
         with pytest.raises(ValueError, match="min_block must be >= 1"):
             split(img_of([[1, 2]]), full_mask(2, 1), min_block=0)
+        nan = float("nan")  # fails every comparison, so it must fail the checks too
+        with pytest.raises(ValueError, match="tau_split must be >= 0"):
+            split(img_of([[1, 2]]), full_mask(2, 1), tau_split=nan)
+        with pytest.raises(ValueError, match="min_block must be >= 1"):
+            split(img_of([[1, 2]]), full_mask(2, 1), min_block=nan)
+        with pytest.raises(ValueError, match="tau_merge must be >= 0"):
+            merge(img_of([[1, 2]]), full_mask(2, 1), [(0, 0, 2, 1)], tau_merge=nan)
+        with pytest.raises(ValueError, match="tau_merge must be >= 0"):
+            segment_image(img_of([[1, 2]]), full_mask(2, 1), tau_merge=nan)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), tau=st.sampled_from([0, 5, 30]))
@@ -479,6 +488,22 @@ class TestOracleEquivalence:
         self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge, min_block)
 
     @settings(deadline=None, max_examples=60)
+    @given(
+        pair=st.one_of(image_and_mask(), windowed_image_and_mask()),
+        tau=st.sampled_from((5, 10, 30)),  # tolerances that both split and merge
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_ignores_block_order(self, pair, tau, seed):
+        """``split`` promises no leaf order, so ``merge`` must not read one."""
+        img, mask = pair
+        blocks = split(img, mask, tau)
+        shuffled = np.random.default_rng(seed).permutation(blocks)
+        got, want = merge(img, mask, shuffled, tau), merge(img, mask, blocks, tau)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.region_count == want.region_count
+        assert np.array_equal(got.sizes, want.sizes)
+
+    @settings(deadline=None, max_examples=60)
     @given(pair=windowed_image_and_mask())
     def test_windows_bound_the_foreground(self, pair):
         img, mask = pair
@@ -488,7 +513,9 @@ class TestOracleEquivalence:
     @staticmethod
     def assert_split_merge_extract_match_oracle(img, mask, tau_split, tau_merge, min_block):
         blocks = split(img, mask, tau_split, min_block)
-        assert leaves(blocks) == quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        assert sorted(leaves(blocks)) == sorted(
+            quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        )
         rm = merge(img, mask, blocks, tau_merge)
         expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
         assert np.array_equal(rm.labels, expected)
@@ -518,15 +545,15 @@ class TestOracleEquivalence:
             pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
             bits = rng.random((height, width)) < density
             img, mask = GrayImage(pixels), BinaryMask(bits, 0)
-            assert leaves(split(img, mask, tau, min_block)) == quadtree_split(
-                pixels, bits, tau, min_block
+            assert sorted(leaves(split(img, mask, tau, min_block))) == sorted(
+                quadtree_split(pixels, bits, tau, min_block)
             )
 
     @pytest.mark.parametrize("height,width,spikes", [
-        (24, 300, 0),  # depth 9: path keys pass 2**16
-        (1, 70000, 4),  # depth 17: path keys pass 2**32, a uint64 sort
+        (24, 300, 0),  # depth 9
+        (1, 70000, 4),  # depth 17
     ])
-    def test_wide_path_keys_match_oracle(self, height, width, spikes):
+    def test_deep_trees_match_oracle(self, height, width, spikes):
         rng = np.random.default_rng(width)
         if spikes:  # a few bright pixels: the tree splits only along their paths
             pixels = np.zeros((height, width), np.uint8)
@@ -536,7 +563,7 @@ class TestOracleEquivalence:
             pixels = rng.integers(0, 256, (height, width)).astype(np.uint8)
         bits = np.ones((height, width), bool)
         blocks = split(GrayImage(pixels), BinaryMask(bits, 0), 10)
-        assert leaves(blocks) == quadtree_split(pixels, bits, 10, 1)
+        assert sorted(leaves(blocks)) == sorted(quadtree_split(pixels, bits, 10, 1))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -703,8 +730,12 @@ class TestHalvingsCache:
     """Cached halvings are shared between images, so nothing may write to them."""
 
     def test_cached_arrays_are_read_only(self):
-        levels = _halvings(37, 6, 1)
-        assert _halvings(37, 6, 1) is levels
+        levels = _halvings(37, 6)
+        assert _halvings(37, 6) is levels
+        _halvings.cache_clear()  # a square image's rows and columns share one entry
+        pixels = np.random.default_rng(37).integers(0, 256, (37, 37)).astype(np.uint8)
+        split(GrayImage(pixels), full_mask(37, 37))
+        assert (_halvings.cache_info().hits, _halvings.cache_info().misses) == (1, 1)
         for array in (array for level in levels for array in level if array is not None):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -718,7 +749,7 @@ class TestHalvingsCache:
                 bits[:, :20] = bits[:40] = False  # a window away from the top and left
             for tau in (0, 30):
                 got = leaves(split(GrayImage(pixels), BinaryMask(bits, 0), tau))
-                assert got == quadtree_split(pixels, bits, tau, 1)
+                assert sorted(got) == sorted(quadtree_split(pixels, bits, tau, 1))
 
 
 def test_sparse_work_follows_the_window():
