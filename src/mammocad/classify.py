@@ -28,6 +28,10 @@ class RuleSet:
     min_intensity_diff: float = 10.0
 
     def __post_init__(self):
+        # A NaN threshold fails every comparison, so it would fail every region.
+        for name, value in vars(self).items():
+            if value != value:
+                raise ValueError(f"{name} must not be NaN")
         if self.min_area > self.max_area:
             raise ValueError("min_area must be <= max_area")
         if not 0.0 <= self.min_compactness <= 1.0:

@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         detect.add_argument(flag, dest=dest, type=CONFIG_PARSERS[dest], **kwargs)
 
     option("--dwt-levels", "dwt_levels")
-    detect.add_argument(
-        "--dwt-first",
-        action=argparse.BooleanOptionalAction,
-        dest="dwt_first",
-        default=None,
-        help="downsample before negation (default) or after",
-    )
     option("--threshold", "threshold", help="'auto' or a gray level")
     option("--tau-split", "tau_split")
     option("--tau-merge", "tau_merge")

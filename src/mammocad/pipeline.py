@@ -38,7 +38,6 @@ class PipelineConfig:
     """All knobs for one pipeline run; defaults reproduce the standard run."""
 
     dwt_levels: int = 3
-    dwt_first: bool = True
     threshold: int | str = "auto"
     tau_split: int = 10
     tau_merge: int = 10
@@ -86,14 +85,6 @@ class PipelineConfig:
             raise ConfigError(f"rule {exc}") from exc
 
 
-def boolean(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(value)
-
-
 def auto_or_int(value: str) -> int | str:
     return "auto" if value == "auto" else int(value)
 
@@ -102,12 +93,11 @@ def comma_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-# Per field annotation: the types it admits (numpy's numbers and bools
-# count), how to name them, and the parser of its text form (dict has none).
+# Per field annotation: the types it admits (numpy's numbers count), how to
+# name them, and the parser of its text form (dict has none).
 _KINDS = {
     int: ((Integral,), "an integer", int),
     float: ((Real,), "a real number", float),
-    bool: ((bool, np.bool_), "a bool", boolean),
     int | str: ((Integral, str), "'auto' or an integer", auto_or_int),
     dict: ((dict,), "a dict", None),
     Path | None: ((type(None), str, os.PathLike), "None, a str or a path", Path),
@@ -126,8 +116,8 @@ CONFIG_PARSERS = {
 
 def _check_type(name: str, value, kind) -> None:
     kinds, noun, _ = kind
-    # Bools are integers too, but only a bool field takes one.
-    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+    # Bools are integers too, but no field takes one.
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
@@ -183,14 +173,11 @@ def run_pipeline(
     cfg.validate()
     timings: dict[str, float] = {}
     working = img
-    if cfg.dwt_first and cfg.dwt_levels:
+    if cfg.dwt_levels:
         with _stage(timings, "downsample"):
             working = haar_downsample(img, cfg.dwt_levels)
     with _stage(timings, "negate"):
         inverted = negate(working)
-    if not cfg.dwt_first and cfg.dwt_levels:
-        with _stage(timings, "downsample"):
-            inverted = haar_downsample(inverted, cfg.dwt_levels)
     with _stage(timings, "threshold"):
         t = otsu_threshold(histogram(inverted)) if cfg.threshold == "auto" else int(cfg.threshold)
         mask = apply_threshold(inverted, t)
@@ -235,12 +222,8 @@ def run_pipeline(
         if "mask" in cfg.emit:
             write_pgm(mask_to_image(mask.bits), out / f"{stem}_mask.pgm")
         if "overlay" in cfg.emit:
-            # Boundaries read best on the working source image, i.e. the
-            # inverted image negated back.
-            write_pgm(
-                overlay_boundaries(negate(inverted), region_map),
-                out / f"{stem}_overlay.pgm",
-            )
+            # Boundaries read best on the working source image.
+            write_pgm(overlay_boundaries(working, region_map), out / f"{stem}_overlay.pgm")
         if "features" in cfg.emit or "report" in cfg.emit:
             tokens = _number_tokens(report)  # both writers format the same numbers
         if "features" in cfg.emit:

@@ -665,12 +665,8 @@ def oracle_pipeline(img, cfg):
     feature CSV text, the label map and the boundary overlay's pixels, for
     ``run_pipeline(img, cfg)``.
     """
-    pixels = img.pixels
-    if cfg.dwt_first:
-        pixels = haar_pyramid(pixels, cfg.dwt_levels)
+    pixels = haar_pyramid(img.pixels, cfg.dwt_levels)
     inverted = np.array([[255 - int(v) for v in row] for row in pixels], dtype=np.uint8)
-    if not cfg.dwt_first:
-        inverted = haar_pyramid(inverted, cfg.dwt_levels)
     height, width = inverted.shape
 
     counts = [0] * 256

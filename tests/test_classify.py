@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -124,3 +126,9 @@ class TestRuleSet:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RuleSet(**kwargs)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RuleSet)])
+    def test_nan_refused_in_every_field(self, name):
+        """A NaN threshold would fail every comparison, labeling every region normal."""
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            RuleSet(**{name: float("nan")})

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import mammocad
@@ -72,3 +73,36 @@ def test_no_unused_imports():
                 if name not in used and not (path.name == "pipeline.py" and name in hooked):
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def attributes_read(tree: ast.AST, owner: str) -> set[str]:
+    """The ``owner.<name>`` attributes read anywhere in ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == owner
+    }
+
+
+def function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_every_config_field_and_rule_is_read():
+    """No dead knobs: a field that is only validated steers nothing.
+
+    Every ``PipelineConfig`` field is read as ``cfg.<field>`` in
+    ``pipeline.py`` outside ``validate``, and every ``RuleSet`` field in
+    ``classify.classify``.
+    """
+    from mammocad.classify import RuleSet
+    from mammocad.pipeline import PipelineConfig
+
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    function(tree, "validate").body = []  # its reads do not count
+    unread = {f.name for f in fields(PipelineConfig)} - attributes_read(tree, "cfg")
+    tree = function(ast.parse((PACKAGE / "classify.py").read_text(encoding="utf-8")), "classify")
+    unread |= {f.name for f in fields(RuleSet)} - attributes_read(tree, "rules")
+    assert unread == set()

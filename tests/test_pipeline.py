@@ -45,6 +45,18 @@ REPORT_KEYS = [
 ]
 
 
+# The timing keys in run order; "downsample" leads them when dwt_levels > 0.
+STAGES_AFTER_DOWNSAMPLE = [
+    "negate",
+    "threshold",
+    "segment",
+    "regions",
+    "fractal",
+    "features",
+    "classify",
+]
+
+
 @pytest.fixture(scope="module")
 def tumor_1024():
     img, truth = generate_phantom("tumor", 1, 1024)
@@ -101,16 +113,15 @@ class TestRunPipeline:
     def test_stage_timings_recorded(self, tumor_1024):
         img, _ = tumor_1024
         report = run_pipeline(img, PipelineConfig(output_dir=None))
-        for stage in ("downsample", "negate", "threshold", "segment", "fractal"):
-            assert stage in report.timings
-            assert report.timings[stage] >= 0.0
+        assert list(report.timings) == ["downsample", *STAGES_AFTER_DOWNSAMPLE]
+        assert all(ms >= 0.0 for ms in report.timings.values())
 
     def test_dwt_levels_zero_keeps_size(self):
         img, _ = generate_phantom("blank", 2, 128)
         cfg = PipelineConfig(dwt_levels=0, output_dir=None)
         report = run_pipeline(img, cfg)
         assert report.image_size == [128, 128]
-        assert "downsample" not in report.timings
+        assert list(report.timings) == STAGES_AFTER_DOWNSAMPLE
 
     def test_manual_threshold_recorded(self):
         img = GrayImage(np.full((16, 16), 100, np.uint8))
@@ -118,11 +129,10 @@ class TestRunPipeline:
         report = run_pipeline(img, cfg)
         assert report.threshold_used == 120
 
-    def test_negate_then_downsample_order(self, tumor_1024):
-        img, _ = tumor_1024
-        cfg = PipelineConfig(dwt_first=False, output_dir=None)
-        report = run_pipeline(img, cfg)
-        assert report.image_size == [128, 128]
+    def test_dwt_first_is_gone(self):
+        """The pyramid always runs before the negative; the old knob is no field."""
+        with pytest.raises(TypeError):
+            PipelineConfig(dwt_first=False)
 
     def test_stage_error_carries_stage_name(self):
         img = GrayImage(np.zeros((100, 100), np.uint8))  # not divisible by 8
@@ -347,8 +357,7 @@ class TestConfigFile:
                 "d_min = 2.0  # wide band\n"
                 "d_max = 3.0\n"
                 "min_area = 20\n"
-                "emit = report\n"
-                "dwt_first = false\n",
+                "emit = report\n",
                 {
                     "dwt_levels": 0,
                     "threshold": 140,
@@ -357,7 +366,6 @@ class TestConfigFile:
                     "d_max": 3.0,
                     "min_area": 20,
                     "emit": ("report",),
-                    "dwt_first": False,
                 },
             ),
             (README_CONFIG, README_VALUES),
@@ -527,9 +535,29 @@ class TestCli:
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("dwt_first = maybe\n")
+        cfg_file.write_text("tau_merge = maybe\n")
         assert main(["detect", "x.pgm", "--config", str(cfg_file)]) == 2
         assert "bad value" in capsys.readouterr().err
+
+    def test_dwt_first_config_key_exits_two(self, tmp_path, capsys):
+        """An old config file that names the removed stage order stops at its line."""
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("dwt_first = true\n")
+        never_read = tmp_path / "never_read.pgm"  # reading it would exit 1
+        assert main(["detect", str(never_read), "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg_file}:1: unknown key 'dwt_first'\n"
+
+    def test_dwt_first_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["detect", str(tmp_path / "never_read.pgm"), "--no-dwt-first"])
+        assert err.value.code == 2
+
+    def test_nan_rule_config_file_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text("min_boundary_gradient = nan\n")
+        assert main(["detect", str(tmp_path / "never_read.pgm"), "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: rule min_boundary_gradient must not be NaN\n"
 
     def test_phantom_too_small_exits_two(self, tmp_path, capsys):
         assert main(["phantom", "--kind", "tumor", "--size", "10", "--out", str(tmp_path)]) == 2
@@ -665,8 +693,7 @@ class TestBatchContract:
             {"threshold": True},
             {"threshold": 120.0},
             {"threshold": "120"},
-            {"dwt_first": "no"},
-            {"dwt_first": 1},
+            {"dwt_levels": np.True_},
             {"rule_overrides": None},
             {"rule_overrides": [("min_area", 10)]},
             {"emit": None},
@@ -697,6 +724,9 @@ class TestBatchContract:
             {"r_max": 10**12},
             {"min_region_pixels": 1},
             {"rule_overrides": {"no_such_rule": 1}},
+            {"rule_overrides": {"min_boundary_gradient": float("nan")}},
+            {"rule_overrides": {"min_intensity_diff": np.float64("nan")}},
+            {"rule_overrides": {"min_compactness": float("nan")}},
         ],
     )
     def test_out_of_range_fields_rejected_before_reading(self, field, tmp_path):
@@ -706,10 +736,9 @@ class TestBatchContract:
 
     def test_fields_of_any_number_type_accepted(self, tmp_path):
         PipelineConfig(
-            dwt_levels=np.int64(2), r_max=np.int32(4), d_min=2, d_max=np.float32(2.8),
-            dwt_first=False,
+            dwt_levels=np.int64(2), r_max=np.int32(4), d_min=2, d_max=np.float32(2.8)
         ).validate()
-        PipelineConfig(dwt_first=np.False_, emit=["report"], output_dir="out").validate()
+        PipelineConfig(emit=["report"], output_dir="out").validate()
         # A numpy integer runs as its Python twin does: no stage wraps it.
         path = tmp_path / "t.pgm"
         write_pgm(generate_phantom("tumor", 1, 128)[0], path)
@@ -850,20 +879,6 @@ class TestBatchContract:
         assert result.detections
         assert all(d.fit.scales == list(range(1, 257)) for d in result.detections)
 
-    def test_regions_stage_timed(self):
-        img, _ = generate_phantom("tumor", 1, 256)
-        report = run_pipeline(img, PipelineConfig(output_dir=None))
-        assert list(report.timings) == [
-            "downsample",
-            "negate",
-            "threshold",
-            "segment",
-            "regions",
-            "fractal",
-            "features",
-            "classify",
-        ]
-
 
 def extreme_image(kind, side):
     """A small image at an edge of the input space."""
@@ -904,7 +919,6 @@ def test_one_pixel_wide_image_reaches_features(kind):
 @given(
     images=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 24)), min_size=1, max_size=3),
     dwt_levels=st.integers(0, 3),
-    dwt_first=st.booleans(),
     threshold=st.sampled_from(["auto", 0, 255]),
     tau_split=st.integers(0, 255),
     tau_merge=st.integers(0, 255),
@@ -975,7 +989,6 @@ def oracle_cases(draw):
     d_min, d_max = draw(st.sampled_from([(2.4, 2.75), (1.5, 3.5)]))
     cfg = PipelineConfig(
         dwt_levels=draw(as_any_int(levels)),
-        dwt_first=draw(st.booleans()),
         threshold=draw(st.one_of(st.just("auto"), any_int(0, 255))),
         tau_split=draw(any_int(0, 255)),
         tau_merge=draw(any_int(0, 255)),
