@@ -1,9 +1,11 @@
 """Pipeline orchestration: config, stage sequencing, artifacts, reports.
 
-Stage order is fixed: downsample (optional) -> negate -> threshold ->
-segment -> fractal gate -> features -> classify. Every run of the same
-config on the same input produces byte-identical artifacts apart from the
-timing values embedded in the JSON report.
+Stage order is fixed, and the report's timing keys follow it: downsample
+(when ``dwt_levels`` > 0) -> negate -> threshold -> segment -> regions ->
+fractal -> features -> classify; the untimed fractal gate runs between fractal
+and features. Every run of the same config on the same input produces
+byte-identical artifacts apart from the timing values embedded in the JSON
+report.
 """
 
 import json
@@ -41,7 +43,6 @@ class PipelineConfig:
     threshold: int | str = "auto"
     tau_split: int = 10
     tau_merge: int = 10
-    min_block: int = 1
     r_max: int = 8
     d_min: float = 2.4
     d_max: float = 2.75
@@ -61,8 +62,6 @@ class PipelineConfig:
             raise ConfigError("threshold must be 'auto' or an integer in [0, 255]")
         if self.tau_split < 0 or self.tau_merge < 0:
             raise ConfigError("tau_split and tau_merge must be >= 0")
-        if self.min_block < 1:
-            raise ConfigError("min_block must be >= 1")
         if not 2 <= self.r_max <= MAX_R_MAX:
             raise ConfigError(f"r_max must be in [2, {MAX_R_MAX}]")
         if not self.d_min < self.d_max:
@@ -182,7 +181,7 @@ def run_pipeline(
         t = otsu_threshold(histogram(inverted)) if cfg.threshold == "auto" else int(cfg.threshold)
         mask = apply_threshold(inverted, t)
     with _stage(timings, "segment"):
-        region_map = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block)
+        region_map = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge)
     with _stage(timings, "regions"):
         ids = extract_regions(region_map, cfg.min_region_pixels)
     with _stage(timings, "fractal"):
@@ -247,7 +246,7 @@ def run_batch(paths, cfg: PipelineConfig) -> list[DetectionReport | BatchError]:
         first_of = {}
         for path in paths:
             first = first_of.setdefault(Path(path).stem, path)
-            if str(first) != str(path):
+            if Path(first) != Path(path):  # x.pgm and ./x.pgm are one file, no clash
                 raise ConfigError(f"{first} and {path} would write the same artifacts")
     results: list[DetectionReport | BatchError] = []
     for path in paths:

@@ -50,6 +50,8 @@ class RegionMap:
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _integer_type(type(self.region_count)):  # a bool would be a PGM maxval of True
+            raise ValueError("region_count must be an integer")
         labels = np.asarray(self.labels)
         # The cast below would drop fractions.
         if labels.dtype.kind not in "iu":
@@ -164,16 +166,14 @@ def _halvings(n: int, depth: int) -> tuple[_Level, ...]:
     return tuple(levels)
 
 
-def split(
-    img: GrayImage, mask: BinaryMask, tau_split: int = 10, min_block: int = 1
-) -> np.ndarray:
+def split(img: GrayImage, mask: BinaryMask, tau_split: int = 10) -> np.ndarray:
     """Quadtree-split the image into blocks homogeneous on the foreground.
 
     A block splits into (ceil/floor) quadrants while the max-min spread of
-    its foreground pixel values exceeds ``tau_split`` and its longer side
-    exceeds ``min_block``. Blocks with no foreground never split. The
-    leaves come back as an ``(n, 4)`` int array of ``(x, y, w, h)`` rows that
-    tile the image, in no promised order: :func:`merge` takes them in any.
+    its foreground pixel values exceeds ``tau_split``, so a block with no
+    foreground, or of one pixel, never splits. The leaves come back as an
+    ``(n, 4)`` int array of ``(x, y, w, h)`` rows that tile the image, in no
+    promised order: :func:`merge` takes them in any.
 
     The quadtree is decided level by level: all blocks of one depth share
     the same row and column intervals, so the foreground extremes of every
@@ -188,8 +188,6 @@ def split(
         raise ValueError("image and mask dimensions differ")
     if not tau_split >= 0:  # NaN fails too
         raise ValueError("tau_split must be >= 0")
-    if not min_block >= 1:
-        raise ValueError("min_block must be >= 1")
     height, width = img.height, img.width
     tau = min(tau_split, 255)  # spreads are at most 255; a huge int would not fit int16
     # Foreground max and min of every block meeting the window at every depth,
@@ -198,7 +196,7 @@ def split(
     highs = [np.where(mask.bits[window], img.pixels[window], np.int16(-1))]
     lows = [np.where(mask.bits[window], img.pixels[window], np.int16(256))]
     spread = highs[0].max(initial=-1) - lows[0].min(initial=256)  # -257 with no foreground
-    if max(height, width) <= min_block or spread <= tau:
+    if spread <= tau:
         return np.array([[0, 0, width, height]], dtype=np.int32)  # the root is a leaf
 
     depth = (max(height, width) - 1).bit_length()
@@ -223,7 +221,6 @@ def split(
     for r, q, (a, b, c, e), high, low in zip(rows, cols, spans[::-1], highs[::-1], lows[::-1]):
         inside = np.s_[a - top : b - top, c - left : e - left]
         splits = alive[inside] & (high - low > tau)
-        splits &= np.maximum.outer(r.lengths[a:b], q.lengths[c:e]) > min_block
         alive[inside] &= ~splits  # now the leaves
         i, j = np.nonzero(alive)
         i, j = i + top, j + left  # their interval indices
@@ -542,14 +539,10 @@ def merge(
 
 
 def segment_image(
-    img: GrayImage,
-    mask: BinaryMask,
-    tau_split: int = 10,
-    tau_merge: int = 10,
-    min_block: int = 1,
+    img: GrayImage, mask: BinaryMask, tau_split: int = 10, tau_merge: int = 10
 ) -> RegionMap:
     """Run split then merge with one call."""
-    return merge(img, mask, split(img, mask, tau_split, min_block), tau_merge)
+    return merge(img, mask, split(img, mask, tau_split), tau_merge)
 
 
 def boundary_mask(labels: np.ndarray) -> np.ndarray:

@@ -385,12 +385,11 @@ _N4 = ((0, -1), (0, 1), (-1, 0), (1, 0))
 _N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def quadtree_split(pixels, bits, tau_split, min_block):
+def quadtree_split(pixels, bits, tau_split):
     """Recursive quadtree split; leaves as (x, y, w, h) in NW, NE, SW, SE order.
 
     A block splits into ceil/floor quadrants while its foreground values
-    spread more than ``tau_split`` and its longer side exceeds
-    ``min_block``; quadrants with a zero side are dropped.
+    spread more than ``tau_split``; quadrants with a zero side are dropped.
     """
     height, width = bits.shape
     leaves = []
@@ -402,7 +401,7 @@ def quadtree_split(pixels, bits, tau_split, min_block):
             for xx in range(x, x + w)
             if bits[yy, xx]
         ]
-        if max(w, h) > min_block and vals and max(vals) - min(vals) > tau_split:
+        if vals and max(vals) - min(vals) > tau_split:
             hl = h - h // 2
             wl = w - w // 2
             for cy, ch in ((y, hl), (y + hl, h - hl)):
@@ -674,7 +673,7 @@ def oracle_pipeline(img, cfg):
         counts[v] += 1
     threshold = otsu_sweep(counts) if cfg.threshold == "auto" else int(cfg.threshold)
     bits = inverted > threshold
-    blocks = quadtree_split(inverted, bits, cfg.tau_split, cfg.min_block)
+    blocks = quadtree_split(inverted, bits, cfg.tau_split)
     labels = flood_merge(inverted, bits, blocks, cfg.tau_merge)
     records = region_geometry(labels)
     working = GrayImage(inverted)

@@ -46,7 +46,7 @@ def working(img, cfg):
 def fitted_regions(img, cfg):
     """Regions of at least ``min_region_pixels``, from the stages directly."""
     inverted, mask = working(img, cfg)
-    labels = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge, cfg.min_block).labels
+    labels = segment_image(inverted, mask, cfg.tau_split, cfg.tau_merge).labels
     return int((np.bincount(labels.ravel())[1:] >= cfg.min_region_pixels).sum())
 
 
@@ -76,7 +76,7 @@ def test_traced_counts_and_closure(tracing, tmp_path, name, make, levels):
     # The tracer counts leaves as len(split(...)): one per (x, y, w, h) row.
     inverted, mask = working(img, cfg)
     assert row["leaves"] == len(
-        quadtree_split(inverted.pixels, mask.bits, cfg.tau_split, cfg.min_block)
+        quadtree_split(inverted.pixels, mask.bits, cfg.tau_split)
     )
     assert row["fits"] == fitted_regions(img, cfg)
     assert row["fits"] > 0

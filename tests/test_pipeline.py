@@ -129,10 +129,11 @@ class TestRunPipeline:
         report = run_pipeline(img, cfg)
         assert report.threshold_used == 120
 
-    def test_dwt_first_is_gone(self):
-        """The pyramid always runs before the negative; the old knob is no field."""
+    # The pyramid always runs before the negative, and homogeneity alone decides a split.
+    @pytest.mark.parametrize("field", [{"dwt_first": False}, {"min_block": 1}])
+    def test_removed_field_is_gone(self, field):
         with pytest.raises(TypeError):
-            PipelineConfig(dwt_first=False)
+            PipelineConfig(**field)
 
     def test_stage_error_carries_stage_name(self):
         img = GrayImage(np.zeros((100, 100), np.uint8))  # not divisible by 8
@@ -539,13 +540,14 @@ class TestCli:
         assert main(["detect", "x.pgm", "--config", str(cfg_file)]) == 2
         assert "bad value" in capsys.readouterr().err
 
-    def test_dwt_first_config_key_exits_two(self, tmp_path, capsys):
-        """An old config file that names the removed stage order stops at its line."""
+    @pytest.mark.parametrize("key,value", [("dwt_first", "true"), ("min_block", "1")])
+    def test_removed_config_key_exits_two(self, tmp_path, capsys, key, value):
+        """An old config file that names a removed field stops at its line."""
         cfg_file = tmp_path / "old.cfg"
-        cfg_file.write_text("dwt_first = true\n")
+        cfg_file.write_text(f"{key} = {value}\n")
         never_read = tmp_path / "never_read.pgm"  # reading it would exit 1
         assert main(["detect", str(never_read), "--config", str(cfg_file)]) == 2
-        assert capsys.readouterr().err == f"config error: {cfg_file}:1: unknown key 'dwt_first'\n"
+        assert capsys.readouterr().err == f"config error: {cfg_file}:1: unknown key '{key}'\n"
 
     def test_dwt_first_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -718,7 +720,6 @@ class TestBatchContract:
             {"threshold": -1},
             {"tau_split": -1},
             {"tau_merge": -1},
-            {"min_block": 0},
             {"r_max": 1},
             {"r_max": 257},
             {"r_max": 10**12},
@@ -755,7 +756,6 @@ class TestBatchContract:
             ("tau_merge", 10, (np.uint8, np.uint16, np.int8)),
             ("tau_split", 10, (np.uint8, np.int8)),
             ("r_max", 127, (np.int8, np.uint8)),
-            ("min_block", 2, (np.uint8,)),
             ("min_region_pixels", 8, (np.uint8, np.int16)),
             ("dwt_levels", 9, (np.uint8, np.int64)),
             ("dwt_levels", 70, (np.int8, np.int64)),
@@ -800,6 +800,16 @@ class TestBatchContract:
         # With no artifacts written, nothing is overwritten.
         for cfg in (PipelineConfig(output_dir=None), PipelineConfig(output_dir=out, emit=())):
             assert [type(r) for r in run_batch(paths, cfg)] == [BatchError, BatchError]
+
+    def test_one_file_spelled_two_ways_is_no_stem_clash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in ("x.pgm", "d/x.pgm", "a/x.pgm", "b/x.pgm"):
+            Path(name).parent.mkdir(exist_ok=True)
+            write_pgm(generate_phantom("tumor", 1, 64)[0], name)
+        for paths in (["x.pgm", "./x.pgm"], ["d/x.pgm", "d//x.pgm", "d/./x.pgm"]):
+            assert main(["detect", *paths, "--out", "o"]) == 0, paths
+        assert main(["detect", "a/x.pgm", "b/x.pgm", "--out", "o"]) == 2
+        assert capsys.readouterr().err.startswith("config error: a/x.pgm and b/x.pgm")
 
     def test_artifact_write_failure_is_a_per_file_error(self, tmp_path, capsys):
         first = tmp_path / "a.pgm"
@@ -992,7 +1002,6 @@ def oracle_cases(draw):
         threshold=draw(st.one_of(st.just("auto"), any_int(0, 255))),
         tau_split=draw(any_int(0, 255)),
         tau_merge=draw(any_int(0, 255)),
-        min_block=draw(any_int(1, 4)),
         r_max=draw(any_int(2, 12)),
         d_min=d_min,
         d_max=d_max,

@@ -111,17 +111,18 @@ class TestSplit:
             merge(img_of([[1, 2]]), full_mask(2, 1), [(0, 0, 2, 1)], tau_merge=-1)
         with pytest.raises(ValueError, match="tau_merge must be >= 0"):
             segment_image(img_of([[1, 2]]), full_mask(2, 1), tau_merge=-1)
-        with pytest.raises(ValueError, match="min_block must be >= 1"):
-            split(img_of([[1, 2]]), full_mask(2, 1), min_block=0)
         nan = float("nan")  # fails every comparison, so it must fail the checks too
         with pytest.raises(ValueError, match="tau_split must be >= 0"):
             split(img_of([[1, 2]]), full_mask(2, 1), tau_split=nan)
-        with pytest.raises(ValueError, match="min_block must be >= 1"):
-            split(img_of([[1, 2]]), full_mask(2, 1), min_block=nan)
         with pytest.raises(ValueError, match="tau_merge must be >= 0"):
             merge(img_of([[1, 2]]), full_mask(2, 1), [(0, 0, 2, 1)], tau_merge=nan)
         with pytest.raises(ValueError, match="tau_merge must be >= 0"):
             segment_image(img_of([[1, 2]]), full_mask(2, 1), tau_merge=nan)
+
+    def test_min_block_is_gone(self):
+        """Homogeneity alone decides a split; the old block-size floor is no parameter."""
+        with pytest.raises(TypeError):
+            split(img_of([[1, 2]]), full_mask(2, 1), 10, 1)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), tau=st.sampled_from([0, 5, 30]))
@@ -342,6 +343,11 @@ class TestExports:
             RegionMap(np.array([[0, 2]], dtype=np.int32), 1)  # id 1 missing
         with pytest.raises(ValueError, match="labels must be 2-D"):
             RegionMap(np.ones((2, 2, 2), dtype=np.int32), 1)
+        # A bool count would be the label map's PGM maxval, "True"; a float one no count.
+        for count in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="region_count must be an integer"):
+                RegionMap(np.ones((2, 2), dtype=np.int32), count)
+        assert RegionMap(np.ones((2, 2), dtype=np.int32), np.int64(1)).region_count == 1
 
     @pytest.mark.parametrize("labels", [np.array([[1.9, 0]]), np.array([[1.0]]), np.array([[True]])])
     def test_region_map_rejects_non_integer_labels(self, labels):
@@ -469,23 +475,19 @@ class TestOracleEquivalence:
         pair=image_and_mask(),
         tau_split=st.sampled_from(TAUS),
         tau_merge=st.sampled_from(TAUS),
-        min_block=st.integers(1, 5),
     )
-    def test_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge, min_block):
-        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge, min_block)
+    def test_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge):
+        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge)
 
     @settings(deadline=None, max_examples=60)
     @given(
         pair=windowed_image_and_mask(),
         tau_split=st.sampled_from(TAUS),
         tau_merge=st.sampled_from(TAUS),
-        min_block=st.integers(1, 5),
     )
-    def test_windowed_split_merge_extract_match_oracle(
-        self, pair, tau_split, tau_merge, min_block
-    ):
+    def test_windowed_split_merge_extract_match_oracle(self, pair, tau_split, tau_merge):
         """A foreground in a small window: the work follows it, the outputs do not change."""
-        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge, min_block)
+        self.assert_split_merge_extract_match_oracle(*pair, tau_split, tau_merge)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -511,11 +513,9 @@ class TestOracleEquivalence:
         assert bounds(segment_image(img, mask).window) == nonzero_window(mask.bits)
 
     @staticmethod
-    def assert_split_merge_extract_match_oracle(img, mask, tau_split, tau_merge, min_block):
-        blocks = split(img, mask, tau_split, min_block)
-        assert sorted(leaves(blocks)) == sorted(
-            quadtree_split(img.pixels, mask.bits, tau_split, min_block)
-        )
+    def assert_split_merge_extract_match_oracle(img, mask, tau_split, tau_merge):
+        blocks = split(img, mask, tau_split)
+        assert sorted(leaves(blocks)) == sorted(quadtree_split(img.pixels, mask.bits, tau_split))
         rm = merge(img, mask, blocks, tau_merge)
         expected = flood_merge(img.pixels, mask.bits, blocks, tau_merge)
         assert np.array_equal(rm.labels, expected)
@@ -529,25 +529,28 @@ class TestOracleEquivalence:
                 painted[y, x] = 255
         assert np.array_equal(overlay_boundaries(img, rm).pixels, painted)
 
-    @pytest.mark.parametrize("base,spread,tau,density,min_block", [
-        (42, 1, 0, 1.0, 1),  # constant foreground
-        (0, 1, 0, 0.5, 1),  # constant 0 on half the pixels
-        (255, 1, 0, 1.0, 1),
-        (100, 11, 10, 1.0, 1),  # spread exactly tau
-        (100, 12, 10, 1.0, 1),  # spread just above tau: the root splits
-        (0, 256, 30, 0.0, 1),  # no foreground
-        (0, 256, 0, 1.0, 40),  # the root is no longer than min_block
-        (0, 256, 0, 1.0, 39),
+    @pytest.mark.parametrize("base,spread,tau,density,checker", [
+        (42, 1, 0, 1.0, False),  # constant foreground
+        (0, 1, 0, 0.5, False),  # constant 0 on half the pixels
+        (255, 1, 0, 1.0, False),
+        (100, 11, 10, 1.0, False),  # spread exactly tau
+        (100, 12, 10, 1.0, False),  # spread just above tau: the root splits
+        (0, 256, 30, 0.0, False),  # no foreground
+        (0, 256, 0, 1.0, False),  # random levels at tau 0: deep splits
+        (0, 256, 0, 1.0, True),  # 0 and 255 alternate: splits go down to single pixels
     ])
-    def test_split_root_leaf_matches_oracle(self, base, spread, tau, density, min_block):
+    def test_split_root_leaf_matches_oracle(self, base, spread, tau, density, checker):
         rng = np.random.default_rng(spread + tau)
         for height, width in ((40, 40), (1, 37), (23, 9)):
             pixels = (base + rng.integers(0, spread, (height, width))).astype(np.uint8)
+            if checker:
+                pixels = (np.indices((height, width)).sum(0) % 2 * 255).astype(np.uint8)
             bits = rng.random((height, width)) < density
             img, mask = GrayImage(pixels), BinaryMask(bits, 0)
-            assert sorted(leaves(split(img, mask, tau, min_block))) == sorted(
-                quadtree_split(pixels, bits, tau, min_block)
-            )
+            got = sorted(leaves(split(img, mask, tau)))
+            assert got == sorted(quadtree_split(pixels, bits, tau))
+            if checker:  # a 1x1 block has no spread, so the split stops there and only there
+                assert got == [(x, y, 1, 1) for x in range(width) for y in range(height)]
 
     @pytest.mark.parametrize("height,width,spikes", [
         (24, 300, 0),  # depth 9
@@ -563,19 +566,18 @@ class TestOracleEquivalence:
             pixels = rng.integers(0, 256, (height, width)).astype(np.uint8)
         bits = np.ones((height, width), bool)
         blocks = split(GrayImage(pixels), BinaryMask(bits, 0), 10)
-        assert sorted(leaves(blocks)) == sorted(quadtree_split(pixels, bits, 10, 1))
+        assert sorted(leaves(blocks)) == sorted(quadtree_split(pixels, bits, 10))
 
     @settings(deadline=None, max_examples=60)
     @given(
         pair=image_and_mask(max_side=24),
         tau_split=st.sampled_from(TAUS),
         tau_merge=st.sampled_from(TAUS),
-        min_block=st.integers(1, 5),
     )
-    def test_oracle_second_pass_never_merges(self, pair, tau_split, tau_merge, min_block):
+    def test_oracle_second_pass_never_merges(self, pair, tau_split, tau_merge):
         """``merge`` scans once: in the reference, every pass after the first merges nothing."""
         img, mask = pair
-        blocks = quadtree_split(img.pixels, mask.bits, tau_split, min_block)
+        blocks = quadtree_split(img.pixels, mask.bits, tau_split)
         _, passes = flood_merge_passes(img.pixels, mask.bits, blocks, tau_merge)
         assert passes[1:] == ([0] if passes[0] else [])
 
@@ -749,7 +751,7 @@ class TestHalvingsCache:
                 bits[:, :20] = bits[:40] = False  # a window away from the top and left
             for tau in (0, 30):
                 got = leaves(split(GrayImage(pixels), BinaryMask(bits, 0), tau))
-                assert sorted(got) == sorted(quadtree_split(pixels, bits, tau, 1))
+                assert sorted(got) == sorted(quadtree_split(pixels, bits, tau))
 
 
 def test_sparse_work_follows_the_window():
@@ -818,13 +820,10 @@ class TestMergeVisits:
         pair=image_and_mask(max_side=24),
         tau_split=st.sampled_from(TAUS),
         tau_merge=st.sampled_from(TAUS),
-        min_block=st.integers(1, 5),
     )
-    def test_visits_are_the_seeds_with_a_close_higher_neighbour(
-        self, pair, tau_split, tau_merge, min_block
-    ):
+    def test_visits_are_the_seeds_with_a_close_higher_neighbour(self, pair, tau_split, tau_merge):
         img, mask = pair
-        blocks = split(img, mask, tau_split, min_block)
+        blocks = split(img, mask, tau_split)
         visited = []
 
         def recorded(*args):
