@@ -76,43 +76,55 @@ def _gradient_at(img: GrayImage, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """:func:`gradient_map`'s values at the pixels ``(ys, xs)``, with the same bits.
 
     Edge padding replicates the border, so a neighbour's row and column are
-    clamped to the image. Each of the eight neighbours is gathered once and
-    the kernel sums run in :func:`gradient_map`'s operation order.
+    clamped to the image. Each of the eight neighbours is gathered once.
+    The kernel sums of 8-bit pixels are small integers, which
+    :func:`gradient_map`'s float sums hold exactly, so they are taken in
+    int16 and divided by 8.0 once.
     """
     height, width = img.pixels.shape
     flat = img.pixels.ravel()
     up, mid, down = (np.minimum(np.maximum(ys + k, 0), height - 1) * width for k in (-1, 0, 1))
     left, right = np.maximum(xs - 1, 0), np.minimum(xs + 1, width - 1)
-    nw, n, ne = (flat[up + col].astype(np.float64) for col in (left, xs, right))
-    w, e = (flat[mid + col].astype(np.float64) for col in (left, right))
-    sw, s, se = (flat[down + col].astype(np.float64) for col in (left, xs, right))
-    gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w + sw)) / 8.0
-    gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n + ne)) / 8.0
+    nw, n, ne = (flat.take(up + col).astype(np.int16) for col in (left, xs, right))
+    w, e = (flat.take(mid + col).astype(np.int16) for col in (left, right))
+    sw, s, se = (flat.take(down + col).astype(np.int16) for col in (left, xs, right))
+    gx = ((ne + 2 * e + se) - (nw + 2 * w + sw)) / 8.0
+    gy = ((sw + 2 * s + se) - (nw + 2 * n + ne)) / 8.0
     return np.hypot(gx, gy)
 
 
 def _slice_means(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function of ``values``: ``mean()`` of each consecutive slice, slice i ``lengths[i]`` long.
 
-    The slices of one length are gathered into a ``(k, length)`` array and
-    summed by one last-axis ``np.add.reduce``, which sums each row as it
-    sums that row alone. The grouping is made once, for every array of
-    values split by the same lengths. ``np.add.reduceat`` would not do: it
-    does not follow the order ``reduce`` sums in.
+    The slices, ordered by length, are gathered into one flat array; the
+    slices of one length are a ``(k, length)`` block of it, summed by one
+    last-axis ``np.add.reduce``, which sums each row as it sums that row
+    alone. The gather index and the blocks are made once, for every array
+    of values split by the same lengths. ``np.add.reduceat`` would not do:
+    it does not follow the order ``reduce`` sums in.
     """
-    starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    groups = [
-        (which, starts[which, None] + np.arange(lengths[which[0]]))
-        for which in np.split(order, cuts)
-    ]
+    sizes = lengths.take(order)
+    ends = np.cumsum(sizes)  # in the gathered array
+    # Each gathered value's place in ``values``: its slice's end there, less
+    # the slice's end in the gathered array, plus its own place there.
+    index = np.repeat(np.cumsum(lengths).take(order) - ends, sizes)
+    index += np.arange(len(index))
+    # Per length, its slices a..b - 1, where their block starts, and the length.
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    firsts = [0, *cuts]
+    at, length = (ends - sizes).take(firsts).tolist(), sizes.take(firsts).tolist()
+    blocks = list(zip(firsts, [*cuts, len(sizes)], at, length))
 
     def means(values: np.ndarray) -> np.ndarray:
+        gathered = values.take(index)
         sums = np.empty(len(lengths))
-        for which, index in groups:
-            sums[which] = np.add.reduce(values[index], axis=-1)
-        return sums / lengths
+        for a, b, at, length in blocks:
+            block = gathered[at : at + (b - a) * length].reshape(b - a, length)
+            np.add.reduce(block, axis=-1, out=sums[a:b])
+        means = np.empty(len(lengths))
+        means[order] = sums / sizes
+        return means
 
     return means
 
@@ -134,7 +146,7 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
     # map's window: the outer neighbour of a region pixel on its edge is not
     # in the region, so every boundary stays as it is on the whole map.
     window = region_map.window
-    covered = wanted[region_map.labels[window]]
+    covered = wanted.take(region_map.labels[window])
     inner = bounding_window(covered)
     (y0, y1), (x0, x1) = ((w.start + i.start, w.start + i.stop) for w, i in zip(window, inner))
     box = np.s_[y0:y1, x0:x1]
@@ -143,50 +155,57 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
     # Each pixel's row among the wanted ids, in the narrowest type that
     # numbers them: at 16 bits or fewer, numpy's stable sort is a radix
     # sort. Ids below the first wanted one wrap, but no covered pixel reads them.
-    group = (np.cumsum(wanted, dtype=np.min_scalar_type(len(wanted))) - 1)[labels.ravel()[at]]
-    at = at[np.argsort(group, kind="stable")]  # by region, raster order within
+    rows = np.cumsum(wanted, dtype=np.min_scalar_type(len(wanted))) - 1
+    group = rows.take(labels.ravel().take(at))
+    at = at.take(np.argsort(group, kind="stable"))  # by region, raster order within
     area = region_map.sizes[wanted]  # a row per wanted id, as group numbers them
     group = np.repeat(np.arange(len(area)), area)  # the sorted rows, as intp
-    ys, xs = np.divmod(at, labels.shape[1])
+    ys = at // labels.shape[1]
+    xs = at - ys * labels.shape[1]
     ends = np.cumsum(area)
-    edge = boundary_mask(labels).ravel()[at]
-    edge_group = group[edge]
+    edge = np.flatnonzero(boundary_mask(labels).ravel().take(at))  # the boundary pixels
+    edge_group = group.take(edge)
     edge_count = np.bincount(edge_group)
 
     grads = _gradient_at(img, ys + y0, xs + x0)
     mean_gradient = np.bincount(group, weights=grads) / area
-    boundary_gradient = np.bincount(edge_group, weights=grads[edge]) / edge_count
+    boundary_gradient = np.bincount(edge_group, weights=grads.take(edge)) / edge_count
 
     starts = ends - area
     col_min = np.minimum.reduceat(xs, starts)
     col_end = np.maximum.reduceat(xs, starts) + 1
-    row_min = ys[starts]
-    row_end = ys[ends - 1] + 1
+    row_min = ys.take(starts)
+    row_end = ys.take(ends - 1) + 1
     box_area = (col_end - col_min) * (row_end - row_min)
 
-    values = gray.ravel()[at].astype(np.float64)
+    values = gray.ravel().take(at).astype(np.float64)
     inside = np.bincount(group, weights=values)  # exact, as a pairwise sum is
     gray_mean = inside / area
-    gray_std = np.sqrt(_slice_means(area)((values - gray_mean[group]) ** 2))
+    gray_std = np.sqrt(_slice_means(area)((values - gray_mean.take(group)) ** 2))
 
     cx = np.bincount(group, weights=xs + x0) / area  # in image coordinates
     cy = np.bincount(group, weights=ys + y0) / area
-    dx = (xs[edge] + x0 - cx[edge_group]).tolist()
-    dy = (ys[edge] + y0 - cy[edge_group]).tolist()
-    dists = np.array(list(map(math.hypot, dx, dy)))
+    dx = (xs.take(edge) + x0 - cx.take(edge_group)).tolist()
+    dy = (ys.take(edge) + y0 - cy.take(edge_group)).tolist()
+    dists = np.fromiter(map(math.hypot, dx, dy), np.float64, len(dx))
     edge_means = _slice_means(edge_count)
     d_mean = edge_means(dists)
     if not d_mean.all():
         raise DegenerateRegion("all boundary pixels coincide with the centroid")
-    d_var = edge_means((dists - d_mean[edge_group]) ** 2)
+    d_var = edge_means((dists - d_mean.take(edge_group)) ** 2)
 
-    integral = np.zeros((gray.shape[0] + 1, gray.shape[1] + 1), dtype=np.int64)
-    integral[1:, 1:] = gray.cumsum(0, dtype=np.int64).cumsum(1)
+    # Box sums from an integral image, in int32 while its sums fit.
+    total = np.promote_types(np.min_scalar_type(-255 * gray.size), np.int32)
+    integral = np.zeros((gray.shape[0] + 1, gray.shape[1] + 1), dtype=total)
+    np.cumsum(gray, 0, dtype=total, out=integral[1:, 1:])
+    np.cumsum(integral[1:, 1:], 1, out=integral[1:, 1:])
+    stride = integral.shape[1]
+    top, bottom = row_min * stride, row_end * stride
     box_sum = (
-        integral[row_end, col_end]
-        - integral[row_min, col_end]
-        - integral[row_end, col_min]
-        + integral[row_min, col_min]
+        integral.take(bottom + col_end)
+        - integral.take(top + col_end)
+        - integral.take(bottom + col_min)
+        + integral.take(top + col_min)
     )
     # With no outside pixel, box_sum - inside is 0 and the inside mean stays.
     outside_mean = (box_sum - inside) / np.maximum(box_area - area, 1)
@@ -206,8 +225,7 @@ def feature_table(img: GrayImage, region_map: RegionMap, ids: Iterable[int]) -> 
 def compute_features(table: np.ndarray, region_id: int) -> FeatureVector:
     """The feature vector of region ``region_id``: its row of a :func:`feature_table`."""
     check_id(region_id, len(table))
-    row = table[region_id]
-    if not row[0]:
+    area, *rest = table[region_id].tolist()
+    if not area:
         raise ValueError(f"table has no row for region {region_id}")
-    area, *rest = row.tolist()
     return FeatureVector(int(area), *rest)

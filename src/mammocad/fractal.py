@@ -89,25 +89,27 @@ def blanket_area_table(
     # keeps every neighbor index in range and never matches a region's label.
     padded = _framed(labels)
     stride = labels.shape[1] + 2
-    at = np.flatnonzero(wanted[padded])
-    group = padded[at]
+    at = np.flatnonzero(wanted.take(padded))
+    group = padded.take(at)
     itself = np.arange(len(at))
     compact = np.zeros(padded.size, dtype=np.intp)
     compact[at] = itself
+    # In arithmetic, not np.where, which branches per pixel on a ragged condition.
     neighbors = np.stack(
         [
-            np.where(padded[at + step] == group, compact[at + step], itself)
-            for step in (-stride, -1, 1, stride)
+            itself + (compact.take(near) - itself) * (padded.take(near) == group)
+            for near in (at - stride, at - 1, at + 1, at + stride)
         ]
     )
 
-    upper = _framed(img.pixels[region_map.window])[at].astype(np.int32)
+    # Surfaces stay in -r_max..255 + r_max, so int16 holds them.
+    upper = _framed(img.pixels[region_map.window]).take(at).astype(np.int16)
     lower = upper.copy()
     volume = np.zeros(rows)  # V(r - 1), exact integers
     areas = np.zeros((rows, r_max), dtype=np.float64)
     for r in range(1, r_max + 1):
-        high, above = upper[neighbors].max(0), upper + 1
-        low, below = lower[neighbors].min(0), lower - 1
+        high, above = upper.take(neighbors).max(0), upper + 1
+        low, below = lower.take(neighbors).min(0), lower - 1
         if (high <= above).all() and (low >= below).all():  # settled from r on
             grown = np.outer(np.where(wanted, region_map.sizes, 0), 2 * np.arange(1, r_max - r + 2))
             areas[:, r - 1 :] = (volume[:, None] + grown) / (2 * np.arange(r, r_max + 1))
@@ -160,18 +162,20 @@ def fit_dimension(scales: Sequence[int], areas: Sequence[float]) -> BlanketFit:
 def blanket_dimension(table: BlanketTable, region_id: int) -> BlanketFit:
     """The blanket fit of region ``region_id``: its row of a :func:`blanket_area_table`."""
     check_id(region_id, len(table.areas))
-    if math.isnan(table.dimension[region_id]):
+    dimension = table.dimension.item(region_id)  # a Python float, with no numpy scalar
+    if math.isnan(dimension):
         raise ValueError(f"table has no fit for region {region_id}")
+    areas = table.areas[region_id].tolist()
     # Every pixel adds (u_1 - b_1) / 2 >= 1 to A(1), and a lone pixel exactly
     # 1, so A(1) < 2 exactly when the region has fewer than 2 pixels.
-    if table.areas[region_id, 0] < 2:
+    if areas[0] < 2:
         raise RegionTooSmall(f"region {region_id} has 1 pixel")
     return BlanketFit(
-        list(range(1, table.areas.shape[1] + 1)),
-        table.areas[region_id].tolist(),
-        float(table.dimension[region_id]),
-        float(table.intercept[region_id]),
-        float(table.residual[region_id]),
+        list(range(1, len(areas) + 1)),
+        areas,
+        dimension,
+        table.intercept.item(region_id),
+        table.residual.item(region_id),
     )
 
 

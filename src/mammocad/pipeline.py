@@ -321,30 +321,40 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
     tokens come from one token pass, ``tokens`` (the report's
     :func:`_number_tokens`, made here when not given). A copy of them takes
     each label and failed-rules list, encoded as that dump encodes them, in
-    its two slots; one ``%`` pass then fills the per-detection templates
-    (:func:`_detection_template`) and builds no string per detection.
+    its two slots. The text between slots comes from the per-detection
+    templates (:func:`_detection_template`, looked up and cut at its slots
+    once per run of detections whose scales, scale types and area counts
+    are equal), and one join interleaves it with the tokens.
     """
     head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
     if not report.detections:
         return head
     detections, numbers, slots = _number_tokens(report) if tokens is None else tokens
     values = numbers.copy()  # the caller shares the tokens with features_csv
+    # The head's strings escape every quote and newline, so its first
+    # '\n  "detections": []' is the key itself.
+    before, _, after = head.partition('\n  "detections": []')
+    texts = []  # the text before each value
+    joint = before + '\n  "detections": [\n'  # the text before the next detection's
     rules_of = {}  # failed_rules tuple -> its encoded list
+    last = None  # the scales, their types and the area count of the last template
     for det, at in zip(detections, slots):
         rules = tuple(det.failed_rules)
         if rules not in rules_of:
             rules_of[rules] = json.dumps(rules, indent=2).replace("\n", "\n      ")
         values[at : at + 2] = encode_basestring_ascii(det.label), rules_of[rules]
-    layout = ",\n".join(
-        _detection_template(
-            tuple(det.fit.scales), tuple(map(type, det.fit.scales)), len(det.fit.areas)
-        )
-        for det in detections
-    )
-    # The head's strings escape every quote and newline, so its first
-    # '\n  "detections": []' is the key itself.
-    before, _, after = head.partition('\n  "detections": []')
-    return f'%s\n  "detections": [\n{layout}\n  ]%s' % (before, *values, after)
+        scales = det.fit.scales
+        layout = (scales, tuple(map(type, scales)), len(det.fit.areas))
+        if layout != last:
+            last = layout
+            first, *inner, end = _detection_template(tuple(scales), *layout[1:]).split("%s")
+        texts.append(joint + first)
+        texts += inner
+        joint = end + ",\n"
+    texts.append(f"{end}\n  ]{after}")
+    parts = [None] * (len(texts) + len(values))
+    parts[::2], parts[1::2] = texts, values
+    return "".join(parts)
 
 
 def features_csv(report: DetectionReport, tokens: _Tokens | None = None) -> str:

@@ -19,6 +19,9 @@ per-interval foreground extremes; the merge seeds regions by union-find over
 the foreground's row runs, then scans a region adjacency graph. Both give
 exactly the leaves, labels and ids of the plain recursive split, flood fill
 and pixel-rescanning merge they replace; only the label map is image-sized.
+Gathers go through ``ndarray.take``: ``a[index]`` costs about twice as much
+with an int32 index, which it first converts, and more per call on small
+arrays.
 """
 
 from dataclasses import dataclass, field
@@ -193,8 +196,10 @@ def split(img: GrayImage, mask: BinaryMask, tau_split: int = 10) -> np.ndarray:
     # Foreground max and min of every block meeting the window at every depth,
     # built up from its pixels; background reads -1 for the max and 256 for the min.
     window = mask.window
-    highs = [np.where(mask.bits[window], img.pixels[window], np.int16(-1))]
-    lows = [np.where(mask.bits[window], img.pixels[window], np.int16(256))]
+    # In arithmetic, not np.where, which branches per pixel: ~8x slower on a ragged mask.
+    fg, pixels = mask.bits[window].astype(np.int16), img.pixels[window].astype(np.int16)
+    highs = [(pixels + 1) * fg - 1]
+    lows = [256 - (256 - pixels) * fg]
     spread = highs[0].max(initial=-1) - lows[0].min(initial=256)  # -257 with no foreground
     if spread <= tau:
         return np.array([[0, 0, width, height]], dtype=np.int32)  # the root is a leaf
@@ -212,8 +217,8 @@ def split(img: GrayImage, mask: BinaryMask, tau_split: int = 10) -> np.ndarray:
         fr, lr = np.maximum(r.first_child[a:b], a1) - a1, np.minimum(r.last_child[a:b], b1 - 1) - a1
         fc, lc = np.maximum(q.first_child[c:e], c1) - c1, np.minimum(q.last_child[c:e], e1 - 1) - c1
         for extremes, pick in ((highs, np.maximum), (lows, np.minimum)):
-            x = pick(extremes[-1][fr], extremes[-1][lr])
-            extremes.append(pick(x[:, fc], x[:, lc]))
+            x = pick(extremes[-1].take(fr, 0), extremes[-1].take(lr, 0))
+            extremes.append(pick(x.take(fc, 1), x.take(lc, 1)))
 
     found = []  # per depth: (x, y, w, h) arrays of its leaves
     alive = np.ones((1, 1), dtype=bool)  # the children of the last depth's splits
@@ -222,15 +227,18 @@ def split(img: GrayImage, mask: BinaryMask, tau_split: int = 10) -> np.ndarray:
         inside = np.s_[a - top : b - top, c - left : e - left]
         splits = alive[inside] & (high - low > tau)
         alive[inside] &= ~splits  # now the leaves
-        i, j = np.nonzero(alive)
-        i, j = i + top, j + left  # their interval indices
-        found.append((q.starts[j], r.starts[i], q.lengths[j], r.lengths[i]))
+        # Their interval indices less top and left: 2-D np.nonzero costs ~4x
+        # a flatnonzero and a divmod.
+        i, j = np.divmod(np.flatnonzero(alive), alive.shape[1])
+        (ys, hs), (xs, ws) = (r.starts[top:], r.lengths[top:]), (q.starts[left:], q.lengths[left:])
+        found.append((xs.take(j), ys.take(i), ws.take(j), hs.take(i)))
         if not splits.any():
             break
         top, left = r.first_child[a], q.first_child[c]
         alive = splits.repeat(r.children[a:b], 0).repeat(q.children[c:e], 1)
 
-    return np.stack([np.concatenate(side) for side in zip(*found)], 1)
+    # Rows x, y, w and h, each contiguous, seen as (n, 4).
+    return np.stack([np.concatenate(side) for side in zip(*found)]).T
 
 
 def _block_keys(blocks: np.ndarray, width: int, height: int, window) -> np.ndarray:
@@ -242,37 +250,47 @@ def _block_keys(blocks: np.ndarray, width: int, height: int, window) -> np.ndarr
     -v at the other two make a 2-D difference array; blocks inside the
     image partition it when, at v = 1, it is the image's own, as a sort of
     each sign's corners checks. The keys are painted on the window from the
-    blocks clipped to it, by ``np.add.at`` and a cumsum per axis: the sums
-    wrap, but a pixel still reads its key, which the paint's type holds:
-    int32, or int64 where ``(height + 1) * (width + 1)`` needs it.
+    blocks clipped to it, by ``np.add.at`` and a cumsum per axis. Once the
+    blocks are inside the image, the keys, the corner codes and the paint
+    are of the narrowest unsigned type that holds ``(height + 1) * (width +
+    1)``: the paint's sums wrap, but a pixel still reads its key, which that
+    type holds.
     """
     if blocks.size and blocks.dtype.kind not in "iu":  # the cast below would drop fractions
         raise ValueError("blocks must be integers")
-    x, y, w, h = blocks.T.astype(np.int64)
-    right, bottom = x + w, y + h
-    bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (w < 1) | (h < 1)
+    sides = blocks.T.astype(np.int64, order="C")  # contiguous rows, whatever the layout
+    x, y, right, bottom = sides
+    right += x
+    bottom += y
+    bad = (x < 0) | (y < 0) | (right > width) | (bottom > height) | (right <= x) | (bottom <= y)
     if bad.any():
         raise ValueError(f"block {tuple(blocks[int(np.argmax(bad))].tolist())} outside image")
     stride = width + 1  # a corner's x is at most width, so distinct corners get distinct keys
     key = np.min_scalar_type((height + 1) * stride)  # the narrowest type sorts fastest
-    plus = np.concatenate((y * stride + x, bottom * stride + right, [width, height * stride]))
-    minus = np.concatenate((y * stride + right, bottom * stride + x, [0, height * stride + width]))
-    plus, minus = plus.astype(key), minus.astype(key)
-    if not np.array_equal(np.sort(plus), np.sort(minus)):
+    x, y, right, bottom = sides = sides.astype(key)
+    top, low = y * stride, bottom * stride
+    keys = top + x
+    ends = np.array([(width, height * stride), (0, height * stride + width)], dtype=key)
+    plus = np.concatenate((keys, low + right, ends[0]))
+    minus = np.concatenate((top + right, low + x, ends[1]))
+    plus.sort()
+    minus.sort()
+    if not np.array_equal(plus, minus):
         raise ValueError("blocks do not partition the image")
-    paint = np.promote_types(np.min_scalar_type(-(height + 1) * stride), np.int32)
-    keys = (y * stride + x).astype(paint)
     (y0, y1, _), (x0, x1, _) = window[0].indices(height), window[1].indices(width)
-    # np.minimum and np.maximum clip as np.clip does, without its Python-level wrapper.
-    x, right = (np.minimum(np.maximum(a, x0), x1) - x0 for a in (x, right))
-    y, bottom = (np.minimum(np.maximum(a, y0), y1) - y0 for a in (y, bottom))
+    # np.minimum and np.maximum clip as np.clip does, without its Python-level
+    # wrapper. The paint's flat indices are intp: an unsigned type would
+    # promote an int64 sum to float.
+    start, stop = np.array([(x0, y0, x0, y0), (x1, y1, x1, y1)])[:, :, None]
+    x, y, right, bottom = np.minimum(np.maximum(sides.astype(np.intp), start), stop) - start
     stride = x1 - x0 + 1
-    corners = np.concatenate(
-        (y * stride + x, bottom * stride + right, y * stride + right, bottom * stride + x)
-    )
-    diff = np.zeros((y1 - y0 + 1, stride), dtype=paint)
-    np.add.at(diff.ravel(), corners, np.concatenate((keys, keys, -keys, -keys)))
-    return diff.cumsum(0, dtype=paint).cumsum(1, dtype=paint)[: y1 - y0, : x1 - x0]
+    corners = np.empty((4, len(keys)), dtype=np.intp)
+    for out, row, column in zip(corners, (y, bottom, y, bottom), (x, right, right, x)):
+        np.multiply(row, stride, out=out)
+        out += column
+    diff = np.zeros((y1 - y0 + 1, stride), dtype=key)
+    np.add.at(diff.ravel(), corners.ravel(), np.concatenate((keys, keys, -keys, -keys)))
+    return diff.cumsum(0, dtype=key).cumsum(1, dtype=key)[: y1 - y0, : x1 - x0]
 
 
 def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +320,7 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     # A run starts where the left neighbour is background or in another block.
     starts = bits.copy()
     starts[:, 1:] &= ~bits[:, :-1] | (block_of[:, :-1] != block_of[:, 1:])
-    opens = starts.ravel()[fg]
+    opens = starts.ravel().take(fg)
     run_of = np.cumsum(opens, dtype=np.int32) - 1  # each foreground pixel's run
     runs = int(run_of[-1]) + 1
     run_map = np.zeros(bits.shape, dtype=np.int32)
@@ -321,21 +339,21 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     while heads.size:  # an edge joins runs in two rows, so it starts between two roots
         np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
         parent = _roots(parent)
-        heads, tails = parent[heads], parent[tails]
+        heads, tails = parent.take(heads), parent.take(tails)
         crossing = heads != tails
         heads, tails = heads[crossing], tails[crossing]
     roots = np.flatnonzero(parent == np.arange(runs))
-    first = fg[opens][roots]
-    order = np.argsort(block_of.ravel()[first], kind="stable")  # first is ascending
+    first = fg[opens].take(roots)
+    order = np.argsort(block_of.ravel().take(first), kind="stable")  # first is ascending
     ids = np.zeros(runs, dtype=np.int32)
-    ids[roots[order]] = np.arange(1, len(roots) + 1, dtype=np.int32)
-    np.put(labels, fg, ids[parent][run_of])
-    return labels, first[order]
+    ids[roots.take(order)] = np.arange(1, len(roots) + 1, dtype=np.int32)
+    np.put(labels, fg, ids.take(parent).take(run_of))
+    return labels, first.take(order)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
     """Pointer jumping on a forest: each entry of ``parent`` replaced by its root."""
-    while not np.array_equal(grand := parent[parent], parent):
+    while not np.array_equal(grand := parent.take(parent), parent):
         parent = grand
     return parent
 
@@ -405,7 +423,7 @@ def _merge_visits(means: np.ndarray, lo: np.ndarray, hi: np.ndarray, tau: float)
     within ``tau`` marks its lower id. Only these seeds can absorb anything
     in :func:`merge`'s scan; the ids come back ascending, as Python ints.
     """
-    near = np.flatnonzero(np.abs(means[lo] - means[hi]) <= tau)
+    near = np.flatnonzero(np.abs(means.take(lo) - means.take(hi)) <= tau)
     visit = np.zeros(len(means), dtype=bool)
     visit[lo.take(near)] = True
     return np.flatnonzero(visit).tolist()
@@ -427,8 +445,8 @@ def merge(
 
     The seeds come from union-find over the row runs in the mask's window
     (:func:`_seed_labels`); the scan runs on a region adjacency graph built
-    once from them (:func:`_adjacency`), with integer gray sums and pixel
-    counts per region. The graph is one sort of each touching seed pair's
+    once from them (:func:`_adjacency`), with exact gray sums (floats that
+    hold integers) and pixel counts per region. The graph is one sort of each touching seed pair's
     code ``lo << k | hi``, uint32 up to 65535 seeds, and one sort of those
     codes with their mirrors for the neighbour lists. A scanned region
     absorbs its smallest-id neighbour within ``tau_merge``, takes over that
@@ -473,10 +491,11 @@ def merge(
     sums = np.bincount(flat, weights=img.pixels[mask.window].ravel(), minlength=count + 1)
     sizes = np.bincount(flat, minlength=count + 1)
     # The float sums are exact integers, so one correctly rounded array
-    # division gives the bits of Python's int / int; a row of no pixels is 0.0.
+    # division gives the bits of Python's int / int, and so does the scan's
+    # float / int; a row of no pixels is 0.0.
     mean_of = sums / np.maximum(sizes, 1)
     means = mean_of.tolist()
-    sums = sums.astype(np.int64).tolist()
+    sums = sums.tolist()
     sizes = sizes.tolist()
     lo, hi, targets, offsets = _adjacency(seeds, count)
     visits = _merge_visits(mean_of, lo, hi, tau)
@@ -524,17 +543,20 @@ def merge(
 
     # Each seed's final region, then each region's first pixel: the first
     # of its seeds' first pixels. Flat indices in the window keep the
-    # image's raster order.
-    owner = np.array(absorbed_by, dtype=np.int32)
+    # image's raster order; no two are equal, so the faster stable sort
+    # gives the one order there is.
+    owner = np.fromiter(absorbed_by, np.intp, count + 1)
+    del neighbours, absorbed_by, seen_in, sums, sizes, means  # gone before the relabelling
     alive = np.flatnonzero(owner == 0)[1:]
     owner[alive] = alive
     owner = _roots(owner)
     first = np.full(count + 1, flat.size, dtype=np.int64)
     np.minimum.at(first, owner[1:], first_pixel)
     final_id = np.zeros(count + 1, dtype=np.int32)
-    final_id[alive[np.argsort(first[alive])]] = np.arange(1, len(alive) + 1, dtype=np.int32)
+    order = np.argsort(first.take(alive), kind="stable")
+    final_id[alive.take(order)] = np.arange(1, len(alive) + 1, dtype=np.int32)
     labels = np.zeros(mask.bits.shape, dtype=np.int32)
-    labels[mask.window] = final_id[owner][seeds]
+    labels[mask.window] = final_id.take(owner).take(seeds)
     return RegionMap(labels, len(alive))
 
 

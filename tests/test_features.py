@@ -213,6 +213,15 @@ class TestEdgeDistanceVariance:
             2.0 * edge_distance_variance(region), rel=1e-12
         )
 
+    @pytest.mark.parametrize("gray", [0, 77, 255])
+    def test_table_keeps_math_hypot_bits(self, gray):
+        """A region whose value np.hypot's distances would change in the last bit."""
+        bits = np.array([[1, 0, 0, 1], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 0, 1]], bool)
+        img = GrayImage(np.full(bits.shape, gray, np.uint8))
+        rm = map_of(img, bits)
+        assert features_of(img, rm, 1).edge_distance_variance == 0.15659167973233584
+        assert edge_distance_variance(region_of(img, bits)) == 0.15659167973233584
+
     def test_single_pixel_degenerate(self):
         img = GrayImage(np.zeros((3, 3), np.uint8))
         bits = np.zeros((3, 3), bool)

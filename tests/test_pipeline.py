@@ -285,6 +285,19 @@ class TestReportJson:
             else:
                 assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
+    def test_equal_scales_of_other_types_in_one_report(self):
+        """Detections in a row with equal scales of other types each write their own text."""
+        report = hand_built_report(0.5)
+        (det,) = report.detections
+        report.detections = [
+            replace(det, region_id=rid, fit=replace(det.fit, scales=scales))
+            for rid, scales in ((3, [1, 2]), (4, [1.0, 2]), (5, [1, 2]))
+        ]
+        report.region_count_post_gate = 3
+        text = report_json(report)
+        assert text == json.dumps(report_to_dict(report), indent=2) + "\n"
+        assert text.count('"scales": [\n          1.0,') == 1
+
 
 class TestFeaturesCsv:
     @settings(deadline=None, max_examples=100)

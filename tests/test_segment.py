@@ -10,7 +10,7 @@ from mammocad import segment as segment_module
 from mammocad.errors import IoFailure
 from mammocad.features import compute_features, feature_table
 from mammocad.fractal import blanket_area_table, blanket_dimension, box_count_dimension
-from mammocad.image import GrayImage
+from mammocad.image import GrayImage, negate
 from mammocad.segment import (
     RegionMap,
     _adjacency,
@@ -36,6 +36,7 @@ from oracles import (
     region_geometry,
     touching_pairs,
 )
+from test_golden import box_noise
 
 
 def full_mask(w, h, t=0):
@@ -676,14 +677,14 @@ class TestSeedLabels:
         assert_seeds_match_oracle(bits, pixel_leaves(*shape))
 
     def test_block_keys_past_int32(self):
-        """Keys above 2**31 widen the paint, so the seeds keep the blocks' raster order."""
-        width, height = 70000, 40000
+        """Keys above 2**32 widen the paint to uint64: the seeds keep the blocks' raster order."""
+        width, height = 70000, 70000
         x, y = width - 2, height - 2  # the far corner's block is 2 x 2
         blocks = np.array([(0, 0, x, y), (x, 0, 2, y), (0, y, x, 2), (x, y, 2, 2)])
         window = np.s_[height - 4 :, width - 4 :]
         block_of = _block_keys(blocks, width, height, window)
         keys = [0, x, y * (width + 1), y * (width + 1) + x]
-        assert keys[2] > 2**31 and block_of.dtype == np.int64
+        assert keys[2] > 2**32 and block_of.dtype == np.uint64
         assert np.array_equal(block_of, np.array(keys).reshape(2, 2).repeat(2, 0).repeat(2, 1))
         labels, first = _seed_labels(np.ones((4, 4), bool), block_of)
         assert np.array_equal(labels, np.array([[1, 2], [3, 4]]).repeat(2, 0).repeat(2, 1))
@@ -767,6 +768,25 @@ def test_sparse_work_follows_the_window():
         tracemalloc.stop()
     assert peak <= 4 * rm.labels.nbytes
     assert bounds(rm.window) == (1000, 1016, 1500, 1516)
+
+
+def test_many_regions_stay_below_their_memory_bound():
+    """The 192 px textured image, 5910 regions from a 37 KB image: a peak of at most 4.3 MB.
+
+    Most of it is the scan's per-seed lists and the region graph. A worker
+    that writes the report holds ~3.9 MB of its own, so more would show in
+    its peak RSS.
+    """
+    img = negate(box_noise(5, 192))
+    mask = apply_threshold(img, otsu_threshold(histogram(img)))
+    tracemalloc.start()
+    try:
+        rm = segment_image(img, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rm.region_count == 5910
+    assert peak <= 4_300_000
 
 
 class TestMergeVisits:
