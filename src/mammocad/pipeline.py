@@ -292,16 +292,20 @@ _HEAD_NUMBERS = len(fields(FeatureVector)) + 2
 
 
 @lru_cache(maxsize=64)
-def _detection_template(scales: tuple, types: tuple[type, ...], areas: int) -> str:
+def _detection_template(
+    scales: tuple, types: tuple[type, ...], zeros: tuple[str, ...] | bool, areas: int
+) -> str:
     """One detection as json.dumps(indent=2) writes it inside the report's list.
 
     The layout is json.dumps's own, of a detection whose fit's ``scales``
     are written as they are and whose every other value is a %s slot: each
     takes an encoded value, in the order of the dataclass fields, and the
     fit's areas list holds ``areas`` of them. A scale json.dumps refuses
-    raises its ``TypeError`` here. ``types``, the scales' types, only keys
-    the cache: ``1``, ``1.0``, ``True`` and ``np.int64(1)`` are equal keys
-    that dump differently, the last not at all.
+    raises its ``TypeError`` here. ``types`` and ``zeros`` only key the
+    cache, since equal scales can dump differently: ``1``, ``1.0``, ``True``
+    and ``np.int64(1)`` by their types, the last not at all, and ``0.0`` and
+    ``-0.0`` by their sign. ``types`` holds the scales' types, and ``zeros``
+    their reprs when one of them equals 0, and False otherwise.
     """
     detection = dict.fromkeys(f.name for f in fields(Detection))
     detection["features"] = dict.fromkeys(f.name for f in fields(FeatureVector))
@@ -323,8 +327,8 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
     each label and failed-rules list, encoded as that dump encodes them, in
     its two slots. The text between slots comes from the per-detection
     templates (:func:`_detection_template`, looked up and cut at its slots
-    once per run of detections whose scales, scale types and area counts
-    are equal), and one join interleaves it with the tokens.
+    once per run of detections whose scales, scale types, zero reprs and
+    area counts are equal), and one join interleaves it with the tokens.
     """
     head = json.dumps({**vars(report), "detections": []}, indent=2) + "\n"
     if not report.detections:
@@ -337,14 +341,15 @@ def report_json(report: DetectionReport, tokens: _Tokens | None = None) -> str:
     texts = []  # the text before each value
     joint = before + '\n  "detections": [\n'  # the text before the next detection's
     rules_of = {}  # failed_rules tuple -> its encoded list
-    last = None  # the scales, their types and the area count of the last template
+    last = None  # the scales, their types, zeros and area count of the last template
     for det, at in zip(detections, slots):
         rules = tuple(det.failed_rules)
         if rules not in rules_of:
             rules_of[rules] = json.dumps(rules, indent=2).replace("\n", "\n      ")
         values[at : at + 2] = encode_basestring_ascii(det.label), rules_of[rules]
         scales = det.fit.scales
-        layout = (scales, tuple(map(type, scales)), len(det.fit.areas))
+        zeros = 0 in scales and tuple(map(repr, scales))  # 0.0 == -0.0; their reprs differ
+        layout = (scales, tuple(map(type, scales)), zeros, len(det.fit.areas))
         if layout != last:
             last = layout
             first, *inner, end = _detection_template(tuple(scales), *layout[1:]).split("%s")

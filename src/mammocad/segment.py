@@ -300,9 +300,11 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
     Components are found by union-find over row runs, maximal stretches of
     foreground in one row and one block (He, Chao and Suzuki, IEEE TIP
     17(5), 2008). Runs in adjacent rows first touch where one of them
-    starts; :func:`_pairs` codes each such edge, upper run first, and one
-    sort of the narrow codes deduplicates the edges. Each round hooks the
-    larger root of every edge to the smaller with ``np.minimum.at``, then
+    starts; three masked passes (down and both diagonals) list each such
+    edge, upper run first, and may list one pair more than once. Each round
+    hooks the larger root of every edge to the smaller with
+    ``np.minimum.at``, which is unbuffered, so a repeated edge hooks the
+    same root again and the next round's ``crossing`` filter drops it; then
     pointer jumping makes every run point at its root. Runs are numbered in
     raster order, so a root run starts at its component's first pixel. Ids
     follow blocks in raster order of their top-left corner, then components
@@ -334,7 +336,7 @@ def _seed_labels(bits: np.ndarray, block_of: np.ndarray) -> tuple[np.ndarray, np
         joined = (starts[a] | starts[b]) & bits[a] & bits[b] & (block_of[a] == block_of[b])
         heads.append(run_map[a][joined])
         tails.append(run_map[b][joined])
-    heads, tails = _pairs(np.concatenate(heads), np.concatenate(tails), runs - 1)[1:]
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
     parent = np.arange(runs, dtype=np.int32)
     while heads.size:  # an edge joins runs in two rows, so it starts between two roots
         np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
@@ -358,36 +360,18 @@ def _roots(parent: np.ndarray) -> np.ndarray:
     return parent
 
 
-def _pairs(lo: np.ndarray, hi: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct pairs ``(lo[i], hi[i])`` of ids in 0..top, ordered by lo, then by hi.
-
-    Returns (codes, lo, hi): each pair once as its code ``lo << k | hi``,
-    where ``k = top.bit_length()``, and the code decoded by shift and mask
-    into int32 ids. One sort of the codes orders and, with a comparison of
-    neighbours, dedupes the pairs. The codes are uint32 while ``2 * k <= 32``
-    and uint64 above: the narrower type sorts faster.
-    """
-    shift = top.bit_length()
-    kind = np.uint32 if 2 * shift <= 32 else np.uint64
-    codes = lo.astype(kind) << shift | hi.astype(kind)
-    codes.sort()
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    codes = codes[first]
-    mask = (1 << shift) - 1
-    return codes, (codes >> shift).astype(np.int32), (codes & mask).astype(np.int32)
-
-
 def _adjacency(
     labels: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The region adjacency graph of ids 1..count: 4-adjacent label pairs.
 
     Returns (lo, hi, targets, offsets). Each touching pair is listed once
-    as ``(lo[i], hi[i])``, lo < hi, ordered by lo, then by hi
-    (:func:`_pairs`). The neighbours of id r are
-    ``targets[offsets[r]:offsets[r + 1]]``, ascending and each once: one
-    sort of the pairs' codes ``lo << k | hi`` with their mirrors
+    as ``(lo[i], hi[i])``, lo < hi, ordered by lo, then by hi: one sort of
+    the pairs' codes ``lo << k | hi``, ``k = count.bit_length()``, orders
+    them, and a comparison of neighbours dedupes them. The codes are uint32
+    while ``2 * k <= 32`` and uint64 above: the narrower type sorts faster.
+    The neighbours of id r are ``targets[offsets[r]:offsets[r + 1]]``,
+    ascending and each once: one sort of the codes with their mirrors
     ``hi << k | lo`` orders both directions by source, then by target, and
     the mask ``(1 << k) - 1`` takes the target from each code.
     """
@@ -404,9 +388,15 @@ def _adjacency(
         pixels.append(a.take(at))
         neighbours.append(b.take(at))
     a, b = np.concatenate(pixels), np.concatenate(neighbours)
-    codes, lo, hi = _pairs(np.minimum(a, b), np.maximum(a, b), count)
-    shift = count.bit_length()  # as _pairs codes them
+    shift = count.bit_length()
+    kind = np.uint32 if 2 * shift <= 32 else np.uint64
+    codes = np.minimum(a, b).astype(kind) << shift | np.maximum(a, b).astype(kind)
+    codes.sort()
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    codes = codes[first]
     mask = (1 << shift) - 1
+    lo, hi = (codes >> shift).astype(np.int32), (codes & mask).astype(np.int32)
     both = np.concatenate((codes, (codes & mask) << shift | codes >> shift))
     both.sort()
     offsets = np.zeros(count + 2, dtype=np.int64)

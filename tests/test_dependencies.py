@@ -1,5 +1,6 @@
 """numpy stays the only runtime dependency: the package imports nothing else
-from outside the standard library. And every module uses what it imports."""
+from outside the standard library. And every module uses what it imports, and
+the package every private helper it defines."""
 
 import ast
 import importlib.util
@@ -73,6 +74,45 @@ def test_no_unused_imports():
                 if name not in used and not (path.name == "pipeline.py" and name in hooked):
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """The names ``node`` reads: names loaded, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_no_orphaned_private_helpers():
+    """Each module-level ``_name`` (function, class or constant) is read in the
+    package outside the statement that defines it: a helper left without a
+    caller is dead code."""
+    statements = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [names_read(node) for _, node in statements]
+    orphans = []
+    for i, (module, node) in enumerate(statements):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in read for j, read in enumerate(reads) if j != i):
+                orphans.append(f"{module}:{name}")
+    assert orphans == []
 
 
 def attributes_read(tree: ast.AST, owner: str) -> set[str]:

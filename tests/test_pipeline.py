@@ -298,6 +298,22 @@ class TestReportJson:
         assert text == json.dumps(report_to_dict(report), indent=2) + "\n"
         assert text.count('"scales": [\n          1.0,') == 1
 
+    @pytest.mark.parametrize("runs", [
+        [[[0.0, 2], [-0.0, 2]]],  # both zeros in one report, either order
+        [[[-0.0, 2], [0.0, 2]]],
+        [[[0.0, 2]], [[-0.0, 2]]],  # a -0.0 report after a 0.0 one filled the cache
+    ])
+    def test_signed_zero_scales_write_their_own_text(self, runs):
+        """0.0 == -0.0, but each dumps as itself, in one report or after another."""
+        (det,) = hand_built_report(0.5).detections
+        for scales_of in runs:
+            report = hand_built_report(0.5)
+            report.detections = [
+                replace(det, region_id=rid, fit=replace(det.fit, scales=scales))
+                for rid, scales in enumerate(scales_of, 3)
+            ]
+            assert report_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+
 
 class TestFeaturesCsv:
     @settings(deadline=None, max_examples=100)

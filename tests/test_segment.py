@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,15 @@ from hypothesis import strategies as st
 from mammocad import segment as segment_module
 from mammocad.errors import IoFailure
 from mammocad.features import compute_features, feature_table
-from mammocad.fractal import blanket_area_table, blanket_dimension, box_count_dimension
+from mammocad.fractal import (
+    blanket_area_table,
+    blanket_dimension,
+    box_count_dimension,
+    roughness_gate,
+)
 from mammocad.image import GrayImage, negate
+from mammocad.phantom import generate_phantom
+from mammocad.pipeline import PipelineConfig
 from mammocad.segment import (
     RegionMap,
     _adjacency,
@@ -671,6 +679,19 @@ class TestSeedLabels:
     def test_structured_bits(self, make, blocks):
         assert_seeds_match_oracle(make(), blocks)
 
+    def test_repeated_run_edge(self):
+        """A full two-row block: the down pass and both diagonal passes join its two runs.
+
+        The union-find hooks that raw edge three times in its first round
+        and still gives the flood fill's seed.
+        """
+        minimum = mock.Mock(wraps=np.minimum)  # records np.minimum.at's edges
+        fake_np = SimpleNamespace(**{**vars(np), "minimum": minimum})
+        with mock.patch.object(segment_module, "np", fake_np):
+            assert_seeds_match_oracle(np.ones((2, 5), bool), [(0, 0, 5, 2)])
+        _, larger, smaller = minimum.at.call_args_list[0].args
+        assert list(zip(larger.tolist(), smaller.tolist())) == [(1, 0)] * 3
+
     @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (12, 17)])
     def test_pixel_blocks(self, shape):
         bits = np.random.default_rng(shape[0]).random(shape) < 0.6
@@ -755,19 +776,29 @@ class TestHalvingsCache:
                 assert sorted(got) == sorted(quadtree_split(pixels, bits, tau))
 
 
+def traced_peak(call):
+    """``call()`` and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sparse_work_follows_the_window():
     """A 16 px blob on a 2048 px image: segmenting it allocates about one label map, not six."""
     pixels = np.zeros((2048, 2048), np.uint8)
     pixels[1000:1016, 1500:1516] = np.random.default_rng(7).integers(100, 200, (16, 16))
     img, mask = GrayImage(pixels), BinaryMask(pixels > 50, 50)
-    tracemalloc.start()
-    try:
-        rm = segment_image(img, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rm, peak = traced_peak(lambda: segment_image(img, mask))
     assert peak <= 4 * rm.labels.nbytes
     assert bounds(rm.window) == (1000, 1016, 1500, 1516)
+
+
+def textured_image_and_mask():
+    """The negated 192 px textured image and its Otsu mask, as the pipeline segments them."""
+    img = negate(box_noise(5, 192))
+    return img, apply_threshold(img, otsu_threshold(histogram(img)))
 
 
 def test_many_regions_stay_below_their_memory_bound():
@@ -777,16 +808,42 @@ def test_many_regions_stay_below_their_memory_bound():
     that writes the report holds ~3.9 MB of its own, so more would show in
     its peak RSS.
     """
-    img = negate(box_noise(5, 192))
-    mask = apply_threshold(img, otsu_threshold(histogram(img)))
-    tracemalloc.start()
-    try:
-        rm = segment_image(img, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    img, mask = textured_image_and_mask()
+    rm, peak = traced_peak(lambda: segment_image(img, mask))
     assert rm.region_count == 5910
     assert peak <= 4_300_000
+
+
+def test_region_tables_stay_below_their_memory_bounds():
+    """The blanket and feature tables of the 192 px textured image, with the pipeline's ids.
+
+    The blanket takes the 505 regions of at least 8 px (a 1.59 MB peak),
+    the features the 471 the roughness gate keeps (1.83 MB): each bound is
+    10 % above.
+    """
+    cfg = PipelineConfig()
+    img, mask = textured_image_and_mask()
+    rm = segment_image(img, mask)
+    ids = extract_regions(rm, cfg.min_region_pixels)
+    blankets, peak = traced_peak(lambda: blanket_area_table(img, rm, ids, cfg.r_max))
+    assert len(ids) == 505 and peak <= 1_740_000
+    fits = {rid: blanket_dimension(blankets, rid) for rid in ids.tolist()}
+    gated = np.array(roughness_gate(fits, cfg.d_min, cfg.d_max), dtype=np.int64)
+    _, peak = traced_peak(lambda: feature_table(img, rm, gated))
+    assert len(gated) == 471 and peak <= 2_000_000
+
+
+def test_blank_phantom_at_full_size_stays_below_its_memory_bound():
+    """The 1024 px blank phantom at L0, 15516 regions: a peak of at most 26 MB.
+
+    The seeds' union-find hooks the raw run edges (~333k on this image)
+    without a sorted, deduplicated copy of them.
+    """
+    img = negate(generate_phantom("blank", 501, 1024)[0])
+    mask = apply_threshold(img, otsu_threshold(histogram(img)))
+    rm, peak = traced_peak(lambda: segment_image(img, mask))
+    assert rm.region_count == 15516
+    assert peak <= 26_000_000
 
 
 class TestMergeVisits:
